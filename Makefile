@@ -1,6 +1,5 @@
-.PHONY: all build check test bench bench-static bench-par bench-crash \
-	bench-json bench-fuzz bench-serve bench-exec bench-sim bench-opt \
-	fuzz-smoke serve-smoke sim-smoke opt-smoke trace-demo clean fmt
+.PHONY: all build check test bench fuzz-smoke serve-smoke sim-smoke \
+	trace-demo clean fmt
 
 all: build
 
@@ -13,56 +12,20 @@ check:
 
 test: check
 
+# The performance suite (see BENCHMARK.json and perfsuite/README.md).
+# The paper's tables and figures are `dune exec bench/main.exe
+# [EXPERIMENT]`.
 bench:
-	dune exec bench/main.exe -- table_effectiveness
-
-bench-static:
-	dune exec bench/main.exe -- table_static
-
-# Corpus-sweep wall-clock scaling over worker domains (jobs 1/2/4),
-# with a cross-check that parallel sweeps reproduce the serial plans.
-bench-par:
-	dune exec bench/main.exe -- table_par
-
-# Single-pass dedup crash sweep vs per-crash-point replay: n, distinct
-# images, recovery runs, wall clock, speedup, verdict identity.
-bench-crash:
-	dune exec bench/main.exe -- table_crash
-
-# Same, with machine-readable results at the repo root (CI artifact).
-bench-json:
-	dune exec bench/main.exe -- table_crash --json BENCH_pr4.json
-
-# Coverage-guided fuzzing vs blind generation at equal exec counts.
-bench-fuzz:
-	dune exec bench/main.exe -- table_fuzz --seed 42
-
-# Million-op YCSB traffic against the served redis_mini: manual vs
-# Hippocrates-repaired flush-free, simulated throughput + latency
-# percentiles, with machine-readable results at the repo root.
-bench-serve:
-	dune exec bench/main.exe -- table_serve --json BENCH_pr6.json
-
-# Compiled execution tier vs the reference interpreter: YCSB ops/s and
-# fuzz-family execs/s per tier, witness agreement, machine-readable
-# results at the repo root (CI artifact).
-bench-exec:
-	dune exec bench/main.exe -- table_exec --json BENCH_pr7.json
+	sh perfsuite/run.sh
 
 # Bounded in-process serve smoke: fixed seed, two domains, exits
-# non-zero if the repaired variant disagrees with manual on any
-# verdict, the final count or the store digest. Pinned to the compiled
+# non-zero unless manual, repaired and optimized agree on every
+# verdict, the final count and the store digest. Pinned to the compiled
 # tier (the default, but CI states it explicitly).
 serve-smoke:
 	HIPPO_JOBS=2 dune exec bin/hippocrates_cli.exe -- serve --inproc \
 	  --exec compiled --smoke --seed 42 --records 2000 --ops 3000 \
 	  --workers 4 --jobs 2
-
-# Fault-injecting scenario fleets: scenarios/s per mode with the
-# digest-identity cross-check at the benchmark's jobs width vs serial,
-# machine-readable results at the repo root (CI artifact).
-bench-sim:
-	dune exec bench/main.exe -- table_sim --seed 42 --json BENCH_pr8.json
 
 # Deterministic simulation smoke across both execution tiers: standard
 # mode on the hand-hardened redis (must be clean, 0 exit) and chaos on
@@ -79,20 +42,6 @@ sim-smoke:
 	! HIPPO_JOBS=2 dune exec bin/hippocrates_cli.exe -- sim --app pclht \
 	  --variant manual --mode chaos --exec compiled --smoke --seed 42 \
 	  --jobs 2 --out sim-smoke
-
-# Flush/fence optimizer gauntlet: per-rule unit semantics, the
-# must-not-remove cases, corpus + both apps (redis and pclht), and the
-# do-no-harm checks — static reports identical, P-CLHT crash-sweep
-# verdicts identical at jobs 1 and 2. Fails on any verdict drift.
-opt-smoke:
-	dune exec test/main.exe -- test optimize
-
-# Optimizer savings table over every repaired corpus and app subject:
-# static flush/fence sites removed, report identity, perfmodel cost
-# deltas, crash-verdict gauntlet; machine-readable results at the repo
-# root (CI artifact).
-bench-opt:
-	dune exec bench/main.exe -- table_opt --json BENCH_pr9.json
 
 # Deterministic 60-second-class fuzz smoke: fixed seed and exec budget,
 # exits non-zero on any oracle violation, saves corpus + shrunk

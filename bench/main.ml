@@ -1,7 +1,9 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (see DESIGN.md's per-experiment index).
+(* The paper-reproduction harness: regenerates every table and figure of
+   the paper's evaluation (see DESIGN.md's per-experiment index). The
+   repository's performance scoreboard is perfsuite/ (BENCHMARK.json,
+   `sh perfsuite/run.sh`), not this binary.
 
-     bench/main.exe                 — run every experiment (quick params)
+     bench/main.exe                 — run the default sweep (quick params)
      bench/main.exe --full          — paper-scale parameters for Fig. 4
      bench/main.exe fig1            — §3 bug-study table
      bench/main.exe table_effectiveness — §6.1 (all 23 bugs fixed)
@@ -23,12 +25,6 @@
                                       per-crash-point replay
      bench/main.exe table_fuzz      — coverage-guided fuzzing vs blind
                                       generation at equal exec counts
-     bench/main.exe table_serve     — the KV service under YCSB traffic:
-                                      manual vs repaired throughput and
-                                      latency percentiles (not part of the
-                                      default sweep: --serve-records /
-                                      --serve-ops default to one million);
-                                      drives both apps (redis and pclht)
      bench/main.exe table_opt       — flush/fence optimizer over every
                                       repaired corpus and app subject:
                                       static sites removed, report
@@ -37,20 +33,18 @@
      bench/main.exe table_exec      — compiled execution tier vs the
                                       reference interpreter on the YCSB
                                       and fuzz-smoke workloads (wall-clock
-                                      ops/s, cross-tier witness check;
-                                      --exec-ops sets the YCSB op count)
-     bench/main.exe table_sim       — fault-injecting scenario fleets:
-                                      scenarios/s per mode, crash and
-                                      violation counts, digest identity
-                                      across jobs widths
+                                      ops/s over 200 000 YCSB ops,
+                                      cross-tier witness check)
      bench/main.exe micro           — bechamel micro-benchmarks
+
+   table_opt and table_exec are not part of the default sweep.
 
    `--jobs N` sets the domain budget for every corpus sweep (default:
    HIPPO_JOBS or the machine's recommended domain count). `--jobs 1` is
    byte-identical to the historical serial harness. `--seed N` seeds the
-   seed-threaded experiments (table_fuzz; default 0). `--json FILE`
-   writes the results of json-aware experiments (table_crash,
-   table_fuzz) to FILE. *)
+   seed-threaded experiments (table_fuzz, table_exec; default 0). An
+   unknown experiment or flag, or a malformed --jobs/--seed value,
+   prints usage to stderr and exits 2 before anything runs. *)
 
 open Hippo_pmir
 open Hippo_pmcheck
@@ -774,43 +768,17 @@ let table_crash () =
           stats.Crashsim.crash_points stats.Crashsim.distinct_images
           stats.Crashsim.recovery_runs t_rp t_sp (t_rp /. t_sp)
           (if identical then "identical" else "DIFFER");
-        (id, stats, t_rp, t_sp, identical))
+        (t_rp, t_sp, identical))
       (crash_subjects ())
   in
-  let tot_rp = List.fold_left (fun a (_, _, r, _, _) -> a +. r) 0.0 rows in
-  let tot_sp = List.fold_left (fun a (_, _, _, s, _) -> a +. s) 0.0 rows in
-  let all_identical = List.for_all (fun (_, _, _, _, i) -> i) rows in
+  let tot_rp = List.fold_left (fun a (r, _, _) -> a +. r) 0.0 rows in
+  let tot_sp = List.fold_left (fun a (_, s, _) -> a +. s) 0.0 rows in
+  let all_identical = List.for_all (fun (_, _, i) -> i) rows in
   Fmt.pr
     "  total: replay %.3fs, single-pass %.3fs, speedup %.1fx (threshold: >= \
      5x); verdicts %s across strategies and jobs {1,4}@."
     tot_rp tot_sp (tot_rp /. tot_sp)
-    (if all_identical then "identical" else "DIFFER");
-  `Assoc
-    [
-      ( "subjects",
-        `List
-          (List.map
-             (fun (id, (s : Crashsim.stats), t_rp, t_sp, identical) ->
-               `Assoc
-                 [
-                   ("subject", `String id);
-                   ("crash_points", `Int s.Crashsim.crash_points);
-                   ("distinct_pessimistic", `Int s.Crashsim.distinct_pessimistic);
-                   ("distinct_lucky", `Int s.Crashsim.distinct_lucky);
-                   ("distinct_images", `Int s.Crashsim.distinct_images);
-                   ("recovery_runs", `Int s.Crashsim.recovery_runs);
-                   ("memo_hits", `Int s.Crashsim.memo_hits);
-                   ("replay_s", `Float t_rp);
-                   ("single_pass_s", `Float t_sp);
-                   ("speedup", `Float (t_rp /. t_sp));
-                   ("verdicts_identical", `Bool identical);
-                 ])
-             rows) );
-      ("replay_total_s", `Float tot_rp);
-      ("single_pass_total_s", `Float tot_sp);
-      ("speedup", `Float (tot_rp /. tot_sp));
-      ("verdicts_identical", `Bool all_identical);
-    ]
+    (if all_identical then "identical" else "DIFFER")
 
 (* fuzz — coverage-guided mutation vs coverage-blind generation ------- *)
 
@@ -824,7 +792,7 @@ let table_fuzz () =
        !seed !jobs);
   Fmt.pr "  %-8s %8s %8s %10s %8s %s@." "execs" "guided" "blind" "corpus"
     "violations" "guided>blind";
-  let rows =
+  let ahead =
     List.map
       (fun execs ->
         let s =
@@ -842,161 +810,13 @@ let table_fuzz () =
           s.Hippo_fuzz.Fuzzer.corpus_size
           (List.length s.Hippo_fuzz.Fuzzer.found)
           (if ahead then "yes" else "NO");
-        (execs, s, ahead))
+        ahead)
       [ 64; 128; 256 ]
   in
-  let all_ahead = List.for_all (fun (_, _, a) -> a) rows in
   Fmt.pr
     "  guided coverage strictly exceeds the blind baseline at every exec \
      count: %s@."
-    (if all_ahead then "yes" else "NO");
-  `Assoc
-    [
-      ("seed", `Int !seed);
-      ( "rows",
-        `List
-          (List.map
-             (fun (execs, (s : Hippo_fuzz.Fuzzer.summary), ahead) ->
-               `Assoc
-                 [
-                   ("execs", `Int execs);
-                   ("guided_edges", `Int s.Hippo_fuzz.Fuzzer.edges);
-                   ("blind_edges", `Int s.Hippo_fuzz.Fuzzer.blind_edges);
-                   ("corpus_size", `Int s.Hippo_fuzz.Fuzzer.corpus_size);
-                   ("corpus_digest", `String s.Hippo_fuzz.Fuzzer.corpus_digest);
-                   ("violations", `Int (List.length s.Hippo_fuzz.Fuzzer.found));
-                   ("guided_ahead", `Bool ahead);
-                 ])
-             rows) );
-      ("guided_ahead_all", `Bool all_ahead);
-    ]
-
-(* serve — the KV service under million-op YCSB traffic --------------- *)
-
-let serve_records = ref 1_000_000
-let serve_ops = ref 1_000_000
-
-let table_serve () =
-  section
-    (Fmt.str
-       "serve — workload A over the KV service: manual vs repaired vs \
-        optimized (%d records, %d ops, 4 workers, seed %d, --jobs %d)"
-       !serve_records !serve_ops !seed !jobs);
-  let module Drive = Hippo_serve.Drive in
-  let module Hist = Hippo_perfmodel.Stats.Hist in
-  let workers = 4 in
-  let apps = [ App.Redis; App.Pclht ] in
-  let per_app =
-    Hippo_parallel.Pool.run ~domains:(max 1 !jobs) (fun pool ->
-        List.map
-          (fun kind ->
-            ( kind,
-              List.map
-                (fun variant ->
-                  match
-                    Drive.run_inproc ~pool ~app:kind ~variant
-                      ~workload:Hippo_ycsb.Workload.A ~records:!serve_records
-                      ~ops:!serve_ops ~workers ~seed:!seed ()
-                  with
-                  | Ok o -> (variant, o)
-                  | Error e ->
-                      Fmt.failwith "table_serve (%s): %s"
-                        (App.kind_to_string kind) e)
-                [ App.Manual; App.Repaired; App.Optimized ] ))
-          apps)
-  in
-  (* simulated throughput (deterministic, the perfmodel number) next to
-     wall clock (hardware-dependent, informational) *)
-  let sim_kops reqs ns = float_of_int reqs /. (ns /. 1e9) /. 1e3 in
-  Fmt.pr
-    "  %-16s %10s %10s %8s %8s %8s %8s %9s@." "variant" "load-kops" "run-kops"
-    "p50" "p95" "p99" "p99.9" "count";
-  List.iter
-    (fun (_, outcomes) ->
-      List.iter
-        (fun (_, (o : Drive.outcome)) ->
-          Fmt.pr
-            "  %-16s %10.1f %10.1f %7.0fn %7.0fn %7.0fn %7.0fn %9d  (wall: \
-             load %.1fs, run %.1fs)@."
-            o.Drive.app_name
-            (sim_kops o.Drive.load_reqs o.Drive.sim_load_ns)
-            (sim_kops o.Drive.run_reqs o.Drive.sim_run_ns)
-            (Hist.p50 o.Drive.hist) (Hist.p95 o.Drive.hist)
-            (Hist.p99 o.Drive.hist) (Hist.p999 o.Drive.hist) o.Drive.count
-            o.Drive.wall_load_s o.Drive.wall_run_s)
-        outcomes)
-    per_app;
-  let agrees_of outcomes =
-    Drive.agrees
-      (List.assoc App.Manual outcomes)
-      (List.assoc App.Repaired outcomes)
-    && Drive.agrees
-         (List.assoc App.Repaired outcomes)
-         (List.assoc App.Optimized outcomes)
-  in
-  (* over the whole session (load + run): the run phase alone can sit
-     within float noise of repaired when the removed fences are on the
-     insert path only *)
-  let opt_not_slower outcomes =
-    let kops (o : Drive.outcome) =
-      sim_kops (o.Drive.load_reqs + o.Drive.run_reqs)
-        (o.Drive.sim_load_ns +. o.Drive.sim_run_ns)
-    in
-    kops (List.assoc App.Optimized outcomes)
-    >= kops (List.assoc App.Repaired outcomes)
-  in
-  List.iter
-    (fun (kind, outcomes) ->
-      Fmt.pr
-        "  %s: repaired and optimized match manual on every verdict, the \
-         final count and the store digest: %s; optimized sim-kops >= \
-         repaired: %s@."
-        (App.kind_to_string kind)
-        (if agrees_of outcomes then "yes" else "NO")
-        (if opt_not_slower outcomes then "yes" else "NO"))
-    per_app;
-  let row (o : Drive.outcome) =
-    `Assoc
-      [
-        ("variant", `String o.Drive.app_name);
-        ("records", `Int o.Drive.records);
-        ("final_records", `Int o.Drive.final_records);
-        ("load_reqs", `Int o.Drive.load_reqs);
-        ("run_reqs", `Int o.Drive.run_reqs);
-        ("sim_load_kops", `Float (sim_kops o.Drive.load_reqs o.Drive.sim_load_ns));
-        ("sim_run_kops", `Float (sim_kops o.Drive.run_reqs o.Drive.sim_run_ns));
-        ("wall_load_s", `Float o.Drive.wall_load_s);
-        ("wall_run_s", `Float o.Drive.wall_run_s);
-        ("p50_ns", `Float (Hist.p50 o.Drive.hist));
-        ("p95_ns", `Float (Hist.p95 o.Drive.hist));
-        ("p99_ns", `Float (Hist.p99 o.Drive.hist));
-        ("p999_ns", `Float (Hist.p999 o.Drive.hist));
-        ("count", `Int o.Drive.count);
-        ("check", `Bool o.Drive.check);
-        ("digest", `String (Fmt.str "%014x" o.Drive.digest));
-      ]
-  in
-  `Assoc
-    [
-      ("workload", `String "A");
-      ("workers", `Int workers);
-      ("seed", `Int !seed);
-      ( "apps",
-        `List
-          (List.map
-             (fun (kind, outcomes) ->
-               `Assoc
-                 [
-                   ("app", `String (App.kind_to_string kind));
-                   ("manual", row (List.assoc App.Manual outcomes));
-                   ("repaired", row (List.assoc App.Repaired outcomes));
-                   ("optimized", row (List.assoc App.Optimized outcomes));
-                   ("agrees", `Bool (agrees_of outcomes));
-                   ("opt_not_slower", `Bool (opt_not_slower outcomes));
-                 ])
-             per_app) );
-      ("agrees_all", `Bool (List.for_all (fun (_, o) -> agrees_of o) per_app));
-    ]
+    (if List.for_all Fun.id ahead then "yes" else "NO")
 
 (* opt — the flush/fence optimizer: savings and do-no-harm ------------ *)
 
@@ -1102,46 +922,18 @@ let table_opt () =
       0 rows
   in
   Fmt.pr "  total removed across %d subjects: %d@." (List.length rows)
-    total_removed;
-  `Assoc
-    [
-      ( "rows",
-        `List
-          (List.map
-             (fun (name, (o : O.outcome), cost0, cost1) ->
-               `Assoc
-                 [
-                   ("subject", `String name);
-                   ("flushes_before", `Int o.O.o_before.Timed.flushes);
-                   ("fences_before", `Int o.O.o_before.Timed.fences);
-                   ("flushes_after", `Int o.O.o_after.Timed.flushes);
-                   ("fences_after", `Int o.O.o_after.Timed.fences);
-                   ("removed", `Int (List.length o.O.o_removals));
-                   ("report_equal", `Bool o.O.o_report_equal);
-                   ("reverted", `Bool o.O.o_reverted);
-                   ("cost_ns_before", `Float cost0);
-                   ("cost_ns_after", `Float cost1);
-                 ])
-             rows) );
-      ( "pclht_crash_verdicts_identical",
-        `Assoc
-          (List.map (fun (j, ok) -> (Fmt.str "jobs%d" j, `Bool ok)) verdicts)
-      );
-      ("total_removed", `Int total_removed);
-      ( "all_report_equal",
-        `Bool (List.for_all (fun (_, o, _, _) -> o.O.o_report_equal) rows) );
-    ]
+    total_removed
 
 (* exec — the compiled tier vs the reference interpreter -------------- *)
 
-let exec_ops = ref 200_000
+let exec_ops = 200_000
 
 let table_exec () =
   section
     (Fmt.str
        "exec — compiled tier vs the reference interpreter (%d YCSB ops, \
         seed %d)"
-       !exec_ops !seed);
+       exec_ops !seed);
   let timed f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -1157,7 +949,7 @@ let table_exec () =
       {
         (Hippo_ycsb.Workload.default_spec Hippo_ycsb.Workload.A) with
         record_count = records;
-        op_count = !exec_ops;
+        op_count = exec_ops;
       }
     in
     let ops = Hippo_ycsb.Workload.ops spec ~seed:!seed in
@@ -1224,295 +1016,94 @@ let table_exec () =
        agree: %s@."
       name i_ops c_ops speedup
       (if agree then "yes" else "NO");
-    (name, i_ops, c_ops, speedup, agree)
+    speedup
   in
-  (* Sequence explicitly: list elements evaluate right to left, and the
-     rows print as a side effect of [row]. *)
-  let r_ycsb = row "ycsb-a" ycsb_case in
-  let r_fuzz = row "fuzz-smoke" fuzz_case in
-  let rows = [ r_ycsb; r_fuzz ] in
-  let speedup_of name =
-    let _, _, _, s, _ = List.find (fun (n, _, _, _, _) -> n = name) rows in
-    s
-  in
-  let ycsb_speedup = speedup_of "ycsb-a" in
+  let ycsb_speedup = row "ycsb-a" ycsb_case in
+  ignore (row "fuzz-smoke" fuzz_case : float);
   Fmt.pr "  compiled is >=10x the interpreter on the YCSB row: %s@."
-    (if ycsb_speedup >= 10. then "yes" else "NO");
-  `Assoc
-    [
-      ("seed", `Int !seed);
-      ("ycsb_ops", `Int !exec_ops);
-      ( "rows",
-        `List
-          (List.map
-             (fun (name, i_ops, c_ops, speedup, agree) ->
-               `Assoc
-                 [
-                   ("workload", `String name);
-                   ("interp_ops_s", `Float i_ops);
-                   ("compiled_ops_s", `Float c_ops);
-                   ("speedup", `Float speedup);
-                   ("agree", `Bool agree);
-                 ])
-             rows) );
-      ("ycsb_speedup", `Float ycsb_speedup);
-      ("ycsb_speedup_ge_10", `Bool (ycsb_speedup >= 10.));
-      ("agree_all", `Bool (List.for_all (fun (_, _, _, _, a) -> a) rows));
-    ]
+    (if ycsb_speedup >= 10. then "yes" else "NO")
 
 (* ------------------------------------------------------------------ *)
-(* scenario simulator: fleet throughput per fault mode, plus the
-   determinism cross-check (a fleet's digest must be byte-identical at
-   the benchmark's jobs width and serially) *)
+(* Command line: [--full] [--jobs N] [--seed N] [EXPERIMENT...] *)
 
-module Sim = Hippo_sim.Harness
+let full = ref false
 
-let table_sim () =
-  section
-    (Fmt.str "sim — fault-injecting scenario fleets (seed %d, jobs %d)"
-       !seed !jobs);
-  let scenarios = 8 and ops = 60 in
-  let base mode kind variant =
-    {
-      Sim.default_config with
-      Sim.kind;
-      variant;
-      mode;
-      seed = !seed;
-      scenarios;
-      ops;
-      keyspace = 24;
-      nbuckets = 16;
-      jobs = !jobs;
-    }
-  in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let row (label, cfg) =
-    match timed (fun () -> Sim.run cfg) with
-    | Error e, _ -> Fmt.failwith "table_sim (%s): %s" label e
-    | Ok r, wall ->
-        let serial =
-          match Sim.run { cfg with Sim.jobs = 1 } with
-          | Ok s -> s
-          | Error e -> Fmt.failwith "table_sim (%s, serial): %s" label e
-        in
-        let det = String.equal r.Sim.digest serial.Sim.digest in
-        let scen_s = float_of_int scenarios /. wall in
-        Fmt.pr
-          "  %-22s %6.1f scen/s   crashes %3d   violations %3d   \
-           digest %s   jobs-identical: %s@."
-          label scen_s r.Sim.crashes
-          (List.length r.Sim.violations)
-          (String.sub r.Sim.digest 0 8)
-          (if det then "yes" else "NO");
-        (label, scen_s, r, det)
-  in
-  let rows =
-    List.map row
-      [
-        ("redis/manual quick", base Sim.Quick App.Redis App.Manual);
-        ("redis/manual standard", base Sim.Standard App.Redis App.Manual);
-        ("redis/manual chaos", base Sim.Chaos App.Redis App.Manual);
-        ("pclht/manual chaos", base Sim.Chaos App.Pclht App.Manual);
-      ]
-  in
-  let violations_of label =
-    let _, _, r, _ = List.find (fun (l, _, _, _) -> l = label) rows in
-    List.length r.Sim.violations
-  in
-  let deterministic = List.for_all (fun (_, _, _, d) -> d) rows in
-  let manual_clean =
-    violations_of "redis/manual quick" = 0
-    && violations_of "redis/manual standard" = 0
-    && violations_of "redis/manual chaos" = 0
-  in
-  let detects = violations_of "pclht/manual chaos" > 0 in
-  Fmt.pr "  every fleet digest identical at jobs %d and 1: %s@." !jobs
-    (if deterministic then "yes" else "NO");
-  Fmt.pr "  hand-hardened redis clean under every mode: %s@."
-    (if manual_clean then "yes" else "NO");
-  Fmt.pr "  chaos detects P-CLHT's injected bugs: %s@."
-    (if detects then "yes" else "NO");
-  `Assoc
-    [
-      ("seed", `Int !seed);
-      ("scenarios", `Int scenarios);
-      ("ops", `Int ops);
-      ("jobs", `Int !jobs);
-      ( "rows",
-        `List
-          (List.map
-             (fun (label, scen_s, r, det) ->
-               `Assoc
-                 [
-                   ("fleet", `String label);
-                   ("scenarios_per_s", `Float scen_s);
-                   ("crashes", `Int r.Sim.crashes);
-                   ("recoveries", `Int r.Sim.recoveries);
-                   ("torn", `Int r.Sim.torn);
-                   ("violations", `Int (List.length r.Sim.violations));
-                   ("digest", `String r.Sim.digest);
-                   ("jobs_identical", `Bool det);
-                 ])
-             rows) );
-      ("deterministic", `Bool deterministic);
-      ("manual_redis_clean", `Bool manual_clean);
-      ("chaos_detects_pclht_bugs", `Bool detects);
-    ]
+let experiments =
+  [
+    ("fig1", fig1);
+    ("table_effectiveness", table_effectiveness);
+    ("table_static", table_static);
+    ("table_heuristics", table_heuristics);
+    ("fig3", fig3);
+    ("fig4", fun () -> ignore (fig4 ~full:!full ()));
+    ("fix_stats", fun () -> fix_stats ());
+    ("fig5", fig5);
+    ("code_size", fun () -> code_size ());
+    ("ablate_reuse", ablate_reuse);
+    ("ablate_reduction", ablate_reduction);
+    ("ablate_heuristic", ablate_heuristic);
+    ("table_main", table_main);
+    ("table_par", table_par);
+    ("table_crash", table_crash);
+    ("table_fuzz", table_fuzz);
+    ("table_opt", table_opt);
+    ("table_exec", table_exec);
+    ("micro", micro);
+  ]
 
-(* ------------------------------------------------------------------ *)
-(* --json FILE: machine-readable results (hand-rolled serializer; no
-   JSON library in the toolchain). *)
+(* the default sweep: fix_stats and code_size reuse fig4's repairs *)
+let run_all () =
+  fig1 ();
+  table_effectiveness ();
+  table_static ();
+  table_heuristics ();
+  fig3 ();
+  let v = fig4 ~full:!full () in
+  fix_stats ~variants:v ();
+  fig5 ();
+  code_size ~variants:v ();
+  ablate_reuse ();
+  ablate_reduction ();
+  ablate_heuristic ();
+  table_main ();
+  table_par ();
+  table_crash ();
+  table_fuzz ();
+  micro ()
 
-type json =
-  [ `Assoc of (string * json) list
-  | `List of json list
-  | `String of string
-  | `Int of int
-  | `Float of float
-  | `Bool of bool ]
+let usage_error msg =
+  Fmt.epr
+    "bench: %s@.usage: main.exe [--full] [--jobs N] [--seed N] \
+     [EXPERIMENT...]@.experiments: %s@."
+    msg
+    (String.concat " " (List.map fst experiments));
+  exit 2
 
-let rec json_to_buf buf (j : json) =
-  match j with
-  | `String s ->
-      Buffer.add_char buf '"';
-      String.iter
-        (function
-          | '"' -> Buffer.add_string buf "\\\""
-          | '\\' -> Buffer.add_string buf "\\\\"
-          | '\n' -> Buffer.add_string buf "\\n"
-          | c when Char.code c < 0x20 ->
-              Buffer.add_string buf (Fmt.str "\\u%04x" (Char.code c))
-          | c -> Buffer.add_char buf c)
-        s;
-      Buffer.add_char buf '"'
-  | `Int n -> Buffer.add_string buf (string_of_int n)
-  | `Float f -> Buffer.add_string buf (Fmt.str "%.6f" f)
-  | `Bool b -> Buffer.add_string buf (string_of_bool b)
-  | `List l ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          json_to_buf buf x)
-        l;
-      Buffer.add_char buf ']'
-  | `Assoc kvs ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          json_to_buf buf (`String k);
-          Buffer.add_char buf ':';
-          json_to_buf buf v)
-        kvs;
-      Buffer.add_char buf '}'
-
-(* results accumulated by experiments that support --json *)
-let json_results : (string * json) list ref = ref []
-
-let add_json key (j : json) = json_results := (key, j) :: !json_results
-
-let write_json path =
-  let buf = Buffer.create 4096 in
-  json_to_buf buf (`Assoc (List.rev !json_results));
-  Buffer.add_char buf '\n';
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Fmt.pr "@.json results written to %s@." path
+(* Flags apply wherever they appear; every argument is checked before
+   any experiment runs. *)
+let rec parse = function
+  | [] -> []
+  | "--full" :: rest ->
+      full := true;
+      parse rest
+  | "--jobs" :: n :: rest ->
+      (match int_of_string_opt n with
+      | Some k when k >= 1 -> jobs := k
+      | _ -> usage_error (Fmt.str "--jobs expects a positive integer, got %S" n));
+      parse rest
+  | "--seed" :: n :: rest ->
+      (match int_of_string_opt n with
+      | Some k -> seed := k
+      | None -> usage_error (Fmt.str "--seed expects an integer, got %S" n));
+      parse rest
+  | [ (("--jobs" | "--seed") as flag) ] ->
+      usage_error (Fmt.str "%s expects a value" flag)
+  | name :: rest -> (
+      match List.assoc_opt name experiments with
+      | Some run -> run :: parse rest
+      | None -> usage_error (Fmt.str "unknown experiment or flag %S" name))
 
 let () =
-  let args = Array.to_list (Array.sub Sys.argv 1 (Array.length Sys.argv - 1)) in
-  let full = List.mem "--full" args in
-  (* consume "--jobs N" and "--json FILE"; everything else left in place *)
-  let json_file = ref None in
-  let rec strip_opts = function
-    | "--jobs" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some k when k >= 1 -> jobs := k
-        | _ -> Fmt.epr "--jobs expects a positive integer, got %S@." n);
-        strip_opts rest
-    | "--json" :: path :: rest ->
-        json_file := Some path;
-        strip_opts rest
-    | "--seed" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some k -> seed := k
-        | None -> Fmt.epr "--seed expects an integer, got %S@." n);
-        strip_opts rest
-    | "--serve-records" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some k when k >= 1 -> serve_records := k
-        | _ -> Fmt.epr "--serve-records expects a positive integer, got %S@." n);
-        strip_opts rest
-    | "--serve-ops" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some k when k >= 1 -> serve_ops := k
-        | _ -> Fmt.epr "--serve-ops expects a positive integer, got %S@." n);
-        strip_opts rest
-    | "--exec-ops" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some k when k >= 1 -> exec_ops := k
-        | _ -> Fmt.epr "--exec-ops expects a positive integer, got %S@." n);
-        strip_opts rest
-    | a :: rest -> a :: strip_opts rest
-    | [] -> []
-  in
-  let cmds = List.filter (fun a -> a <> "--full") (strip_opts args) in
-  let run_all () =
-    fig1 ();
-    table_effectiveness ();
-    table_static ();
-    table_heuristics ();
-    fig3 ();
-    let v = fig4 ~full () in
-    fix_stats ~variants:v ();
-    fig5 ();
-    code_size ~variants:v ();
-    ablate_reuse ();
-    ablate_reduction ();
-    ablate_heuristic ();
-    table_main ();
-    table_par ();
-    add_json "table_crash" (table_crash ());
-    add_json "table_fuzz" (table_fuzz ());
-    micro ()
-  in
-  (match cmds with
+  match parse (List.tl (Array.to_list Sys.argv)) with
   | [] -> run_all ()
-  | cmds ->
-      List.iter
-        (function
-          | "fig1" -> fig1 ()
-          | "table_effectiveness" -> table_effectiveness ()
-          | "table_static" -> table_static ()
-          | "table_heuristics" -> table_heuristics ()
-          | "fig3" -> fig3 ()
-          | "fig4" -> ignore (fig4 ~full ())
-          | "fix_stats" -> fix_stats ()
-          | "fig5" -> fig5 ()
-          | "code_size" -> code_size ()
-          | "ablate_reuse" -> ablate_reuse ()
-          | "ablate_reduction" -> ablate_reduction ()
-          | "ablate_heuristic" -> ablate_heuristic ()
-          | "table_main" -> table_main ()
-          | "table_par" -> table_par ()
-          | "table_crash" -> add_json "table_crash" (table_crash ())
-          | "table_fuzz" -> add_json "table_fuzz" (table_fuzz ())
-          | "table_serve" -> add_json "table_serve" (table_serve ())
-          | "table_opt" -> add_json "table_opt" (table_opt ())
-          | "table_exec" -> add_json "table_exec" (table_exec ())
-          | "table_sim" -> add_json "table_sim" (table_sim ())
-          | "micro" -> micro ()
-          | other -> Fmt.epr "unknown experiment %S@." other)
-        cmds);
-  match !json_file with
-  | Some path ->
-      add_json "jobs" (`Int !jobs);
-      write_json path
-  | None -> ()
+  | runs -> List.iter (fun run -> run ()) runs

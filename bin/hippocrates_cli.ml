@@ -793,11 +793,12 @@ let serve_cmd =
     Arg.(
       value & flag
       & info [ "smoke" ]
-          ~doc:"With $(b,--inproc): run both the manual baseline and the \
-                repaired build over the same deterministic traffic, print \
-                both outcomes (no wall-clock fields) and exit nonzero \
-                unless every verdict, the final count and the store \
-                digest agree. Byte-identical output at any $(b,--jobs).")
+          ~doc:"With $(b,--inproc): run the manual baseline, the \
+                repaired build and the optimized build over the same \
+                deterministic traffic, print all three outcomes (no \
+                wall-clock fields) and exit nonzero unless every verdict, \
+                the final count and the store digest agree. \
+                Byte-identical output at any $(b,--jobs).")
   in
   let expect_conns_arg =
     Arg.(
@@ -817,12 +818,18 @@ let serve_cmd =
           in
           if smoke then
             match (run_variant Hippo_apps.App.Manual,
-                   run_variant Hippo_apps.App.Repaired) with
-            | Ok manual, Ok repaired ->
-                Fmt.pr "%a@.%a@." Hippo_serve.Drive.pp_outcome manual
-                  Hippo_serve.Drive.pp_outcome repaired;
-                if Hippo_serve.Drive.agrees manual repaired then begin
-                  Fmt.pr "serve smoke: %s manual and repaired agree@."
+                   run_variant Hippo_apps.App.Repaired,
+                   run_variant Hippo_apps.App.Optimized) with
+            | Ok manual, Ok repaired, Ok optimized ->
+                Fmt.pr "%a@.%a@.%a@." Hippo_serve.Drive.pp_outcome manual
+                  Hippo_serve.Drive.pp_outcome repaired
+                  Hippo_serve.Drive.pp_outcome optimized;
+                if
+                  Hippo_serve.Drive.agrees manual repaired
+                  && Hippo_serve.Drive.agrees repaired optimized
+                then begin
+                  Fmt.pr
+                    "serve smoke: %s manual, repaired and optimized agree@."
                     kind_name;
                   0
                 end
@@ -830,7 +837,7 @@ let serve_cmd =
                   Fmt.pr "serve smoke: %s VARIANTS DISAGREE@." kind_name;
                   1
                 end
-            | Error e, _ | _, Error e ->
+            | Error e, _, _ | _, Error e, _ | _, _, Error e ->
                 Fmt.epr "error: %s@." e;
                 1
           else
@@ -901,11 +908,7 @@ let loadgen_cmd =
       & info [ "skip-load" ]
           ~doc:"Skip the load phase (the server is already populated).")
   in
-  (* --exec is accepted so serve/loadgen scripts can pass one uniform flag
-     set; the generator itself is a pure socket client and executes no
-     PMIR — the tier in effect is the server's. *)
-  let run workload records ops workers unix_path port skip_load seed jobs
-      (_exec : [ `Interp | `Compiled ]) =
+  let run workload records ops workers unix_path port skip_load seed jobs =
     let connect =
       match (unix_path, port) with
       | Some path, None ->
@@ -944,8 +947,7 @@ let loadgen_cmd =
              per-worker op substreams.")
     Term.(
       const run $ workload_arg $ records_arg $ ops_arg $ workers_arg
-      $ unix_arg $ port_arg $ skip_load_flag $ seed_arg $ jobs_arg
-      $ exec_arg)
+      $ unix_arg $ port_arg $ skip_load_flag $ seed_arg $ jobs_arg)
 
 (* sim ---------------------------------------------------------------- *)
 

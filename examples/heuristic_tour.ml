@@ -7,6 +7,7 @@
 open Hippo_pmir
 open Hippo_pmcheck
 open Hippo_core
+open Hippo_engine
 
 let v = Value.reg
 let i = Value.imm

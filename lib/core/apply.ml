@@ -1,4 +1,3 @@
-(* Facade: the pipeline pass moved into the engine library (lib/engine);
-   this alias keeps the historical [Hippo_core.Apply] path working for
-   every existing caller. *)
+(* Alias of [Hippo_engine.Apply]. It stays because perfsuite/ compiles
+   against [Hippo_core.Apply], [Hippo_core.Fix] and [Hippo_core.Verify]. *)
 include Hippo_engine.Apply

@@ -34,7 +34,7 @@ type result = {
   target : string;
   bugs : Report.bug list;
   plan : Fix.plan;
-  decisions : Heuristic.decision list;
+  decisions : E.Heuristic.decision list;
   repaired : Program.t;
   apply_stats : Apply.stats;
   verification : Verify.outcome;
@@ -55,7 +55,7 @@ let peak_heap_bytes () =
     plan for externally-supplied bug reports (e.g. parsed from an on-disk
     trace file, the artifact's command-line mode). *)
 let plan ?(options = default_options) ?cache ?trace ~oracle prog
-    (bugs : Report.bug list) : Fix.plan * Heuristic.decision list * int =
+    (bugs : Report.bug list) : Fix.plan * E.Heuristic.decision list * int =
   E.Engine.plan ~options ?cache ?trace ~oracle prog bugs
 
 type detector = E.Detector.choice = Dynamic | Static | Both
@@ -97,7 +97,7 @@ type static_result = {
   s_target : string;
   s_bugs : Report.bug list;
   s_plan : Fix.plan;
-  s_decisions : Heuristic.decision list;
+  s_decisions : E.Heuristic.decision list;
   s_repaired : Program.t;
   s_apply : Apply.stats;
   s_residual : Report.bug list;

@@ -43,7 +43,7 @@ type result = {
   target : string;
   bugs : Report.bug list;
   plan : Fix.plan;
-  decisions : Heuristic.decision list;
+  decisions : Hippo_engine.Heuristic.decision list;
   repaired : Program.t;
   apply_stats : Apply.stats;
   verification : Verify.outcome;
@@ -69,7 +69,7 @@ val plan :
   oracle:Hippo_alias.Oracle.t ->
   Program.t ->
   Report.bug list ->
-  Fix.plan * Heuristic.decision list * int
+  Fix.plan * Hippo_engine.Heuristic.decision list * int
 
 (** Which bug finder seeds the repair. [Dynamic] is the paper's pipeline
     (pmemcheck-style tracing); [Static] takes the reports of
@@ -111,7 +111,7 @@ type static_result = {
   s_target : string;
   s_bugs : Report.bug list;
   s_plan : Fix.plan;
-  s_decisions : Heuristic.decision list;
+  s_decisions : Hippo_engine.Heuristic.decision list;
   s_repaired : Program.t;
   s_apply : Apply.stats;
   s_residual : Report.bug list;  (** static bugs left after repair *)
