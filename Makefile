@@ -20,35 +20,29 @@ bench:
 
 # Bounded in-process serve smoke: fixed seed, two domains, exits
 # non-zero unless manual, repaired and optimized agree on every
-# verdict, the final count and the store digest. Pinned to the compiled
-# tier (the default, but CI states it explicitly).
+# verdict, the final count and the store digest.
 serve-smoke:
 	HIPPO_JOBS=2 dune exec bin/hippocrates_cli.exe -- serve --inproc \
-	  --exec compiled --smoke --seed 42 --records 2000 --ops 3000 \
-	  --workers 4 --jobs 2
+	  --smoke --seed 42 --records 2000 --ops 3000 --workers 4 --jobs 2
 
-# Deterministic simulation smoke across both execution tiers: standard
-# mode on the hand-hardened redis (must be clean, 0 exit) and chaos on
-# P-CLHT's buggy manual port (must detect, so the exit code is
-# inverted); both fleets run at two domains with reproducers saved
-# under sim-smoke/.
+# Deterministic simulation smoke: standard mode on the hand-hardened
+# redis (must be clean, 0 exit) and chaos on P-CLHT's buggy manual port
+# (must detect, so the exit code is inverted); both fleets run at two
+# domains with reproducers saved under sim-smoke/.
 sim-smoke:
 	HIPPO_JOBS=2 dune exec bin/hippocrates_cli.exe -- sim --app redis \
-	  --variant manual --mode standard --exec compiled --smoke --seed 42 \
-	  --jobs 2 --out sim-smoke
-	HIPPO_JOBS=2 dune exec bin/hippocrates_cli.exe -- sim --app redis \
-	  --variant manual --mode standard --exec interp --smoke --seed 42 \
-	  --jobs 2 --out sim-smoke
+	  --variant manual --mode standard --smoke --seed 42 --jobs 2 \
+	  --out sim-smoke
 	! HIPPO_JOBS=2 dune exec bin/hippocrates_cli.exe -- sim --app pclht \
-	  --variant manual --mode chaos --exec compiled --smoke --seed 42 \
-	  --jobs 2 --out sim-smoke
+	  --variant manual --mode chaos --smoke --seed 42 --jobs 2 \
+	  --out sim-smoke
 
 # Deterministic 60-second-class fuzz smoke: fixed seed and exec budget,
 # exits non-zero on any oracle violation, saves corpus + shrunk
 # reproducers under fuzz-smoke/.
 fuzz-smoke:
-	dune exec bin/hippocrates_cli.exe -- fuzz --exec compiled --smoke \
-	  --seed 42 --jobs 2 --corpus fuzz-smoke
+	dune exec bin/hippocrates_cli.exe -- fuzz --smoke --seed 42 --jobs 2 \
+	  --corpus fuzz-smoke
 
 # One corpus case end to end with engine tracing: JSON-lines events to
 # trace-demo.jsonl, per-phase timing breakdown on stderr.

@@ -30,19 +30,14 @@
                                       static sites removed, report
                                       identity, perfmodel cost deltas and
                                       the P-CLHT crash-verdict gauntlet
-     bench/main.exe table_exec      — compiled execution tier vs the
-                                      reference interpreter on the YCSB
-                                      and fuzz-smoke workloads (wall-clock
-                                      ops/s over 200 000 YCSB ops,
-                                      cross-tier witness check)
      bench/main.exe micro           — bechamel micro-benchmarks
 
-   table_opt and table_exec are not part of the default sweep.
+   table_opt is not part of the default sweep.
 
    `--jobs N` sets the domain budget for every corpus sweep (default:
    HIPPO_JOBS or the machine's recommended domain count). `--jobs 1` is
    byte-identical to the historical serial harness. `--seed N` seeds the
-   seed-threaded experiments (table_fuzz, table_exec; default 0). An
+   seed-threaded experiment (table_fuzz; default 0). An
    unknown experiment or flag, or a malformed --jobs/--seed value,
    prints usage to stderr and exits 2 before anything runs. *)
 
@@ -751,13 +746,13 @@ let table_crash () =
         in
         let t_sp, (v_sp, stats) =
           time (fun () ->
-              Crashsim.sweep_with_stats ~config ~jobs:1
-                ~strategy:`Single_pass prog ~setup ~checker ~checker_args:[])
+              Crashsim.sweep_with_stats ~config ~jobs:1 prog ~setup ~checker
+                ~checker_args:[])
         in
-        let t_rp, (v_rp, _) =
+        let t_rp, v_rp =
           time (fun () ->
-              Crashsim.sweep_with_stats ~config ~jobs:1 ~strategy:`Replay
-                prog ~setup ~checker ~checker_args:[])
+              Crashsim.replay_sweep ~config ~jobs:1 prog ~setup ~checker
+                ~checker_args:[])
         in
         let v_sp4 =
           Crashsim.sweep ~config ~jobs:4 prog ~setup ~checker
@@ -924,105 +919,6 @@ let table_opt () =
   Fmt.pr "  total removed across %d subjects: %d@." (List.length rows)
     total_removed
 
-(* exec — the compiled tier vs the reference interpreter -------------- *)
-
-let exec_ops = 200_000
-
-let table_exec () =
-  section
-    (Fmt.str
-       "exec — compiled tier vs the reference interpreter (%d YCSB ops, \
-        seed %d)"
-       exec_ops !seed);
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* Row 1: YCSB workload A against a manual-Redis session — the serve
-     hot path (trace off, cost model on, unlimited fuel). The witness
-     (final count, machine steps, accumulated simulated ns) must agree
-     across tiers. *)
-  let ycsb_case exec =
-    let records = 2_000 in
-    let spec =
-      {
-        (Hippo_ycsb.Workload.default_spec Hippo_ycsb.Workload.A) with
-        record_count = records;
-        op_count = exec_ops;
-      }
-    in
-    let ops = Hippo_ycsb.Workload.ops spec ~seed:!seed in
-    let prog = Redis_mini.build Redis_mini.Manual in
-    let config =
-      {
-        Interp.default_config with
-        Interp.trace = false;
-        fuel = max_int;
-        cost = Some Cost.default;
-        exec;
-      }
-    in
-    let s = Redis_mini.start ~config ~nbuckets:(max 64 (records / 8)) prog in
-    for k = 0 to records - 1 do
-      Redis_mini.op_insert s ~k ~version:0
-    done;
-    let (), wall = timed (fun () -> List.iter (Redis_mini.run_op s) ops) in
-    let witness =
-      Fmt.str "count=%d steps=%d cost=%.0f" (Redis_mini.count s)
-        (Interp.steps s.Redis_mini.interp)
-        (Interp.cost_ns s.Redis_mini.interp)
-    in
-    (float_of_int (List.length ops) /. wall, witness)
-  in
-  (* Row 2: the fuzz-smoke program family — {!Hippo_fuzz.Gen} programs
-     executed back to back on one machine each (the oracle's hot loop:
-     trace off, no cost model). The witness folds steps and bug counts
-     over every program. *)
-  let fuzz_case exec =
-    let nprogs = 32 and reps = 1_500 in
-    let rand = Hippo_parallel.Stream.state ~seed:!seed [ 7 ] in
-    let progs = List.init nprogs (fun _ -> Hippo_fuzz.Gen.random_mixed rand) in
-    let run () =
-      List.fold_left
-        (fun acc prog ->
-          let t =
-            Interp.create
-              {
-                Interp.default_config with
-                Interp.trace = false;
-                fuel = max_int;
-                exec;
-              }
-              prog
-          in
-          for _ = 1 to reps do
-            ignore (Exec.call t "main" [])
-          done;
-          Interp.exit_check t;
-          acc + Interp.steps t + List.length (Interp.bugs t))
-        0 progs
-    in
-    let acc, wall = timed run in
-    (float_of_int (nprogs * reps) /. wall, Fmt.str "acc=%d" acc)
-  in
-  let row name case =
-    let i_ops, i_witness = case `Interp in
-    let c_ops, c_witness = case `Compiled in
-    let speedup = c_ops /. i_ops in
-    let agree = String.equal i_witness c_witness in
-    Fmt.pr
-      "  %-12s interp %10.0f ops/s   compiled %10.0f ops/s   %6.1fx   \
-       agree: %s@."
-      name i_ops c_ops speedup
-      (if agree then "yes" else "NO");
-    speedup
-  in
-  let ycsb_speedup = row "ycsb-a" ycsb_case in
-  ignore (row "fuzz-smoke" fuzz_case : float);
-  Fmt.pr "  compiled is >=10x the interpreter on the YCSB row: %s@."
-    (if ycsb_speedup >= 10. then "yes" else "NO")
-
 (* ------------------------------------------------------------------ *)
 (* Command line: [--full] [--jobs N] [--seed N] [EXPERIMENT...] *)
 
@@ -1047,7 +943,6 @@ let experiments =
     ("table_crash", table_crash);
     ("table_fuzz", table_fuzz);
     ("table_opt", table_opt);
-    ("table_exec", table_exec);
     ("micro", micro);
   ]
 

@@ -34,10 +34,16 @@ let parse_args (args : string list) =
   try Ok (List.map int_of_string args)
   with Failure _ -> Error "entry arguments must be integers"
 
-let run_workload prog ~exec ~trace ~entry ~args =
-  let t = Interp.create { Interp.default_config with Interp.exec; trace } prog in
+(* Every command that executes [entry] checks it first, so an undefined
+   entry is an error before anything runs, not a trap during the run. *)
+let require_entry prog entry =
+  if Program.mem prog entry then Ok ()
+  else Error (Fmt.str "no function @%s in the program" entry)
+
+let run_workload prog ~trace ~entry ~args =
+  let t = Interp.create { Interp.default_config with Interp.trace } prog in
   let ret =
-    try Ok (Exec.call t entry args) with
+    try Ok (Compile.call t entry args) with
     | Mem.Trap m -> Error (Fmt.str "trap: %s" m)
     | Interp.Aborted -> Error "abort() called"
     | Interp.Out_of_fuel -> Error "out of fuel"
@@ -83,18 +89,18 @@ let seed_arg =
               sampling). Every worker derives its own substream from this \
               one value, so results are reproducible at any $(b,--jobs).")
 
-let exec_arg =
-  Arg.(
-    value
-    & opt (enum [ ("interp", `Interp); ("compiled", `Compiled) ])
-        Interp.default_config.Interp.exec
-    & info [ "exec" ] ~docv:"TIER"
-        ~doc:"Execution tier for PMIR workloads: $(b,compiled) (per-block \
-              closure compilation, the default) or $(b,interp) (the \
-              reference interpreter, kept as the differential oracle). \
-              Both tiers produce byte-identical traces, bug reports, \
-              crash verdicts and simulated costs; $(b,interp) exists for \
-              cross-checking and debugging.")
+(* Count flags parse through these, so a value the workload code cannot
+   take is a usage error (exit 124) before anything runs. *)
+let int_at_least ~min ~kind =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | _ -> Error (`Msg (Fmt.str "expected %s, got %S" kind s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least ~min:1 ~kind:"a positive integer"
+let non_negative_int = int_at_least ~min:0 ~kind:"a non-negative integer"
 
 type trace_format = Pmemcheck | Pmtest
 
@@ -142,19 +148,6 @@ let check_cmd =
                 points are independent scenarios and fan out across \
                 $(b,--jobs) worker domains.")
   in
-  let crash_strategy_arg =
-    Arg.(
-      value
-      & opt
-          (enum [ ("single-pass", `Single_pass); ("replay", `Replay) ])
-          `Single_pass
-      & info [ "crash-strategy" ] ~docv:"STRATEGY"
-          ~doc:"Crash-sweep strategy: $(b,single-pass) (one instrumented \
-                run; recovery deduplicated and memoized by image \
-                fingerprint) or $(b,replay) (re-execute the workload \
-                prefix per crash point). Verdicts are identical; \
-                single-pass also prints dedup statistics.")
-  in
   let crash_sample_arg =
     Arg.(
       value & opt int 0
@@ -165,11 +158,10 @@ let check_cmd =
                 points.")
   in
   let run prog_path entry args trace_out format static crash_sweep
-      crash_strategy crash_sample seed jobs exec =
+      crash_sample seed jobs =
     let ( let* ) = Result.bind in
-    let config = { Interp.default_config with Interp.exec } in
     let sampled_sweep prog ~setup ~checker =
-      let n = Crashsim.count_crash_points ~config prog ~setup in
+      let n = Crashsim.count_crash_points prog ~setup in
       let k = min crash_sample n in
       Fmt.pr "seed: %d (sampling %d of %d crash points)@." seed k n;
       let rand = Hippo_parallel.Stream.state ~seed [ 2 ] in
@@ -180,8 +172,8 @@ let check_cmd =
       let indices = List.sort compare (Hashtbl.fold (fun i () acc -> i :: acc) chosen []) in
       ( List.map
           (fun crash_index ->
-            Crashsim.check_crash ~config prog ~setup ~checker
-              ~checker_args:[] ~crash_index)
+            Crashsim.check_crash prog ~setup ~checker ~checker_args:[]
+              ~crash_index)
           indices,
         None )
     in
@@ -196,8 +188,7 @@ let check_cmd =
               sampled_sweep prog ~setup:[ (entry, args) ] ~checker
             else
               let v, s =
-                Crashsim.sweep_with_stats ~config ~jobs:(max 1 jobs)
-                  ~strategy:crash_strategy prog
+                Crashsim.sweep_with_stats ~jobs:(max 1 jobs) prog
                   ~setup:[ (entry, args) ]
                   ~checker ~checker_args:[]
               in
@@ -210,15 +201,15 @@ let check_cmd =
                 (if v.Crashsim.pessimistic_ok then "recovers" else "LOST")
                 (if v.Crashsim.lucky_ok then "recovers" else "LOST"))
             verdicts;
-          (match (crash_strategy, stats) with
-          | `Single_pass, Some stats ->
+          (match stats with
+          | Some stats ->
               Fmt.pr
                 "crash images: %d distinct of %d captured; recovery runs: \
                  %d (%d memoized)@."
                 stats.Crashsim.distinct_images
                 (2 * stats.Crashsim.crash_points)
                 stats.Crashsim.recovery_runs stats.Crashsim.memo_hits
-          | _ -> ());
+          | None -> ());
           let ok = List.filter Crashsim.consistent verdicts in
           Fmt.pr "crash consistent: %s (%d/%d crash points recover)@."
             (if List.length ok = List.length verdicts then "yes" else "NO")
@@ -259,11 +250,10 @@ let check_cmd =
       in
       if static then static_check prog
       else
+      let* () = require_entry prog entry in
       let* args = parse_args args in
       (* the event trace is only materialized when it is written out *)
-      let t, ret =
-        run_workload prog ~exec ~trace:(trace_out <> None) ~entry ~args
-      in
+      let t, ret = run_workload prog ~trace:(trace_out <> None) ~entry ~args in
       (match ret with
       | Ok r -> Fmt.pr "%s(%a) returned %d@." entry Fmt.(list ~sep:comma int) args r
       | Error e -> Fmt.pr "execution stopped: %s@." e);
@@ -311,18 +301,12 @@ let check_cmd =
              follow with a crash-point recovery sweep ($(b,--crash-sweep)).")
     Term.(
       const run $ prog_arg $ entry_arg $ entry_args_arg $ trace_out
-      $ format_arg $ static_flag $ crash_sweep_arg $ crash_strategy_arg
-      $ crash_sample_arg $ seed_arg $ jobs_arg $ exec_arg)
+      $ format_arg $ static_flag $ crash_sweep_arg $ crash_sample_arg
+      $ seed_arg $ jobs_arg)
 
 (* fix --------------------------------------------------------------- *)
 
-let load_trace_file ~format path =
-  let ic = open_in path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
+let parse_trace ~format content =
   match format with
   | Pmtest ->
       let events, bugs = Pmtest_format.of_string content in
@@ -347,6 +331,18 @@ let load_trace_file ~format path =
       let stats = Sitestats.of_lines stats_lines in
       let bugs = List.map Report.of_line bug_lines in
       (events, stats, bugs)
+
+(* A trace file is outside input like a program file: an unreadable or
+   malformed one is [Error "<file>: <message>"], never an exception. *)
+let load_trace_file ~format path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | content -> (
+      try Ok (parse_trace ~format content)
+      with Trace.Bad_trace m -> Error (Fmt.str "%s: %s" path m))
+  | exception Sys_error m ->
+      (* open errors already name the file; read errors do not *)
+      let prefix = path ^ ": " in
+      Error (if String.starts_with ~prefix m then m else prefix ^ m)
 
 let fix_cmd =
   let trace_in =
@@ -428,7 +424,7 @@ let fix_cmd =
                 is reverted if the static bug reports change at all.")
   in
   let run prog_path entry args trace_in output no_hoist oracle_choice format
-      portable diff detector optimize trace_out jobs exec =
+      portable diff detector optimize trace_out jobs =
     let ( let* ) = Result.bind in
     let result =
       let* prog = read_program prog_path in
@@ -451,7 +447,7 @@ let fix_cmd =
       let* repaired, report =
         match trace_in with
         | Some path ->
-            let _, stats, raw_bugs = load_trace_file ~format path in
+            let* _, stats, raw_bugs = load_trace_file ~format path in
             let bugs = Report.dedup raw_bugs in
             let oracle =
               match oracle_choice with
@@ -488,13 +484,12 @@ let fix_cmd =
             else
               Ok (r.Driver.s_repaired, Fmt.str "%a" Driver.pp_static_summary r)
         | None ->
-            let workload t = ignore (Exec.call t entry args) in
+            let* () = require_entry prog entry in
+            let workload t = ignore (Compile.call t entry args) in
             let r =
               Driver.repair ~options ~detector ~trace
                 ?static_entries:(static_entries prog ~entry)
-                ~name:prog_path ~workload
-                ~config:{ Interp.default_config with Interp.exec }
-                prog
+                ~name:prog_path ~workload prog
             in
             if not (Verify.effective r.Driver.verification) then
               Error "verification failed: residual bugs after repair"
@@ -548,7 +543,7 @@ let fix_cmd =
     Term.(
       const run $ prog_arg $ entry_arg $ entry_args_arg $ trace_in $ output
       $ no_hoist $ oracle_choice $ format_arg $ portable_flag $ diff_flag
-      $ detector_arg $ optimize_flag $ trace_out $ jobs_arg $ exec_arg)
+      $ detector_arg $ optimize_flag $ trace_out $ jobs_arg)
 
 (* optimize ---------------------------------------------------------- *)
 
@@ -610,14 +605,15 @@ let optimize_cmd =
 (* run --------------------------------------------------------------- *)
 
 let run_cmd =
-  let run prog_path entry args exec =
+  let run prog_path entry args =
     let ( let* ) = Result.bind in
     let result =
       let* prog = read_program prog_path in
       let* () = validate_or_die prog in
+      let* () = require_entry prog entry in
       let* args = parse_args args in
       (* plain execution: nothing reads the event trace, so keep it off *)
-      let t, ret = run_workload prog ~exec ~trace:false ~entry ~args in
+      let t, ret = run_workload prog ~trace:false ~entry ~args in
       (match ret with
       | Ok r -> Fmt.pr "returned %d@." r
       | Error e -> Fmt.pr "execution stopped: %s@." e);
@@ -634,7 +630,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~exits ~doc:"Execute a PMIR program.")
-    Term.(const run $ prog_arg $ entry_arg $ entry_args_arg $ exec_arg)
+    Term.(const run $ prog_arg $ entry_arg $ entry_args_arg)
 
 (* fuzz -------------------------------------------------------------- *)
 
@@ -670,7 +666,7 @@ let fuzz_cmd =
           ~doc:"CI smoke mode: small fixed budget, fully deterministic \
                 output for a given $(b,--seed) at any $(b,--jobs).")
   in
-  let run time execs seed corpus_dir smoke jobs exec =
+  let run time execs seed corpus_dir smoke jobs =
     let max_execs =
       match execs with
       | Some e -> e
@@ -684,7 +680,6 @@ let fuzz_cmd =
         max_time = time;
         corpus_dir;
         smoke;
-        exec;
       }
     in
     Fmt.pr "fuzz: seed %d, budget %s@." seed
@@ -705,7 +700,7 @@ let fuzz_cmd =
              reproducers.")
     Term.(
       const run $ time_arg $ execs_arg $ seed_arg $ corpus_dir_arg
-      $ smoke_flag $ jobs_arg $ exec_arg)
+      $ smoke_flag $ jobs_arg)
 
 (* serve / loadgen ---------------------------------------------------- *)
 
@@ -752,19 +747,19 @@ let workload_arg =
 
 let records_arg =
   Arg.(
-    value & opt int 10_000
+    value & opt positive_int 10_000
     & info [ "records" ] ~docv:"N"
         ~doc:"Records loaded before the run phase (across all workers).")
 
 let ops_arg =
   Arg.(
-    value & opt int 10_000
+    value & opt non_negative_int 10_000
     & info [ "ops" ] ~docv:"N"
         ~doc:"Run-phase operations (across all workers).")
 
 let workers_arg =
   Arg.(
-    value & opt int 4
+    value & opt positive_int 4
     & info [ "workers" ] ~docv:"N"
         ~doc:"Logical load-generator workers. Each owns a disjoint \
               keyspace slice and a seed substream, so results are \
@@ -808,12 +803,12 @@ let serve_cmd =
                 tests and benches); default: serve forever.")
   in
   let run app variant workload records ops workers inproc smoke unix_path
-      port expect_conns seed jobs exec =
+      port expect_conns seed jobs =
     let kind_name = Hippo_apps.App.kind_to_string app in
     if inproc || smoke then
       Hippo_parallel.Pool.run ~domains:(max 1 jobs) (fun pool ->
           let run_variant variant =
-            Hippo_serve.Drive.run_inproc ~exec ~pool ~app ~variant ~workload
+            Hippo_serve.Drive.run_inproc ~pool ~app ~variant ~workload
               ~records ~ops ~workers ~seed ()
           in
           if smoke then
@@ -869,8 +864,7 @@ let serve_cmd =
           (* capacity hint: socket-mode traffic is bounded by the client's
              --records/--ops, which the server mirrors here *)
           let config =
-            Hippo_serve.Drive.serve_config ~exec
-              ~final_records:(records + ops) ()
+            Hippo_serve.Drive.serve_config ~final_records:(records + ops) ()
           in
           let nbuckets =
             Hippo_serve.Drive.serve_nbuckets ~final_records:(records + ops)
@@ -899,7 +893,7 @@ let serve_cmd =
     Term.(
       const run $ app_arg $ variant_arg $ workload_arg $ records_arg
       $ ops_arg $ workers_arg $ inproc_flag $ smoke_flag $ unix_arg
-      $ port_arg $ expect_conns_arg $ seed_arg $ jobs_arg $ exec_arg)
+      $ port_arg $ expect_conns_arg $ seed_arg $ jobs_arg)
 
 let loadgen_cmd =
   let skip_load_flag =
@@ -972,7 +966,7 @@ let sim_cmd =
   in
   let scenarios_arg =
     Arg.(
-      value & opt int 16
+      value & opt non_negative_int 16
       & info [ "scenarios" ] ~docv:"N"
           ~doc:"Independent scenarios to play. Each derives its own seed \
                 substream, so the run digest is byte-identical at any \
@@ -980,18 +974,18 @@ let sim_cmd =
   in
   let sim_ops_arg =
     Arg.(
-      value & opt int 120
+      value & opt non_negative_int 120
       & info [ "ops" ] ~docv:"N" ~doc:"Operations per scenario.")
   in
   let keyspace_arg =
     Arg.(
-      value & opt int 32
+      value & opt positive_int 32
       & info [ "keyspace" ] ~docv:"N"
           ~doc:"Distinct keys the workload draws from.")
   in
   let nbuckets_arg =
     Arg.(
-      value & opt int 16
+      value & opt positive_int 16
       & info [ "nbuckets" ] ~docv:"N"
           ~doc:"Hash-table buckets per session (small tables force \
                 overflow chains).")
@@ -1017,10 +1011,10 @@ let sim_cmd =
       & info [ "smoke" ]
           ~doc:"CI smoke preset: 4 scenarios of 60 ops over 24 keys; \
                 fully deterministic output for a given $(b,--seed) at any \
-                $(b,--jobs) and either $(b,--exec) tier.")
+                $(b,--jobs).")
   in
   let run app variant mode scenarios ops keyspace nbuckets out
-      no_differential smoke seed jobs exec =
+      no_differential smoke seed jobs =
     let scenarios, ops, keyspace =
       if smoke then (4, 60, 24) else (scenarios, ops, keyspace)
     in
@@ -1029,7 +1023,6 @@ let sim_cmd =
         Hippo_sim.Harness.kind = app;
         variant;
         mode;
-        exec;
         seed;
         scenarios;
         ops;
@@ -1039,11 +1032,11 @@ let sim_cmd =
         differential = not no_differential;
       }
     in
-    Fmt.pr "sim: %s/%s mode=%s seed=%d scenarios=%d ops=%d exec=%s@."
+    Fmt.pr "sim: %s/%s mode=%s seed=%d scenarios=%d ops=%d@."
       (Hippo_apps.App.kind_to_string app)
       (Hippo_apps.App.variant_to_string variant)
       (Hippo_sim.Harness.mode_to_string mode)
-      seed scenarios ops (Exec.tier_to_string exec);
+      seed scenarios ops;
     match Hippo_sim.Harness.run cfg with
     | Error e ->
         Fmt.epr "error: %s@." e;
@@ -1095,7 +1088,7 @@ let sim_cmd =
     Term.(
       const run $ app_arg $ variant_arg $ mode_arg $ scenarios_arg
       $ sim_ops_arg $ keyspace_arg $ nbuckets_arg $ out_arg
-      $ no_differential_flag $ smoke_flag $ seed_arg $ jobs_arg $ exec_arg)
+      $ no_differential_flag $ smoke_flag $ seed_arg $ jobs_arg)
 
 (* corpus ------------------------------------------------------------ *)
 

@@ -316,7 +316,7 @@ type session = {
 }
 
 let attach ?(nbuckets = 64) interp : session =
-  ignore (Exec.call interp "mc_init" [ nbuckets ]);
+  ignore (Compile.call interp "mc_init" [ nbuckets ]);
   let mem = Interp.mem interp in
   let g name = Interp.global_addr interp name in
   {
@@ -339,15 +339,15 @@ let op_set s ~key ~value ~flags =
   Mem.write_string mem ~addr:s.val_buf value;
   Mem.store mem ~addr:s.g_vlen ~size:8 (String.length value);
   Mem.store mem ~addr:s.g_flags ~size:8 flags;
-  ignore (Exec.call s.interp "cmd_set" [])
+  ignore (Compile.call s.interp "cmd_set" [])
 
 let op_get s ~key =
   set_key s key;
-  Exec.call s.interp "cmd_get" []
+  Compile.call s.interp "cmd_get" []
 
 let op_del s ~key =
   set_key s key;
-  Exec.call s.interp "cmd_del" []
+  Compile.call s.interp "cmd_del" []
 
 (** The repair/bug-finding workload: sets (fresh and replacing), gets,
     touches and deletes. *)
@@ -364,7 +364,7 @@ let workload (t : Interp.t) =
   done;
   op_set s ~key:"obj:0003" ~value:(String.make 64 'z') ~flags:1;
   set_key s "obj:0005";
-  ignore (Exec.call t "cmd_touch" [ 3600 ]);
+  ignore (Compile.call t "cmd_touch" [ 3600 ]);
   ignore (op_del s ~key:"obj:0007");
   ignore (op_del s ~key:"obj:0011");
   (* a final burst of sets: the server rarely goes quiet after a delete *)

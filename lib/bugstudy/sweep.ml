@@ -57,11 +57,11 @@ module Crashsim = Hippo_pmcheck.Crashsim
    share recovery verdicts. Each task sweeps serially — the parallelism
    budget is spent across subjects, not within one sweep — and verdict
    lists never depend on the memo, so any [jobs] prints identically. *)
-let crash_corpus ?config ?(jobs = 1) ?strategy subjects =
+let crash_corpus ?config ?(jobs = 1) subjects =
   List.iter (fun s -> ignore (Lazy.force s.cs_program)) subjects;
   let run ~memo s =
     let verdicts, stats =
-      Crashsim.sweep_with_stats ?config ?strategy ~memo
+      Crashsim.sweep_with_stats ?config ~memo
         (Lazy.force s.cs_program) ~setup:s.cs_setup ~checker:s.cs_checker
         ~checker_args:s.cs_checker_args
     in

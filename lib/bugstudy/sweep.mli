@@ -58,7 +58,6 @@ type crash_subject = {
 val crash_corpus :
   ?config:Hippo_pmcheck.Interp.config ->
   ?jobs:int ->
-  ?strategy:Hippo_pmcheck.Crashsim.strategy ->
   crash_subject list ->
   (crash_subject
   * Hippo_pmcheck.Crashsim.verdict list

@@ -81,13 +81,13 @@ let crash_improved r = r.repaired_consistent && not r.original_consistent
     preserves working-image semantics, so the two checkers agree on every
     image; durable images the repair leaves unchanged (most of them) are
     then recovered once, not twice. *)
-let check_crash_consistency ?(jobs = 1) ?strategy ?memo
+let check_crash_consistency ?(jobs = 1) ?memo
     ~(config : Interp.config) ~setup ~checker ~checker_args
     ~(original : Program.t) ~(repaired : Program.t) () : crash_report =
   let memo = match memo with Some m -> m | None -> Crashsim.Memo.create () in
   let memo_sig = Crashsim.program_sig original in
   let sweep prog =
-    Crashsim.sweep_with_stats ~config ~jobs ?strategy ~memo ~memo_sig prog
+    Crashsim.sweep_with_stats ~config ~jobs ~memo ~memo_sig prog
       ~setup ~checker ~checker_args
   in
   let vo, original_stats = sweep original in

@@ -49,7 +49,7 @@ val crash_improved : crash_report -> bool
 
 (** [check_crash_consistency ~config ~setup ~checker ~checker_args
     ~original ~repaired ()] sweeps every crash point of both programs
-    (single-pass by default) and reports whether each recovers at all of
+    (single-pass) and reports whether each recovers at all of
     them. The sweeps share one memo table keyed under the original's
     signature — sound because a harm-free repair preserves working-image
     semantics, so the two checkers agree on every image; durable images
@@ -58,7 +58,6 @@ val crash_improved : crash_report -> bool
     program). *)
 val check_crash_consistency :
   ?jobs:int ->
-  ?strategy:Hippo_pmcheck.Crashsim.strategy ->
   ?memo:Hippo_pmcheck.Crashsim.Memo.t ->
   config:Interp.config ->
   setup:(string * int list) list ->

@@ -10,7 +10,6 @@ type config = {
   max_time : float;
   corpus_dir : string option;
   smoke : bool;
-  exec : Exec.tier;
 }
 
 let default_config =
@@ -21,7 +20,6 @@ let default_config =
     max_time = 0.;
     corpus_dir = None;
     smoke = false;
-    exec = Interp.default_config.Interp.exec;
   }
 
 type found = {
@@ -74,7 +72,7 @@ let blind_edge_count cfg pool n =
     Pool.map pool
       (fun i ->
         let rand = Stream.state ~seed:cfg.seed [ ns_blind; i ] in
-        Oracle.coverage_edges ~exec:cfg.exec (generate rand))
+        Oracle.coverage_edges (generate rand))
       (List.init n Fun.id)
   in
   let cov = Coverage.create () in
@@ -131,7 +129,7 @@ let run cfg =
         let results =
           Pool.map pool
             (fun (origin, prog) ->
-              (origin, prog, Oracle.evaluate ~exec:cfg.exec prog))
+              (origin, prog, Oracle.evaluate prog))
             candidates
         in
         List.iter
@@ -154,9 +152,7 @@ let run cfg =
         List.rev_map
           (fun ((v : Oracle.violation), prog) ->
             let shrunk =
-              Shrink.shrink
-                ~fails:(Oracle.fails ~exec:cfg.exec ~oracle:v.oracle)
-                prog
+              Shrink.shrink ~fails:(Oracle.fails ~oracle:v.oracle) prog
             in
             {
               f_oracle = v.oracle;

@@ -24,10 +24,6 @@ type config = {
   max_time : float;  (** wall-clock budget in seconds; [0.] = unlimited *)
   corpus_dir : string option;  (** save corpus + reproducers here *)
   smoke : bool;  (** CI mode: small fixed budget, fully deterministic *)
-  exec : Hippo_pmcheck.Exec.tier;
-      (** execution tier for candidate runs; results are tier-independent
-          (the differential battery proves bit-identical observables), so
-          this only changes throughput *)
 }
 
 val default_config : config

@@ -1021,3 +1021,16 @@ let call (t : Machine.t) name args =
       Fun.protect
         ~finally:(fun () -> t.frames <- [])
         (fun () -> (get_fn t fi) (Array.of_list args))
+
+(** One-shot convenience mirroring {!Interp.run}: run [entry] with [args]
+    through the compiled tier, then apply the exit check. *)
+let run ?pm_image ?(config = Machine.default_config) prog ~entry ~args =
+  let t = Machine.create ?pm_image config prog in
+  let ret =
+    try Ok (call t entry args) with
+    | Machine.Stopped_at_crash -> Error `Stopped_at_crash
+    | Machine.Aborted -> Error `Aborted
+    | Machine.Out_of_fuel -> Error `Out_of_fuel
+  in
+  (match ret with Ok _ -> Machine.exit_check t | Error _ -> ());
+  (t, ret)

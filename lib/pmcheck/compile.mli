@@ -1,4 +1,5 @@
-(** The compiled execution tier: closure-threaded PMIR.
+(** The compiled execution tier: closure-threaded PMIR, and the tier
+    every production caller runs.
 
     Prepared basic blocks become chains of OCaml closures — operand
     shapes, access sizes and the trace/coverage/cost/image hooks are
@@ -16,3 +17,13 @@
     compiled tier. Same exceptions and accumulation semantics as
     {!Interp.call}. *)
 val call : Machine.t -> string -> int list -> int
+
+(** One-shot convenience mirroring {!Interp.run}: run [entry] with [args]
+    through the compiled tier, then the exit check. *)
+val run :
+  ?pm_image:Bytes.t ->
+  ?config:Machine.config ->
+  Hippo_pmir.Program.t ->
+  entry:string ->
+  args:int list ->
+  Machine.t * (int, [ `Stopped_at_crash | `Aborted | `Out_of_fuel ]) result

@@ -14,19 +14,16 @@
     {e demonstrated} when the lucky image recovers but the pessimistic one
     does not.
 
-    Two sweep strategies:
-
-    - [`Single_pass] (default): one instrumented run of the workload
-      captures both images at every crash point incrementally — the
-      durable image is a mutable base the persistency machine already
-      maintains, so capture is a fingerprint read plus an O(touched
-      bytes) copy-on-first-occurrence snapshot. Recovery runs are
-      deduplicated by image fingerprint and memoized in a {!Memo} table:
-      [k] distinct images cost [k] recovery runs instead of [2n].
-      O(workload + k·recovery) total.
-    - [`Replay]: the historical per-crash-point replay — re-executes the
-      workload prefix for each of the [n] crash points, O(n²) interpreter
-      work. Kept for differential testing of the single-pass path.
+    {!sweep} is single-pass: one instrumented run of the workload
+    captures both images at every crash point incrementally — the
+    durable image is a mutable base the persistency machine already
+    maintains, so capture is a fingerprint read plus an O(touched bytes)
+    copy-on-first-occurrence snapshot. Recovery runs are deduplicated by
+    image fingerprint and memoized in a {!Memo} table: [k] distinct
+    images cost [k] recovery runs instead of [2n]. O(workload +
+    k·recovery) total. {!replay_sweep} re-executes the workload prefix
+    for each of the [n] crash points, O(n²) work; it is the reference
+    the single-pass sweep is tested against.
 
     Dedup is sound because recovery is a pure function of the crash
     image: the recovery interpreter starts from nothing but the image
@@ -40,8 +37,6 @@ type verdict = {
 }
 
 let consistent v = v.pessimistic_ok
-
-type strategy = [ `Single_pass | `Replay ]
 
 type stats = {
   crash_points : int;
@@ -93,15 +88,15 @@ let recover ~config prog ~checker ~checker_args image =
     { config with Interp.stop_at_crash = None; trace = false; track_images = false }
   in
   let t = Interp.create ~pm_image:image cfg prog in
-  match Exec.call t checker checker_args with
+  match Compile.call t checker checker_args with
   | r -> r <> 0
   | exception (Mem.Trap _ | Interp.Aborted) -> false
 
 (** [check_crash prog ~setup ~checker ~crash_index] runs [setup] (a list of
     host calls [(func, args)]) stopping at the given crash point, then
     recovers both images with [checker] (a nullary or unary function in the
-    program returning nonzero on success). This is the [`Replay] primitive:
-    it re-executes the workload from scratch. *)
+    program returning nonzero on success). This is the {!replay_sweep}
+    primitive: it re-executes the workload from scratch. *)
 let check_crash ?(config = Interp.default_config) prog
     ~(setup : (string * int list) list) ~(checker : string)
     ~(checker_args : int list) ~crash_index : verdict =
@@ -116,7 +111,7 @@ let check_crash ?(config = Interp.default_config) prog
   let t = Interp.create cfg prog in
   let stopped =
     try
-      List.iter (fun (f, args) -> ignore (Exec.call t f args)) setup;
+      List.iter (fun (f, args) -> ignore (Compile.call t f args)) setup;
       false
     with Interp.Stopped_at_crash -> true
   in
@@ -139,35 +134,24 @@ let count_crash_points ?(config = Interp.default_config) prog
     { config with Interp.stop_at_crash = None; trace = false; track_images = false }
   in
   let t = Interp.create cfg prog in
-  List.iter (fun (f, args) -> ignore (Exec.call t f args)) setup;
+  List.iter (fun (f, args) -> ignore (Compile.call t f args)) setup;
   Interp.crash_points_hit t
 
-(* The historical strategy: one full replay per crash point, fanned out
-   over the domain pool (each crash point is an independent scenario). *)
+(** [replay_sweep ~jobs prog ~setup ~checker ~checker_args] is the
+    reference sweep: one full replay per crash point, fanned out over the
+    domain pool (each crash point is an independent scenario). *)
 let replay_sweep ?config ~jobs prog ~setup ~checker ~checker_args =
   let n = count_crash_points ?config prog ~setup in
   let check k =
     check_crash ?config prog ~setup ~checker ~checker_args ~crash_index:k
   in
   let indices = List.init n (fun k -> k + 1) in
-  let verdicts =
-    if jobs <= 1 then List.map check indices
-    else
-      Hippo_parallel.Pool.run ~domains:jobs (fun pool ->
-          Hippo_parallel.Pool.map pool check indices)
-  in
-  ( verdicts,
-    {
-      (* replay never fingerprints, so distinct counts degenerate to n *)
-      crash_points = n;
-      distinct_pessimistic = n;
-      distinct_lucky = n;
-      distinct_images = 2 * n;
-      recovery_runs = 2 * n;
-      memo_hits = 0;
-    } )
+  if jobs <= 1 then List.map check indices
+  else
+    Hippo_parallel.Pool.run ~domains:jobs (fun pool ->
+        Hippo_parallel.Pool.map pool check indices)
 
-(* The single-pass strategy: one instrumented run captures a fingerprint
+(* The single-pass sweep: one instrumented run captures a fingerprint
    pair per crash point and a compact snapshot per *distinct* image;
    recovery runs once per distinct un-memoized image (fanned out over the
    pool in first-occurrence order, so verdict lists are byte-identical at
@@ -194,7 +178,7 @@ let single_pass_sweep ?(config = Interp.default_config) ~jobs ~memo ~prog_sig
       capture dp (fun () -> Mem.snapshot_durable mem);
       capture dl (fun () -> Mem.snapshot_working mem);
       points := (Interp.crash_points_hit t, dp, dl) :: !points);
-  List.iter (fun (f, args) -> ignore (Exec.call t f args)) setup;
+  List.iter (fun (f, args) -> ignore (Compile.call t f args)) setup;
   let points = List.rev !points in
   let order = List.rev !order in
   let key image = { Memo.prog_sig; checker; checker_args; image } in
@@ -240,36 +224,28 @@ let single_pass_sweep ?(config = Interp.default_config) ~jobs ~memo ~prog_sig
       memo_hits = hits;
     } )
 
-(** [sweep_with_stats ?strategy ?memo prog ~setup ~checker ~checker_args]
-    checks every crash point of the workload; returns the verdicts in
-    crash-point order plus dedup statistics. The verdict list is
-    byte-identical across strategies and [jobs] settings. [?memo]
-    (single-pass only) carries recovery verdicts across sweeps; [?memo_sig]
+(** [sweep_with_stats ?memo prog ~setup ~checker ~checker_args] checks
+    every crash point of the workload in a single pass; returns the
+    verdicts in crash-point order plus dedup statistics. The verdict list
+    is byte-identical to {!replay_sweep}'s and across [jobs] settings.
+    [?memo] carries recovery verdicts across sweeps; [?memo_sig]
     overrides the program component of the memo key — pass one signature
     for two programs only when their checkers are known equivalent on
     every image (e.g. original vs harm-free repair, see
     {!Hippo_engine.Verify}). *)
-let sweep_with_stats ?config ?(jobs = 1) ?(strategy = `Single_pass) ?memo
-    ?memo_sig prog ~setup ~checker ~checker_args =
-  match strategy with
-  | `Replay -> replay_sweep ?config ~jobs prog ~setup ~checker ~checker_args
-  | `Single_pass ->
-      let memo = match memo with Some m -> m | None -> Memo.create () in
-      let prog_sig =
-        match memo_sig with Some s -> s | None -> program_sig prog
-      in
-      single_pass_sweep ?config ~jobs ~memo ~prog_sig prog ~setup ~checker
-        ~checker_args
+let sweep_with_stats ?config ?(jobs = 1) ?memo ?memo_sig prog ~setup ~checker
+    ~checker_args =
+  let memo = match memo with Some m -> m | None -> Memo.create () in
+  let prog_sig = match memo_sig with Some s -> s | None -> program_sig prog in
+  single_pass_sweep ?config ~jobs ~memo ~prog_sig prog ~setup ~checker
+    ~checker_args
 
 (** [sweep] is {!sweep_with_stats} without the statistics. *)
-let sweep ?config ?jobs ?strategy ?memo prog ~setup ~checker ~checker_args =
-  fst
-    (sweep_with_stats ?config ?jobs ?strategy ?memo prog ~setup ~checker
-       ~checker_args)
+let sweep ?config ?jobs ?memo prog ~setup ~checker ~checker_args =
+  fst (sweep_with_stats ?config ?jobs ?memo prog ~setup ~checker ~checker_args)
 
 (** A program is crash consistent for a workload when recovery succeeds on
     the pessimistic image of every crash point. *)
-let crash_consistent ?config ?jobs ?strategy ?memo prog ~setup ~checker
-    ~checker_args =
+let crash_consistent ?config ?jobs ?memo prog ~setup ~checker ~checker_args =
   List.for_all consistent
-    (sweep ?config ?jobs ?strategy ?memo prog ~setup ~checker ~checker_args)
+    (sweep ?config ?jobs ?memo prog ~setup ~checker ~checker_args)

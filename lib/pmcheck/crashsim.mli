@@ -14,15 +14,15 @@
     {e demonstrated} when the lucky image recovers but the pessimistic one
     does not.
 
-    Sweeps have two strategies. [`Single_pass] (the default) runs the
-    workload once with image tracking on, captures a fingerprint pair per
-    crash point plus an O(touched-bytes) snapshot per {e distinct} image,
-    and runs recovery once per distinct image not already in the memo
-    table — O(workload + k·recovery) for [k] distinct images. [`Replay]
-    re-executes the workload prefix per crash point (O(n²)) and is kept
-    for differential testing. Both produce byte-identical verdict lists
-    at every [jobs] setting. Dedup is sound because recovery is a pure
-    function of the crash image (DESIGN.md §7b). *)
+    {!sweep} runs the workload once with image tracking on, captures a
+    fingerprint pair per crash point plus an O(touched-bytes) snapshot
+    per {e distinct} image, and runs recovery once per distinct image not
+    already in the memo table — O(workload + k·recovery) for [k] distinct
+    images. {!replay_sweep} re-executes the workload prefix per crash
+    point (O(n²)) and is the reference the single-pass sweep is tested
+    against. Both produce byte-identical verdict lists at every [jobs]
+    setting. Dedup is sound because recovery is a pure function of the
+    crash image (DESIGN.md §7b). *)
 
 type verdict = {
   crash_index : int;
@@ -31,8 +31,6 @@ type verdict = {
 }
 
 val consistent : verdict -> bool
-
-type strategy = [ `Single_pass | `Replay ]
 
 type stats = {
   crash_points : int;
@@ -68,7 +66,8 @@ end
 (** [check_crash prog ~setup ~checker ~checker_args ~crash_index] runs the
     host-call list [setup], stopping at the given crash point, then
     recovers both images with [checker]. Raises [Invalid_argument] when
-    the workload has fewer crash points. This is the [`Replay] primitive. *)
+    the workload has fewer crash points. This is the {!replay_sweep}
+    primitive. *)
 val check_crash :
   ?config:Interp.config ->
   Hippo_pmir.Program.t ->
@@ -89,20 +88,31 @@ val count_crash_points :
 (** Digest of the printed program — the program component of memo keys. *)
 val program_sig : Hippo_pmir.Program.t -> string
 
-(** Check every crash point of the workload, in crash-point order, and
-    report dedup statistics alongside the verdicts. [jobs > 1] (default 1)
-    fans recovery runs (single-pass) or whole scenarios (replay) out over
-    a domain pool; submission-order collection keeps the verdict list
-    identical to the serial sweep. [memo] (single-pass only) carries
-    recovery verdicts across sweeps; omitted, each sweep memoizes
-    privately (within-sweep dedup still applies). [memo_sig] overrides
-    the program component of the memo key; pass one signature for two
-    programs only when their checkers are known equivalent on every image
-    (original vs harm-free repair). *)
+(** The reference sweep: {!check_crash} at every crash point, in
+    crash-point order, with whole scenarios fanned out over a [jobs]-wide
+    domain pool. O(n²) work and no dedup. Kept for differential testing
+    of {!sweep_with_stats}. *)
+val replay_sweep :
+  ?config:Interp.config ->
+  jobs:int ->
+  Hippo_pmir.Program.t ->
+  setup:(string * int list) list ->
+  checker:string ->
+  checker_args:int list ->
+  verdict list
+
+(** Check every crash point of the workload in a single pass, in
+    crash-point order, and report dedup statistics alongside the
+    verdicts. [jobs > 1] (default 1) fans recovery runs out over a domain
+    pool; submission-order collection keeps the verdict list identical to
+    the serial sweep. [memo] carries recovery verdicts across sweeps;
+    omitted, each sweep memoizes privately (within-sweep dedup still
+    applies). [memo_sig] overrides the program component of the memo
+    key; pass one signature for two programs only when their checkers are
+    known equivalent on every image (original vs harm-free repair). *)
 val sweep_with_stats :
   ?config:Interp.config ->
   ?jobs:int ->
-  ?strategy:strategy ->
   ?memo:Memo.t ->
   ?memo_sig:string ->
   Hippo_pmir.Program.t ->
@@ -115,7 +125,6 @@ val sweep_with_stats :
 val sweep :
   ?config:Interp.config ->
   ?jobs:int ->
-  ?strategy:strategy ->
   ?memo:Memo.t ->
   Hippo_pmir.Program.t ->
   setup:(string * int list) list ->
@@ -128,7 +137,6 @@ val sweep :
 val crash_consistent :
   ?config:Interp.config ->
   ?jobs:int ->
-  ?strategy:strategy ->
   ?memo:Memo.t ->
   Hippo_pmir.Program.t ->
   setup:(string * int list) list ->

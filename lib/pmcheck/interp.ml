@@ -8,8 +8,8 @@
     Since the compiled tier ({!Compile}) landed, this module is the
     differential {e oracle}: a direct, obviously-correct walk over the
     prepared code shared with the compiler ({!Prep}), against which the
-    compiled closures are checked bit for bit. [Interp.call] always
-    interprets; use {!Exec.call} to dispatch on [config.exec]. *)
+    compiled closures are checked bit for bit. Production code calls
+    {!Compile.call} and {!Compile.run}. *)
 
 open Hippo_pmir
 open Prep
@@ -26,7 +26,6 @@ type config = Machine.config = {
   stop_at_crash : int option;
   track_images : bool;
   coverage : Coverage.t option;
-  exec : Machine.tier;
   vol_size : int;
   stack_size : int;
   global_size : int;
@@ -247,8 +246,8 @@ let rec exec_call (t : Machine.t) (pf : pfunc) (args : int array) : int =
   !result
 
 (** [call t name args] invokes a function from the host (as the test driver
-    invokes the program under valgrind) — always through the interpreter,
-    whatever [config.exec] says; this is what makes it the oracle. The
+    invokes the program under valgrind) through the interpreter — the
+    oracle [test/test_exec.ml] compares {!Compile.call} against. The
     persistency state, the trace and detected bugs accumulate across
     calls. *)
 let call t name args =
@@ -275,7 +274,8 @@ let crash_image = Machine.crash_image
 let global_addr = Machine.global_addr
 
 (** One-shot convenience: run [entry] with [args] under the interpreter,
-    then apply the exit check. Returns the machine for inspection. *)
+    then apply the exit check. Returns the machine for inspection. The
+    oracle for {!Compile.run}. *)
 let run ?pm_image ?(config = default_config) prog ~entry ~args =
   let t = create ?pm_image config prog in
   let ret =

@@ -9,15 +9,14 @@
     become code indices, callees become function indices — see {!Prep}),
     which makes the YCSB benchmark workloads tractable.
 
-    [Interp.call] {e always} interprets, whatever [config.exec] says —
-    that discipline is what makes it the differential oracle for the
-    compiled tier. Use {!Exec.call} when the caller should honour the
-    configured tier.
+    Production code executes through {!Compile}, which is bit-identical
+    on every observable and faster; this interpreter is kept as the
+    reference it is checked against.
 
     A typical bug-finding session:
     {[
       let t = Interp.create Interp.default_config prog in
-      ignore (Interp.call t "main" []);
+      ignore (Compile.call t "main" []);
       Interp.exit_check t;
       let bugs = Interp.bugs t in
       ...
@@ -45,9 +44,6 @@ type config = Machine.config = {
       (** mark executed control edges in this map (the fuzzer's guidance
           signal); [None] (the default) skips all marking — the hot loop
           only tests one immutable field per branch *)
-  exec : Machine.tier;
-      (** which tier {!Exec} dispatches to (default [`Compiled]); ignored
-          by [Interp.call]/[Interp.run], which always interpret *)
   vol_size : int;
   stack_size : int;
   global_size : int;
@@ -76,7 +72,8 @@ val set_crash_hook : t -> (unit -> unit) -> unit
 val crash_points_hit : t -> int
 
 (** [call t name args] invokes a function from the host (as a test driver
-    invokes the program under valgrind), always through the interpreter.
+    invokes the program under valgrind) through the interpreter: the
+    oracle [test/test_exec.ml] compares {!Compile.call} against.
     Persistency state, trace and detected bugs accumulate across calls.
     Raises {!Mem.Trap}, {!Aborted}, {!Out_of_fuel} or
     {!Stopped_at_crash}. *)
@@ -109,7 +106,7 @@ val crash_image : t -> Bytes.t
 val global_addr : t -> string -> int
 
 (** One-shot convenience: run [entry] with [args] under the interpreter,
-    then the exit check. *)
+    then the exit check — the oracle for {!Compile.run}. *)
 val run :
   ?pm_image:Bytes.t ->
   ?config:config ->

@@ -12,8 +12,6 @@ exception Aborted
 exception Out_of_fuel
 exception Stopped_at_crash
 
-type tier = [ `Interp | `Compiled ]
-
 type config = {
   trace : bool;  (** record the PM operation trace *)
   fuel : int;  (** maximum interpreted instructions *)
@@ -23,7 +21,6 @@ type config = {
   coverage : Coverage.t option;
       (** mark executed control edges in this map (the fuzzer's signal);
           [None] (the default) skips all marking *)
-  exec : tier;  (** which execution tier {!Exec} dispatches to *)
   vol_size : int;
   stack_size : int;
   global_size : int;
@@ -44,7 +41,6 @@ let default_config =
     stop_at_crash = None;
     track_images = false;
     coverage = None;
-    exec = `Compiled;
     vol_size = 1 lsl 24;
     stack_size = 1 lsl 22;
     global_size = 1 lsl 20;

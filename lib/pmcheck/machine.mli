@@ -2,9 +2,8 @@
 
     One state record owns everything an execution accumulates — memory,
     persistency state, trace, bugs, output, simulated cost, coverage,
-    crash points. {!Interp} (the oracle) and {!Compile} (the fast tier)
-    are two dispatch strategies over this state; {!Exec} picks between
-    them from [config.exec].
+    crash points. {!Compile} (the production tier) and {!Interp} (its
+    differential oracle) are two dispatch strategies over this state.
 
     The record is exposed concretely because the dispatch loops live in
     sibling modules and field access must not cost a function call. Treat
@@ -16,8 +15,6 @@ exception Aborted
 exception Out_of_fuel
 exception Stopped_at_crash
 
-type tier = [ `Interp | `Compiled ]
-
 type config = {
   trace : bool;  (** record the PM operation trace *)
   fuel : int;  (** maximum interpreted instructions *)
@@ -27,7 +24,6 @@ type config = {
   coverage : Coverage.t option;
       (** mark executed control edges in this map (the fuzzer's signal);
           [None] (the default) skips all marking *)
-  exec : tier;  (** which execution tier {!Exec} dispatches to *)
   vol_size : int;
   stack_size : int;
   global_size : int;

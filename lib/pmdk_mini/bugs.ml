@@ -33,7 +33,7 @@ let build ~(name : string) (emit : Builder.t -> unit) : Program.t =
   ignore name;
   p
 
-let run_entry entry t = ignore (Exec.call t entry [])
+let run_entry entry t = ignore (Compile.call t entry [])
 
 (* --------------------------------------------------------------------- *)
 (* Issue 452: obj_store unit test left a pool-header OID field in the

@@ -10,11 +10,8 @@ open Hippo_ycsb
 
 (** Interpreter config for a service holding [final_records] entries:
     trace off, unlimited fuel, the default cost model, PM sized to the
-    record count. [exec] picks the execution tier (default: the
-    library-wide default, the compiled tier); either tier produces
-    byte-identical service observables. *)
+    record count. *)
 val serve_config :
-  ?exec:Hippo_pmcheck.Exec.tier ->
   final_records:int ->
   unit ->
   Hippo_pmcheck.Interp.config
@@ -44,7 +41,6 @@ type outcome = {
     cannot be built (e.g. pclht flush-free, or repair verification
     fails). *)
 val run_inproc :
-  ?exec:Hippo_pmcheck.Exec.tier ->
   pool:Hippo_parallel.Pool.t ->
   app:Hippo_apps.App.kind ->
   variant:Hippo_apps.App.variant ->

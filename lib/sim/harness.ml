@@ -1,7 +1,6 @@
 (** The scenario fleet: build the app programs once, fan independent
     scenarios out over a domain pool, and fold their outcomes into one
-    report whose digest is byte-identical at every [--jobs] width and
-    across execution tiers.
+    report whose digest is byte-identical at every [--jobs] width.
 
     Modes are TigerBeetle-style presets over {!Faults.rates}: [Quick] is
     fault-free shadow checking, [Standard] adds crashes and recovery
@@ -40,7 +39,6 @@ type config = {
   kind : App.kind;
   variant : App.variant;
   mode : mode;
-  exec : Machine.tier;
   seed : int;
   scenarios : int;
   ops : int;  (** per scenario *)
@@ -56,7 +54,6 @@ let default_config =
     kind = App.Pclht;
     variant = App.Repaired;
     mode = Standard;
-    exec = `Compiled;
     seed = 1;
     scenarios = 16;
     ops = Scenario.default.Scenario.ops;
@@ -80,13 +77,12 @@ type report = {
   baseline_violating : int list;
 }
 
-let interp_config cfg =
+let interp_config (_ : config) =
   {
     Interp.default_config with
     Interp.trace = false;
     fuel = max_int;
     cost = Some Cost.default;
-    exec = cfg.exec;
   }
 
 (* The repair-input program: what [variant = Repaired] was repaired
@@ -189,12 +185,11 @@ let run cfg : (report, string) result =
     serially (the canonical reproduction recipe). *)
 let replay_cmdline cfg =
   Printf.sprintf
-    "hippocrates sim --app %s --variant %s --mode %s --exec %s --seed %d \
-     --scenarios %d --ops %d --keyspace %d --nbuckets %d --jobs 1"
+    "hippocrates sim --app %s --variant %s --mode %s --seed %d --scenarios \
+     %d --ops %d --keyspace %d --nbuckets %d --jobs 1"
     (App.kind_to_string cfg.kind)
     (App.variant_to_string cfg.variant)
     (mode_to_string cfg.mode)
-    (Exec.tier_to_string cfg.exec)
     cfg.seed cfg.scenarios cfg.ops cfg.keyspace cfg.nbuckets
 
 let reproducer_text cfg (o : Scenario.outcome) =

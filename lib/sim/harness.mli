@@ -1,7 +1,6 @@
 (** The scenario fleet: build the app programs once, fan independent
     scenarios out over a domain pool, and fold their outcomes into one
-    report whose digest is byte-identical at every [--jobs] width and
-    across execution tiers. *)
+    report whose digest is byte-identical at every [--jobs] width. *)
 
 open Hippo_pmcheck
 open Hippo_apps
@@ -16,7 +15,6 @@ type config = {
   kind : App.kind;
   variant : App.variant;
   mode : mode;
-  exec : Machine.tier;
   seed : int;
   scenarios : int;
   ops : int;  (** per scenario *)
@@ -44,7 +42,8 @@ type report = {
 }
 
 (** The interpreter config the harness opens sessions with (exposed so
-    differential tests replay under identical machine settings). *)
+    differential tests replay under identical machine settings). Every
+    harness config opens sessions with the same machine settings. *)
 val interp_config : config -> Interp.config
 
 val baseline_variant : App.kind -> App.variant

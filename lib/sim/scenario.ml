@@ -4,10 +4,9 @@
 
     The scenario is a pure function of [(seed, index, config)]: ops and
     fault plans are drawn from {!Hippo_parallel.Stream} substreams, the
-    virtual clock is the machine's simulated cost (bit-identical across
-    execution tiers), and every observable lands in a transcript whose
-    MD5 is the scenario digest — the object the determinism battery
-    compares across [--jobs] widths and tiers.
+    virtual clock is the machine's simulated cost, and every observable
+    lands in a transcript whose MD5 is the scenario digest — the object
+    the determinism battery compares across [--jobs] widths.
 
     Faults at an op: the machine is armed ({!Machine.arm_crash}) so the
     op stops at an injected crash point; apps without explicit crash

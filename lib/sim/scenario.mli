@@ -6,7 +6,7 @@
 
     A scenario is a pure function of [(seed, index, config)]; its
     transcript MD5 is the digest the determinism battery compares
-    across [--jobs] widths and execution tiers. *)
+    across [--jobs] widths. *)
 
 open Hippo_apps
 

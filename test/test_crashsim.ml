@@ -1,5 +1,5 @@
 (* The single-pass crash sweep: differential equivalence against the
-   per-crash-point replay strategy, image-hash dedup and recovery
+   per-crash-point replay sweep, image-hash dedup and recovery
    memoization, the trace-free crash-point counter, and the Verify /
    Bugstudy wiring. *)
 
@@ -22,9 +22,12 @@ let cfg =
 let setup = [ ("main", []) ]
 let checker = Gen.checker_name
 
-let sweep ?strategy ?jobs ?memo prog =
-  Crashsim.sweep_with_stats ~config:cfg ?jobs ?strategy ?memo prog ~setup
-    ~checker ~checker_args:[]
+let sweep ?jobs ?memo prog =
+  Crashsim.sweep_with_stats ~config:cfg ?jobs ?memo prog ~setup ~checker
+    ~checker_args:[]
+
+let replay ~jobs prog =
+  Crashsim.replay_sweep ~config:cfg ~jobs prog ~setup ~checker ~checker_args:[]
 
 (* deterministic step programs (see Pmir_gen's checker-mode alphabet) *)
 let prog_of steps = Gen.program_of_steps ~checker:true steps
@@ -36,17 +39,16 @@ let prop_strategies_identical =
   QCheck.Test.make ~count:40
     ~name:"single-pass dedup sweep == replay sweep, jobs {1,4}" Gen.arb_crash
     (fun prog ->
-      let reference, _ = sweep ~strategy:`Replay ~jobs:1 prog in
-      List.for_all
-        (fun (strategy, jobs) -> fst (sweep ~strategy ~jobs prog) = reference)
-        [ (`Replay, 4); (`Single_pass, 1); (`Single_pass, 4) ])
+      let reference = replay ~jobs:1 prog in
+      replay ~jobs:4 prog = reference
+      && List.for_all (fun jobs -> fst (sweep ~jobs prog) = reference) [ 1; 4 ])
 
 (* the sweep's stats must account for every crash point: runs + hits
    cover both images of every point *)
 let prop_stats_account =
   QCheck.Test.make ~count:40 ~name:"dedup stats account for 2n image checks"
     Gen.arb_crash (fun prog ->
-      let _, s = sweep ~strategy:`Single_pass prog in
+      let _, s = sweep prog in
       s.Crashsim.recovery_runs + s.Crashsim.memo_hits
       = 2 * s.Crashsim.crash_points
       && s.Crashsim.recovery_runs = s.Crashsim.distinct_images
@@ -59,7 +61,7 @@ let test_identical_images_memoized () =
   (* one fully-persisted pair, then two crash points: durable == working
      at both, so four image checks need exactly one recovery run *)
   let prog = prog_of [ Gen.S_pair (0, 1); Gen.S_crash; Gen.S_crash ] in
-  let verdicts, s = sweep ~strategy:`Single_pass prog in
+  let verdicts, s = sweep prog in
   Alcotest.(check int) "crash points" 2 (List.length verdicts);
   Alcotest.(check int) "distinct images" 1 s.Crashsim.distinct_images;
   Alcotest.(check int) "recovery runs" 1 s.Crashsim.recovery_runs;
@@ -77,7 +79,7 @@ let test_repeated_durable_images_hit_memo () =
         Gen.S_pair (0, 1); Gen.S_crash;
       ]
   in
-  let _, s = sweep ~strategy:`Single_pass prog in
+  let _, s = sweep prog in
   Alcotest.(check int) "crash points" 3 s.Crashsim.crash_points;
   Alcotest.(check int) "distinct images" 2 s.Crashsim.distinct_images;
   Alcotest.(check int) "recovery runs" 2 s.Crashsim.recovery_runs;
@@ -88,8 +90,8 @@ let test_memo_reused_across_sweeps () =
     prog_of [ Gen.S_half (0, 1); Gen.S_crash; Gen.S_pair (1, 2); Gen.S_crash ]
   in
   let memo = Crashsim.Memo.create () in
-  let v1, s1 = sweep ~strategy:`Single_pass ~memo prog in
-  let v2, s2 = sweep ~strategy:`Single_pass ~memo prog in
+  let v1, s1 = sweep ~memo prog in
+  let v2, s2 = sweep ~memo prog in
   Alcotest.(check bool) "verdicts stable" true (v1 = v2);
   Alcotest.(check bool) "first sweep ran recovery" true
     (s1.Crashsim.recovery_runs > 0);

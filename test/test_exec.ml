@@ -1,12 +1,16 @@
 (* Differential battery for the compiled execution tier: every observable
    of a run — result, bugs, output, trace, cost, steps, coverage, crash
    points, crash images — must be byte-identical between the interpreter
-   oracle and the compiled closures, over randomized programs from the
-   fuzzer's generator and over hand-built trap edge cases. *)
+   oracle ([Interp.run]/[Interp.call]) and the compiled closures
+   ([Compile.run]/[Compile.call]), over randomized programs from the
+   fuzzer's generator, over the PMDK corpus before and after repair, and
+   over hand-built trap edge cases. *)
 
 open Hippo_pmir
 open Hippo_pmcheck
 module Gen = Hippo_fuzz.Gen
+module Driver = Hippo_core.Driver
+module Case = Hippo_pmdk_mini.Case
 
 let v = Value.reg
 let i = Value.imm
@@ -32,13 +36,22 @@ let ret_to_string = function
   | Error `Aborted -> "aborted"
   | Error `Out_of_fuel -> "out_of_fuel"
 
-let observe ~tier ~trace ~cost ?(fuel = Machine.default_config.fuel)
-    ?stop_at_crash prog =
+(* The shape of [Interp.run] and [Compile.run]: a test picks its tier by
+   passing one of the two. *)
+type run =
+  ?pm_image:Bytes.t ->
+  ?config:Machine.config ->
+  Program.t ->
+  entry:string ->
+  args:int list ->
+  Machine.t * (int, [ `Stopped_at_crash | `Aborted | `Out_of_fuel ]) result
+
+let observe (run : run) ~trace ~cost ?(fuel = Machine.default_config.fuel)
+    ?stop_at_crash ?(entry = "main") prog =
   let cov = Coverage.create () in
   let config =
     {
       Machine.default_config with
-      exec = tier;
       trace;
       cost;
       fuel;
@@ -46,24 +59,25 @@ let observe ~tier ~trace ~cost ?(fuel = Machine.default_config.fuel)
       coverage = Some cov;
     }
   in
-  let t, ret = Exec.run ~config prog ~entry:"main" ~args:[] in
-  {
-    ret = ret_to_string ret;
-    bugs = List.map Report.bug_to_string (Interp.bugs t);
-    raw_bugs = List.map Report.bug_to_string (Interp.raw_bugs t);
-    output = Interp.output t;
-    trace = List.map Trace.to_line (Interp.trace t);
-    cost_ns = Interp.cost_ns t;
-    steps = Interp.steps t;
-    crash_points = Interp.crash_points_hit t;
-    cov = Coverage.to_list cov;
-  }
+  let t, ret = run ~config prog ~entry ~args:[] in
+  ( t,
+    {
+      ret = ret_to_string ret;
+      bugs = List.map Report.bug_to_string (Interp.bugs t);
+      raw_bugs = List.map Report.bug_to_string (Interp.raw_bugs t);
+      output = Interp.output t;
+      trace = List.map Trace.to_line (Interp.trace t);
+      cost_ns = Interp.cost_ns t;
+      steps = Interp.steps t;
+      crash_points = Interp.crash_points_hit t;
+      cov = Coverage.to_list cov;
+    } )
 
 (* Polymorphic equality is exact here: strings, ints, and a float compared
    bit-for-bit (cost must accumulate in the same order in both tiers). *)
 let parity ~trace ~cost ?fuel ?stop_at_crash prog =
-  observe ~tier:`Interp ~trace ~cost ?fuel ?stop_at_crash prog
-  = observe ~tier:`Compiled ~trace ~cost ?fuel ?stop_at_crash prog
+  let obs run = snd (observe run ~trace ~cost ?fuel ?stop_at_crash prog) in
+  obs Interp.run = obs Compile.run
 
 (* ------------------------------------------------------------------ *)
 (* QCheck properties over the fuzzer's program family. *)
@@ -101,46 +115,54 @@ let prop_parity_crash_images =
     ~count:25 Gen.arb_crash (fun prog ->
       let count =
         let config = { Machine.default_config with trace = false } in
-        let t, _ = Exec.run ~config prog ~entry:"main" ~args:[] in
+        let t, _ = Compile.run ~config prog ~entry:"main" ~args:[] in
         Interp.crash_points_hit t
       in
-      let snap tier k =
+      let snap (run : run) k =
         let config =
-          {
-            Machine.default_config with
-            exec = tier;
-            trace = false;
-            stop_at_crash = Some k;
-          }
+          { Machine.default_config with trace = false; stop_at_crash = Some k }
         in
-        let t, ret = Exec.run ~config prog ~entry:"main" ~args:[] in
+        let t, ret = run ~config prog ~entry:"main" ~args:[] in
         (ret_to_string ret, Interp.crash_image t,
          Mem.working_image (Interp.mem t))
       in
       let ok = ref true in
       for k = 1 to count do
-        let r1, p1, w1 = snap `Interp k and r2, p2, w2 = snap `Compiled k in
+        let r1, p1, w1 = snap Interp.run k
+        and r2, p2, w2 = snap Compile.run k in
         if not (r1 = r2 && Bytes.equal p1 p2 && Bytes.equal w1 w2) then
           ok := false
       done;
       !ok)
 
-(* The crash sweep under the compiled tier: same verdicts at jobs 1 and 2,
-   and the same verdicts the interpreter-tier sweep produces. *)
-let prop_sweep_tier_and_jobs_determinism =
-  QCheck.Test.make ~name:"compiled crash sweep: jobs/tier determinism"
-    ~count:20 Gen.arb_crash (fun prog ->
-      QCheck.assume (Gen.has_checker prog);
-      let sweep ~tier ~jobs =
-        Crashsim.sweep
-          ~config:{ Machine.default_config with exec = tier }
-          ~jobs prog ~setup:Gen.setup ~checker:Gen.checker_name
-          ~checker_args:[]
+(* The real corpus: each PMDK case's workload is one call of its entry.
+   Both tiers run every case as written and after repair, with trace,
+   cost model and coverage on, and must also leave the same durable
+   crash image. *)
+let test_corpus_parity () =
+  List.iter
+    (fun (case : Case.t) ->
+      let original = Lazy.force case.Case.program in
+      let repaired =
+        (Driver.repair ~name:case.Case.id ~workload:case.Case.workload
+           original)
+          .Driver.repaired
       in
-      let c1 = sweep ~tier:`Compiled ~jobs:1 in
-      let c2 = sweep ~tier:`Compiled ~jobs:2 in
-      let i1 = sweep ~tier:`Interp ~jobs:1 in
-      c1 = c2 && c1 = i1)
+      List.iter
+        (fun (label, prog) ->
+          let obs run =
+            let t, o =
+              observe run ~trace:true ~cost:(Some Cost.default)
+                ~entry:case.Case.entry prog
+            in
+            (o, Interp.crash_image t)
+          in
+          Alcotest.(check bool)
+            (case.Case.id ^ " " ^ label)
+            true
+            (obs Interp.run = obs Compile.run))
+        [ ("original", original); ("repaired", repaired) ])
+    Hippo_pmdk_mini.Bugs.all
 
 (* ------------------------------------------------------------------ *)
 (* Hand-built edge cases: traps must carry identical messages, and the
@@ -153,20 +175,19 @@ let build_prog emit =
   Validate.check_exn p;
   p
 
-let call_result t name args =
-  match Exec.call t name args with
+let call_result call t name args =
+  match call t name args with
   | r -> Printf.sprintf "ret:%d" r
   | exception Mem.Trap m -> Printf.sprintf "trap:%s" m
   | exception Interp.Aborted -> "aborted"
   | exception Interp.Out_of_fuel -> "out_of_fuel"
 
 let both_tiers prog name args =
-  let run tier =
-    let config = { Machine.default_config with exec = tier } in
-    let t = Interp.create config prog in
-    (call_result t name args, Interp.output t, Interp.steps t)
+  let run call =
+    let t = Interp.create Machine.default_config prog in
+    (call_result call t name args, Interp.output t, Interp.steps t)
   in
-  let a = run `Interp and b = run `Compiled in
+  let a = run Interp.call and b = run Compile.call in
   Alcotest.(check (triple string (list int) int)) "tier parity" a b;
   a
 
@@ -204,12 +225,11 @@ let test_arity_and_undefined () =
   let msg, _, _ = both_tiers p "f" [ 1; 2 ] in
   Alcotest.(check string) "arity msg"
     "trap:@f called with 2 arguments (expects 1)" msg;
-  let run tier =
-    let config = { Machine.default_config with exec = tier } in
-    let t = Interp.create config p in
-    call_result t "nope" []
+  let run call =
+    call_result call (Interp.create Machine.default_config p) "nope" []
   in
-  Alcotest.(check string) "undefined parity" (run `Interp) (run `Compiled)
+  Alcotest.(check string) "undefined parity" (run Interp.call)
+    (run Compile.call)
 
 let test_abort_and_wild_access () =
   let p =
@@ -230,33 +250,20 @@ let test_abort_and_wild_access () =
   ignore (both_tiers p "wild" []);
   ignore (both_tiers p "null" [])
 
-let test_tier_of_string () =
-  Alcotest.(check bool) "interp" true (Exec.tier_of_string "interp" = Ok `Interp);
-  Alcotest.(check bool) "compiled" true
-    (Exec.tier_of_string "compiled" = Ok `Compiled);
-  (match Exec.tier_of_string "jit" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected error");
-  Alcotest.(check string) "round trip" "compiled"
-    (Exec.tier_to_string `Compiled);
-  Alcotest.(check string) "default tier" "compiled"
-    (Exec.tier_to_string Machine.default_config.exec)
-
 (* A compiled machine accumulates across host calls exactly like the
    interpreter (persistency state, trace, seq numbers span calls). *)
 let test_accumulation_across_calls () =
   let prog = Gen.random_mixed (Random.State.make [| 42 |]) in
-  let run tier =
-    let config = { Machine.default_config with exec = tier } in
-    let t = Interp.create config prog in
-    ignore (Exec.call t "main" []);
-    ignore (Exec.call t "main" []);
+  let run call =
+    let t = Interp.create Machine.default_config prog in
+    ignore (call t "main" []);
+    ignore (call t "main" []);
     Interp.exit_check t;
     ( List.map Trace.to_line (Interp.trace t),
       List.map Report.bug_to_string (Interp.raw_bugs t),
       Interp.output t )
   in
-  let ti, bi, oi = run `Interp and tc, bc, oc = run `Compiled in
+  let ti, bi, oi = run Interp.call and tc, bc, oc = run Compile.call in
   Alcotest.(check (list string)) "trace" ti tc;
   Alcotest.(check (list string)) "raw bugs" bi bc;
   Alcotest.(check (list int)) "output" oi oc
@@ -267,7 +274,6 @@ let suite =
     Alcotest.test_case "arity/undefined parity" `Quick test_arity_and_undefined;
     Alcotest.test_case "abort/wild/null parity" `Quick
       test_abort_and_wild_access;
-    Alcotest.test_case "tier of/to string" `Quick test_tier_of_string;
     Alcotest.test_case "accumulation across calls" `Quick
       test_accumulation_across_calls;
     QCheck_alcotest.to_alcotest prop_parity_full;
@@ -275,5 +281,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_parity_crash_family;
     QCheck_alcotest.to_alcotest prop_parity_out_of_fuel;
     QCheck_alcotest.to_alcotest prop_parity_crash_images;
-    QCheck_alcotest.to_alcotest prop_sweep_tier_and_jobs_determinism;
+    Alcotest.test_case "tier parity over the PMDK corpus" `Quick
+      test_corpus_parity;
   ]

@@ -1,6 +1,6 @@
-(* The scenario simulator: digest determinism across jobs widths and
-   execution tiers, single-crash semantics of the forced-crash hook, and
-   differential agreement with the per-crash-point sweep. *)
+(* The scenario simulator: digest determinism across jobs widths,
+   single-crash semantics of the forced-crash hook, and differential
+   agreement with the per-crash-point sweep. *)
 
 open Hippo_pmcheck
 open Hippo_apps
@@ -25,7 +25,7 @@ let run_exn cfg =
   match Harness.run cfg with Ok r -> r | Error e -> Alcotest.fail e
 
 (* ------------------------------------------------------------------ *)
-(* determinism: one seed, one digest — at every jobs width and tier *)
+(* determinism: one seed, one digest — at every jobs width *)
 
 let prop_jobs_identical =
   QCheck.Test.make ~count:4 ~name:"same seed => same digest at jobs {1,2,4}"
@@ -43,17 +43,6 @@ let prop_jobs_identical =
               && r.Harness.violating = r1.Harness.violating)
             rest
       | [] -> false)
-
-let prop_tiers_identical =
-  QCheck.Test.make ~count:4
-    ~name:"interpreted and compiled fleets produce one digest"
-    QCheck.small_nat (fun seed ->
-      let cfg = { (small App.Pclht App.Manual Harness.Chaos) with Harness.seed } in
-      let ri = run_exn { cfg with Harness.exec = `Interp } in
-      let rc = run_exn { cfg with Harness.exec = `Compiled } in
-      String.equal ri.Harness.digest rc.Harness.digest
-      && ri.Harness.violating = rc.Harness.violating
-      && ri.Harness.torn = rc.Harness.torn)
 
 let test_quick_mode_clean () =
   (* fault-free scenarios on the hand-hardened builds: pure workload vs
@@ -188,7 +177,6 @@ let test_forced_crash_bounds () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_jobs_identical;
-    QCheck_alcotest.to_alcotest prop_tiers_identical;
     Alcotest.test_case "quick mode on manual builds is clean" `Quick
       test_quick_mode_clean;
     Alcotest.test_case "chaos detects P-CLHT's injected bugs" `Quick
