@@ -765,6 +765,12 @@ let workers_arg =
               keyspace slice and a seed substream, so results are \
               identical at any $(b,--jobs).")
 
+(* Each load-generator worker owns a disjoint, nonempty slice of the
+   records, so [records < workers] is refused before anything runs or
+   connects. *)
+let too_few_records ~records ~workers =
+  Fmt.str "--records (%d) must be at least --workers (%d)" records workers
+
 let unix_arg =
   Arg.(
     value & opt (some string) None
@@ -805,7 +811,11 @@ let serve_cmd =
   let run app variant workload records ops workers inproc smoke unix_path
       port expect_conns seed jobs =
     let kind_name = Hippo_apps.App.kind_to_string app in
-    if inproc || smoke then
+    if (inproc || smoke) && records < workers then begin
+      Fmt.epr "error: %s@." (too_few_records ~records ~workers);
+      1
+    end
+    else if inproc || smoke then
       Hippo_parallel.Pool.run ~domains:(max 1 jobs) (fun pool ->
           let run_variant variant =
             Hippo_serve.Drive.run_inproc ~pool ~app ~variant ~workload
@@ -905,6 +915,7 @@ let loadgen_cmd =
   let run workload records ops workers unix_path port skip_load seed jobs =
     let connect =
       match (unix_path, port) with
+      | _ when records < workers -> Error (too_few_records ~records ~workers)
       | Some path, None ->
           Ok (fun () -> Hippo_serve.Listener.Client.connect_unix ~path)
       | None, Some port ->

@@ -168,7 +168,7 @@ let rec redis_adapter ~name ~nbuckets config prog ?pm_image () : t =
       (fun ~pm_image ->
         (* the allocator's high-water mark restarts with the image (a
            real PM heap persists its metadata) *)
-        let brk = mem.Mem.pm_brk in
+        let brk = Mem.pm_brk mem in
         Ok (redis_adapter ~name ~nbuckets config prog ~pm_image:(pm_image, brk) ()));
   }
 
@@ -216,7 +216,7 @@ let rec pclht_adapter ~name ~nbuckets config prog ?pm_image () : t =
     echo = (fun v -> string_of_int (word_of_string v));
     reopen =
       (fun ~pm_image ->
-        let brk = (Interp.mem s.Pclht.interp).Mem.pm_brk in
+        let brk = Mem.pm_brk (Interp.mem s.Pclht.interp) in
         Ok (pclht_adapter ~name ~nbuckets config prog ~pm_image:(pm_image, brk) ()));
   }
 

@@ -15,8 +15,9 @@ type outcome = {
   memo_misses : int;
 }
 
-(* Generated programs touch at most a few hundred PM bytes; the default
-   config would zero a 16 MiB arena per execution. *)
+(* Generated programs touch at most a few hundred PM bytes. The small
+   segments also fix where an overrunning program traps, so fuzz verdicts
+   depend on them. *)
 let interp_config =
   {
     Interp.default_config with

@@ -44,8 +44,9 @@ type outcome = {
 }
 
 (** Interpreter configuration for fuzz executions: small memories (the
-    generated programs touch a few hundred bytes; zeroing the default
-    16 MiB PM arena per exec would dominate the run). *)
+    generated programs touch a few hundred bytes, and the segment sizes
+    fix where an overrunning program traps, so fuzz verdicts depend on
+    them). *)
 val interp_config : Hippo_pmcheck.Interp.config
 
 (** Run every applicable oracle on one candidate. *)

@@ -17,8 +17,9 @@
     {!sweep} is single-pass: one instrumented run of the workload
     captures both images at every crash point incrementally — the
     durable image is a mutable base the persistency machine already
-    maintains, so capture is a fingerprint read plus an O(touched bytes)
-    copy-on-first-occurrence snapshot. Recovery runs are deduplicated by
+    maintains, so capture is a fingerprint read plus, on a digest's
+    first occurrence, an O(touched bytes) trimmed copy of the image.
+    Recovery runs are deduplicated by
     image fingerprint and memoized in a {!Memo} table: [k] distinct
     images cost [k] recovery runs instead of [2n]. O(workload +
     k·recovery) total. {!replay_sweep} re-executes the workload prefix
@@ -152,7 +153,7 @@ let replay_sweep ?config ~jobs prog ~setup ~checker ~checker_args =
         Hippo_parallel.Pool.map pool check indices)
 
 (* The single-pass sweep: one instrumented run captures a fingerprint
-   pair per crash point and a compact snapshot per *distinct* image;
+   pair per crash point and a trimmed image per *distinct* one;
    recovery runs once per distinct un-memoized image (fanned out over the
    pool in first-occurrence order, so verdict lists are byte-identical at
    every [jobs]). *)
@@ -164,19 +165,19 @@ let single_pass_sweep ?(config = Interp.default_config) ~jobs ~memo ~prog_sig
   let t = Interp.create cfg prog in
   let mem = Interp.mem t in
   let points = ref [] in
-  (* digest -> compact snapshot, first occurrence only *)
-  let images : (Imghash.digest, Mem.pm_snapshot) Hashtbl.t = Hashtbl.create 64 in
+  (* digest -> trimmed image, first occurrence only *)
+  let images : (Imghash.digest, Bytes.t) Hashtbl.t = Hashtbl.create 64 in
   let order = ref [] in
-  let capture digest snapshot =
+  let capture digest take =
     if not (Hashtbl.mem images digest) then begin
-      Hashtbl.add images digest (snapshot ());
+      Hashtbl.add images digest (take mem);
       order := digest :: !order
     end
   in
   Interp.set_crash_hook t (fun () ->
       let dp = Mem.durable_digest mem and dl = Mem.working_digest mem in
-      capture dp (fun () -> Mem.snapshot_durable mem);
-      capture dl (fun () -> Mem.snapshot_working mem);
+      capture dp Mem.crash_image;
+      capture dl Mem.working_image;
       points := (Interp.crash_points_hit t, dp, dl) :: !points);
   List.iter (fun (f, args) -> ignore (Compile.call t f args)) setup;
   let points = List.rev !points in
@@ -186,8 +187,7 @@ let single_pass_sweep ?(config = Interp.default_config) ~jobs ~memo ~prog_sig
     List.filter (fun d -> not (Hashtbl.mem memo.Memo.table (key d))) order
   in
   let run_one d =
-    recover ~config prog ~checker ~checker_args
-      (Mem.snapshot_to_image (Hashtbl.find images d))
+    recover ~config prog ~checker ~checker_args (Hashtbl.find images d)
   in
   let results =
     if jobs <= 1 then List.map run_one pending

@@ -15,14 +15,14 @@
     does not.
 
     {!sweep} runs the workload once with image tracking on, captures a
-    fingerprint pair per crash point plus an O(touched-bytes) snapshot
-    per {e distinct} image, and runs recovery once per distinct image not
-    already in the memo table — O(workload + k·recovery) for [k] distinct
-    images. {!replay_sweep} re-executes the workload prefix per crash
-    point (O(n²)) and is the reference the single-pass sweep is tested
-    against. Both produce byte-identical verdict lists at every [jobs]
-    setting. Dedup is sound because recovery is a pure function of the
-    crash image (DESIGN.md §7b). *)
+    fingerprint pair per crash point plus an O(touched-bytes) trimmed
+    copy of each {e distinct} image, and runs recovery once per
+    distinct image not already in the memo table — O(workload +
+    k·recovery) for [k] distinct images. {!replay_sweep} re-executes the
+    workload prefix per crash point (O(n²)) and is the reference the
+    single-pass sweep is tested against. Both produce byte-identical
+    verdict lists at every [jobs] setting. Dedup is sound because
+    recovery is a pure function of the crash image (DESIGN.md §7b). *)
 
 type verdict = {
   crash_index : int;

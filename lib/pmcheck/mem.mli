@@ -8,10 +8,17 @@
     PMIR is a 63-bit machine (OCaml ints): 8-byte stores mask the sign
     extension so byte 7 round-trips through byte-wise loads.
 
+    Segments are lazily backed: a machine, an image and a restart cost
+    O(bytes touched), not O(segment size). No program can tell — segment
+    sizes, bounds checks, trap messages and allocator exhaustion points
+    are those of eagerly zeroed segments. PM images are trimmed: an image
+    is its bytes up to the last nonzero one, so [Bytes.equal] is image
+    equality and every byte past an image's end is zero.
+
     With [~track_images:true] the memory additionally maintains, at
     O(bytes changed) per operation, a live {!Imghash} fingerprint of both
-    images plus a touched-bytes watermark — the machinery behind the
-    single-pass crash sweep's image capture and dedup ({!Crashsim}). *)
+    images — the machinery behind the single-pass crash sweep's image
+    capture and dedup ({!Crashsim}). *)
 
 exception Trap of string
 (** Raised on invalid accesses (out of bounds, null page, wild pointers,
@@ -19,28 +26,16 @@ exception Trap of string
 
 val trap : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
-type tracker
-
-type t = {
-  vol : Bytes.t;
-  stack : Bytes.t;
-  globals : Bytes.t;
-  pm : Bytes.t;  (** working image: the CPU-cache view of PM *)
-  pm_persisted : Bytes.t;  (** durable image: what a crash preserves *)
-  mutable vol_brk : int;
-  mutable stack_brk : int;
-  mutable pm_brk : int;
-  global_addrs : (string * int) list;
-  track : tracker option;
-}
+type t
 
 (** [create globals] builds a fresh memory; [?pm_image] seeds both PM
-    images (a restart from a previous durable image); [?pm_brk] restores
-    the PM allocator's high-water mark alongside the image — a real PM
-    allocator persists its heap metadata, so a restarted program must
-    not re-issue addresses that are already in use (default 0: a fresh
-    pool); [?track_images] (default false) turns on image fingerprinting
-    and snapshots. *)
+    images (a restart from a previous durable image: any image no longer
+    than [pm_size], trimmed or not, of which only its length is copied);
+    [?pm_brk] restores the PM allocator's high-water mark alongside the
+    image — a real PM allocator persists its heap metadata, so a
+    restarted program must not re-issue addresses that are already in
+    use (default 0: a fresh pool); [?track_images] (default false) turns
+    on image fingerprinting. *)
 val create :
   ?vol_size:int ->
   ?stack_size:int ->
@@ -53,6 +48,10 @@ val create :
   t
 
 val global_addr : t -> string -> int
+
+(** The PM allocator's high-water mark (a restart passes it back as
+    [create ?pm_brk]). *)
+val pm_brk : t -> int
 
 (** Little-endian load/store of 1, 2, 4 or 8 bytes. *)
 val load : t -> addr:int -> size:int -> int
@@ -82,14 +81,16 @@ val persist_range : t -> addr:int -> size:int -> unit
     wrote back ({!Pstate}'s write-pending-queue drain). *)
 val persist_string : t -> addr:int -> string -> unit
 
-(** Snapshot of the durable image: the post-crash PM contents. *)
+(** The durable image, trimmed: the post-crash PM contents. O(bytes
+    touched). *)
 val crash_image : t -> Bytes.t
 
-(** Snapshot of the working image (as if everything had reached PM). *)
+(** The working image, trimmed (as if everything had reached PM).
+    O(bytes touched). *)
 val working_image : t -> Bytes.t
 
-(** Whether image tracking is on. The digest and snapshot functions below
-    trap when it is not. *)
+(** Whether image tracking is on. The digest functions below trap when
+    it is not. *)
 val tracking : t -> bool
 
 (** Live fingerprint of the working image, maintained incrementally. *)
@@ -97,17 +98,6 @@ val working_digest : t -> Imghash.digest
 
 (** Live fingerprint of the durable image, maintained incrementally. *)
 val durable_digest : t -> Imghash.digest
-
-type pm_snapshot
-(** A compact captured image: the touched-bytes prefix plus a shared
-    reference to the creation-time image. O(touched bytes) to take. *)
-
-val snapshot_durable : t -> pm_snapshot
-val snapshot_working : t -> pm_snapshot
-
-(** Materialize a snapshot as a full PM image, suitable for
-    [create ?pm_image]. *)
-val snapshot_to_image : pm_snapshot -> Bytes.t
 
 val alloc_vol : t -> int -> int
 
@@ -121,7 +111,10 @@ val stack_mark : t -> int
 val stack_release : t -> int -> unit
 val alloc_stack : t -> int -> int
 
-(** Host-side convenience accessors (the "client" writing wire buffers). *)
+(** Host-side convenience accessors (the "client" writing wire buffers).
+    A range inside one segment is copied in one step; one that leaves its
+    segment writes the same prefix and traps with the same message as the
+    equivalent single-byte stores. *)
 val write_string : t -> addr:int -> string -> unit
 
 val read_string : t -> addr:int -> len:int -> string

@@ -266,6 +266,13 @@ let exec_op app = function
   | Read { key } -> `Read (app.App.read ~key)
   | Delete { key } -> `Del (app.App.delete ~key)
 
+(* The transcript's [img=] field fingerprints the whole PM segment: the
+   MD5 of the trimmed crash image zero-extended to [pm_size] bytes. *)
+let segment_md5 ~pm_size image =
+  let full = Bytes.make pm_size '\000' in
+  Bytes.blit image 0 full 0 (Bytes.length image);
+  Digest.to_hex (Digest.bytes full)
+
 (* Run one op on one side under a fault plan. [inj_st] is this side's
    private injection substream for the step (both sides derive it from
    the same path, so their schedules match). *)
@@ -341,7 +348,7 @@ let run_step side ~step ~seed ~index ~cfg ~keys op (plan : Faults.plan) =
         (Printf.sprintf "%d !crash pt=%d img=%s reordered=%d torn=%d\n"
            step
            (Machine.crash_points_hit interp)
-           (Digest.to_hex (Digest.bytes image))
+           (segment_md5 ~pm_size:interp.Machine.cfg.Machine.pm_size image)
            reordered torn);
       (* the op that was cut down (or completed un-durably): its key may
          legitimately read back old or new *)

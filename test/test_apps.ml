@@ -109,6 +109,32 @@ let test_redis_restart_from_durable_image () =
   Alcotest.(check int) "dict_check after restart" 1
     (Interp.call t2 "cmd_check" [])
 
+(* Allocation guard: a restart copies the trimmed crash image, not the
+   16 MB PM segment. The minor heap is emptied first so that no
+   collection falls inside the measured call (OCaml 5.1's counters
+   over-report across one). *)
+let test_redis_reopen_allocation_guard () =
+  let prog =
+    match App.program App.Redis App.Manual with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let app = App.wrap App.Redis App.Manual prog in
+  for k = 0 to 39 do
+    app.App.insert ~key:(Printf.sprintf "k%02d" k)
+      ~value:(Hippo_ycsb.Workload.value_bytes ~k ~version:0)
+  done;
+  let image = Interp.crash_image app.App.interp in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let reopened = app.App.reopen ~pm_image:image in
+  let bytes = Gc.allocated_bytes () -. before in
+  (match reopened with
+  | Ok app' ->
+      Alcotest.(check int) "every record survives" 40 (app'.App.count ())
+  | Error e -> Alcotest.fail e);
+  if bytes >= 1e6 then Alcotest.failf "App.reopen allocated %.0f bytes" bytes
+
 (* ------------------------------------------------------------------ *)
 (* P-CLHT *)
 
@@ -231,6 +257,9 @@ let suite =
     ("redis manual variant clean", `Quick, test_redis_manual_is_clean);
     ("redis flush-free variant buggy", `Quick, test_redis_flush_free_is_buggy);
     ("redis restart from durable image", `Quick, test_redis_restart_from_durable_image);
+    ( "redis reopen allocation guard",
+      `Quick,
+      test_redis_reopen_allocation_guard );
     ("clht put/get/del", `Quick, test_clht_put_get_del);
     ("clht overflow chains", `Quick, test_clht_overflow_chains);
     ("clht buggy not crash consistent", `Slow, test_clht_buggy_not_crash_consistent);

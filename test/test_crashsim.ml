@@ -155,7 +155,7 @@ let test_recovery_then_recrash_chain () =
   let s1 = R.start ~config:rcfg ~nbuckets:4 prog in
   List.iter (fun k -> R.op_insert s1 ~k ~version:1) [ 1; 2; 3 ];
   let crash s =
-    (Interp.crash_image s.R.interp, (Interp.mem s.R.interp).Mem.pm_brk)
+    (Interp.crash_image s.R.interp, Mem.pm_brk (Interp.mem s.R.interp))
   in
   let img1, brk1 = crash s1 in
   Alcotest.(check bool) "allocator mark persisted" true (brk1 > 0);

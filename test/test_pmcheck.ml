@@ -29,6 +29,13 @@ let test_layout_regions () =
 
 let mk_mem () = Mem.create []
 
+(* Images are trimmed at their last nonzero byte; zero-extend one to the
+   default PM segment to read it at an absolute offset. *)
+let zero_extended img =
+  let full = Bytes.make (1 lsl 24) '\000' in
+  Bytes.blit img 0 full 0 (Bytes.length img);
+  full
+
 let test_mem_load_store_sizes () =
   let m = mk_mem () in
   let a = Mem.alloc_pm m 64 in
@@ -87,11 +94,11 @@ let test_mem_persist_and_crash_image () =
   let m = mk_mem () in
   let a = Mem.alloc_pm m 64 in
   Mem.store m ~addr:a ~size:8 7;
-  let img0 = Mem.crash_image m in
+  let img0 = zero_extended (Mem.crash_image m) in
   Alcotest.(check int) "not persisted yet" 0
     (Int64.to_int (Bytes.get_int64_le img0 (a - Layout.pm_base)));
   Mem.persist_range m ~addr:a ~size:8;
-  let img1 = Mem.crash_image m in
+  let img1 = zero_extended (Mem.crash_image m) in
   Alcotest.(check int) "persisted" 7
     (Int64.to_int (Bytes.get_int64_le img1 (a - Layout.pm_base)))
 
@@ -101,6 +108,404 @@ let test_mem_string_roundtrip () =
   Mem.write_string m ~addr:a "hello pm";
   Alcotest.(check string) "roundtrip" "hello pm"
     (Mem.read_string m ~addr:a ~len:8)
+
+(* ------------------------------------------------------------------ *)
+(* Lazily backed segments: a fresh Mem backs no segment, yet each one
+   behaves as if eagerly zeroed to its full size. *)
+
+let trap_message f =
+  match f () with exception Mem.Trap m -> m | _ -> "no trap"
+
+(* (name, base, size) of each segment of a default [Mem.create] *)
+let default_segments =
+  [
+    ("vol", Layout.vol_base, 1 lsl 24);
+    ("stack", Layout.stack_base, 1 lsl 22);
+    ("globals", Layout.global_base, 1 lsl 20);
+    ("pm", Layout.pm_base, 1 lsl 24);
+  ]
+
+let test_lazy_segment_boundaries () =
+  List.iter
+    (fun (name, base, size) ->
+      let m = mk_mem () in
+      let last = base + size - 8 in
+      let check_int what = Alcotest.(check int) (name ^ ": " ^ what) in
+      check_int "last word loads 0" 0 (Mem.load m ~addr:last ~size:8);
+      check_int "last word loads 0 via load8" 0 (Mem.load8 m last);
+      Mem.store m ~addr:last ~size:8 0x0123_4567_89AB_CDEF;
+      check_int "store/load" 0x0123_4567_89AB_CDEF
+        (Mem.load m ~addr:last ~size:8);
+      Mem.store8 m last 0x7654_3210;
+      check_int "store8/load8" 0x7654_3210 (Mem.load8 m last);
+      let oob =
+        Printf.sprintf "out-of-bounds access at 0x%x (size 8)" (last + 1)
+      in
+      List.iter
+        (fun (what, f) ->
+          Alcotest.(check string) (name ^ ": " ^ what) oob (trap_message f))
+        [
+          ( "load past the end",
+            fun () -> ignore (Mem.load m ~addr:(last + 1) ~size:8) );
+          ( "store past the end",
+            fun () -> Mem.store m ~addr:(last + 1) ~size:8 1 );
+          ("load8 past the end", fun () -> ignore (Mem.load8 m (last + 1)));
+          ("store8 past the end", fun () -> Mem.store8 m (last + 1) 1);
+        ])
+    default_segments;
+  (* images are trimmed at their last nonzero byte: a fresh one is
+     empty, and a nonzero last PM byte makes it span the segment *)
+  let m = mk_mem () in
+  Alcotest.(check int) "fresh working image" 0
+    (Bytes.length (Mem.working_image m));
+  Mem.store m ~addr:(Layout.pm_base + (1 lsl 24) - 8) ~size:8 (1 lsl 56);
+  Alcotest.(check int) "working image spans the segment" (1 lsl 24)
+    (Bytes.length (Mem.working_image m));
+  Alcotest.(check int) "crash image still empty" 0
+    (Bytes.length (Mem.crash_image m));
+  (* the allocators run out at the break eagerly backed segments did *)
+  List.iter
+    (fun (what, alloc, size, grain, base, msg) ->
+      let m = mk_mem () in
+      ignore (alloc m (size - grain));
+      Alcotest.(check int) (what ^ " last block") (base + size - grain)
+        (alloc m grain);
+      Alcotest.(check string) (what ^ " exhausted") msg
+        (trap_message (fun () -> alloc m 1)))
+    [
+      ("alloc_vol", Mem.alloc_vol, 1 lsl 24, 8, Layout.vol_base,
+       "volatile heap exhausted");
+      ("alloc_pm", Mem.alloc_pm, 1 lsl 24, 64, Layout.pm_base,
+       "persistent heap exhausted");
+      ("alloc_stack", Mem.alloc_stack, 1 lsl 22, 8, Layout.stack_base,
+       "stack overflow");
+    ];
+  Alcotest.(check string) "global segment overflow" "global segment overflow"
+    (trap_message (fun () -> Mem.create [ ("g", (1 lsl 20) + 1) ]))
+
+(* Differential: random operations on a lazily backed Mem against an
+   eager model made of full-size [Bytes]. Segment sizes sit around the
+   4 KB first backing, offsets cluster at segment ends and at buffer
+   growth points, and the PM may start from a seed image of any length up
+   to the segment. *)
+
+type mop =
+  | M_store of { seg : int; off : int; size : int; v : int; fast : bool }
+  | M_load of { seg : int; off : int; size : int; fast : bool }
+  | M_write_string of { seg : int; off : int; s : string }
+  | M_read_string of { seg : int; off : int; len : int }
+  | M_persist_range of { off : int; size : int }
+  | M_persist_string of { off : int; s : string }
+
+type mcase = {
+  sizes : int array;  (** vol, stack, globals, pm *)
+  seed : string option;  (** PM seed image *)
+  mops : mop list;
+}
+
+let seg_bases =
+  [| Layout.vol_base; Layout.stack_base; Layout.global_base; Layout.pm_base |]
+
+let pm_seg = 3
+
+let mop_to_string = function
+  | M_store { seg; off; size; v; fast } ->
+      Printf.sprintf "store%s %d+%d/%d<-%d" (if fast then "N" else "") seg off
+        size v
+  | M_load { seg; off; size; fast } ->
+      Printf.sprintf "load%s %d+%d/%d" (if fast then "N" else "") seg off size
+  | M_write_string { seg; off; s } -> Printf.sprintf "write %d+%d %S" seg off s
+  | M_read_string { seg; off; len } ->
+      Printf.sprintf "read %d+%d/%d" seg off len
+  | M_persist_range { off; size } -> Printf.sprintf "persist %d/%d" off size
+  | M_persist_string { off; s } -> Printf.sprintf "persist_string %d %S" off s
+
+let gen_mcase =
+  let open QCheck.Gen in
+  let* sizes =
+    let* v = oneofl [ 4096; 5000; 12288; 40000 ] in
+    let* st = oneofl [ 4096; 4104; 9000 ] in
+    let* g = oneofl [ 1000; 4096; 8200 ] in
+    let* p = oneofl [ 4096; 4100; 8192; 20000; 65536 ] in
+    return [| v; st; g; p |]
+  in
+  let gen_off size =
+    frequency
+      [
+        (2, int_bound (size - 1));
+        (3, map (fun d -> max 0 (size - 1 - d)) (int_bound 16));
+        (1, int_bound 16);
+        ( 2,
+          map2
+            (fun k d -> min (size - 1) (max 0 ((4096 lsl k) - 8 + d)))
+            (int_bound 3) (int_bound 16) );
+      ]
+  in
+  let gen_str =
+    string_size
+      ~gen:(frequency [ (1, return '\000'); (3, char) ])
+      (int_bound 24)
+  in
+  let gen_at f =
+    let* seg = int_bound 3 in
+    let* off = gen_off sizes.(seg) in
+    f seg off
+  in
+  let gen_mop =
+    frequency
+      [
+        ( 4,
+          gen_at (fun seg off ->
+              let* size = oneofl [ 1; 2; 4; 8 ] in
+              let* v = frequency [ (3, int); (1, int_range 0 255) ] in
+              let* fast = bool in
+              return (M_store { seg; off; size; v; fast })) );
+        ( 4,
+          gen_at (fun seg off ->
+              let* size = oneofl [ 1; 2; 4; 8 ] in
+              let* fast = bool in
+              return (M_load { seg; off; size; fast })) );
+        ( 2,
+          gen_at (fun seg off ->
+              map (fun s -> M_write_string { seg; off; s }) gen_str) );
+        ( 2,
+          gen_at (fun seg off ->
+              map
+                (fun len -> M_read_string { seg; off; len })
+                (int_bound 24)) );
+        ( 2,
+          map2
+            (fun off size -> M_persist_range { off; size })
+            (gen_off sizes.(pm_seg)) (int_bound 80) );
+        ( 1,
+          map2
+            (fun off s -> M_persist_string { off; s })
+            (gen_off sizes.(pm_seg)) gen_str );
+      ]
+  in
+  let pm = sizes.(pm_seg) in
+  let* seed =
+    option
+      (let* len = oneof [ return 0; int_bound 64; int_bound pm; return pm ] in
+       let* pokes =
+         list_size (int_bound 8)
+           (pair (int_bound (max 0 (len - 1))) (int_range 1 255))
+       in
+       let b = Bytes.make len '\000' in
+       if len > 0 then List.iter (fun (o, v) -> Bytes.set_uint8 b o v) pokes;
+       return (Bytes.to_string b))
+  in
+  let* mops = list_size (int_range 1 60) gen_mop in
+  return { sizes; seed; mops }
+
+let arb_mcase =
+  QCheck.make gen_mcase ~print:(fun c ->
+      Printf.sprintf "sizes=[%s] seed=%s\n%s"
+        (String.concat ";" (Array.to_list (Array.map string_of_int c.sizes)))
+        (match c.seed with
+        | None -> "none"
+        | Some s -> Printf.sprintf "%d bytes" (String.length s))
+        (String.concat "\n" (List.map mop_to_string c.mops)))
+
+let oob_trap seg off size =
+  Printf.sprintf "trap out-of-bounds access at 0x%x (size %d)"
+    (seg_bases.(seg) + off) size
+
+(* The model: every segment a full-size buffer. Returns the outcome of
+   each op and the final working and durable PM images. *)
+let run_model c =
+  let segs = Array.map (fun n -> Bytes.make n '\000') c.sizes in
+  Option.iter
+    (fun s -> Bytes.blit_string s 0 segs.(pm_seg) 0 (String.length s))
+    c.seed;
+  let dur = Bytes.copy segs.(pm_seg) and pm_size = c.sizes.(pm_seg) in
+  let outcome = function
+    | M_store { seg; off; size; v; _ } ->
+        if off + size > c.sizes.(seg) then oob_trap seg off size
+        else begin
+          let b = segs.(seg) in
+          (match size with
+          | 1 -> Bytes.set_uint8 b off (v land 0xFF)
+          | 2 -> Bytes.set_uint16_le b off (v land 0xFFFF)
+          | 4 -> Bytes.set_int32_le b off (Int32.of_int v)
+          | _ ->
+              Bytes.set_int64_le b off
+                (Int64.logand (Int64.of_int v) 0x7FFF_FFFF_FFFF_FFFFL));
+          "ok"
+        end
+    | M_load { seg; off; size; _ } ->
+        if off + size > c.sizes.(seg) then oob_trap seg off size
+        else
+          let b = segs.(seg) in
+          "ok "
+          ^ string_of_int
+              (match size with
+              | 1 -> Bytes.get_uint8 b off
+              | 2 -> Bytes.get_uint16_le b off
+              | 4 -> Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
+              | _ -> Int64.to_int (Bytes.get_int64_le b off))
+    | M_write_string { seg; off; s } ->
+        (* a range leaving its segment writes the prefix, then traps *)
+        let room = c.sizes.(seg) - off in
+        let n = min room (String.length s) in
+        Bytes.blit_string s 0 segs.(seg) off n;
+        if n < String.length s then oob_trap seg c.sizes.(seg) 1 else "ok"
+    | M_read_string { seg; off; len } ->
+        if off + len > c.sizes.(seg) then oob_trap seg c.sizes.(seg) 1
+        else "ok " ^ Bytes.sub_string segs.(seg) off len
+    | M_persist_range { off; size } ->
+        if off + size > pm_size then
+          Printf.sprintf "trap persist_range outside PM at 0x%x"
+            (Layout.pm_base + off)
+        else begin
+          Bytes.blit segs.(pm_seg) off dur off size;
+          "ok"
+        end
+    | M_persist_string { off; s } ->
+        if off + String.length s > pm_size then
+          Printf.sprintf "trap persist_string outside PM at 0x%x"
+            (Layout.pm_base + off)
+        else begin
+          Bytes.blit_string s 0 dur off (String.length s);
+          "ok"
+        end
+  in
+  let outcomes = List.map outcome c.mops in
+  (outcomes, segs, dur)
+
+let run_mem ~track c =
+  let m =
+    Mem.create ~vol_size:c.sizes.(0) ~stack_size:c.sizes.(1)
+      ~global_size:c.sizes.(2) ~pm_size:c.sizes.(pm_seg)
+      ?pm_image:(Option.map Bytes.of_string c.seed)
+      ~track_images:track []
+  in
+  let outcome op =
+    match
+      match op with
+      | M_store { seg; off; size; v; fast } ->
+          let addr = seg_bases.(seg) + off in
+          (* the unchecked-tracker stores are only legal untracked *)
+          if fast && not track then
+            (match size with
+            | 1 -> Mem.store1
+            | 2 -> Mem.store2
+            | 4 -> Mem.store4
+            | _ -> Mem.store8)
+              m addr v
+          else Mem.store m ~addr ~size v;
+          "ok"
+      | M_load { seg; off; size; fast } ->
+          let addr = seg_bases.(seg) + off in
+          "ok "
+          ^ string_of_int
+              (if fast then
+                 (match size with
+                 | 1 -> Mem.load1
+                 | 2 -> Mem.load2
+                 | 4 -> Mem.load4
+                 | _ -> Mem.load8)
+                   m addr
+               else Mem.load m ~addr ~size)
+      | M_write_string { seg; off; s } ->
+          Mem.write_string m ~addr:(seg_bases.(seg) + off) s;
+          "ok"
+      | M_read_string { seg; off; len } ->
+          "ok " ^ Mem.read_string m ~addr:(seg_bases.(seg) + off) ~len
+      | M_persist_range { off; size } ->
+          Mem.persist_range m ~addr:(Layout.pm_base + off) ~size;
+          "ok"
+      | M_persist_string { off; s } ->
+          Mem.persist_string m ~addr:(Layout.pm_base + off) s;
+          "ok"
+    with
+    | r -> r
+    | exception Mem.Trap msg -> "trap " ^ msg
+  in
+  let outcomes = List.map outcome c.mops in
+  (outcomes, m)
+
+let prop_lazy_matches_eager =
+  QCheck.Test.make ~name:"lazily backed Mem matches an eager model" ~count:400
+    arb_mcase (fun c ->
+      let want, segs, dur = run_model c in
+      let pm_size = c.sizes.(pm_seg) in
+      let trimmed img =
+        Bytes.length img = 0 || Bytes.get img (Bytes.length img - 1) <> '\000'
+      in
+      let extend img =
+        let full = Bytes.make pm_size '\000' in
+        Bytes.blit img 0 full 0 (Bytes.length img);
+        full
+      in
+      List.for_all
+        (fun track ->
+          let got, m = run_mem ~track c in
+          let mode = if track then "tracked" else "untracked" in
+          List.iteri
+            (fun k (w, g) ->
+              if w <> g then
+                QCheck.Test.fail_reportf "%s op %d (%s): model %S, mem %S" mode
+                  k
+                  (mop_to_string (List.nth c.mops k))
+                  w g)
+            (List.combine want got);
+          let images_agree () =
+            let w = Mem.working_image m and d = Mem.crash_image m in
+            trimmed w && trimmed d
+            && Bytes.equal (extend w) segs.(pm_seg)
+            && Bytes.equal (extend d) dur
+          in
+          let digests_agree () =
+            (not track)
+            || Imghash.equal_digest (Mem.working_digest m)
+                 (Imghash.digest (Imghash.of_bytes segs.(pm_seg)))
+               && Imghash.equal_digest (Mem.durable_digest m)
+                    (Imghash.digest (Imghash.of_bytes dur))
+          in
+          (* reading every segment whole backs it fully; the images must
+             come out trimmed and equal all the same *)
+          let segments_agree () =
+            Array.for_all2
+              (fun base b ->
+                Mem.read_string m ~addr:base ~len:(Bytes.length b)
+                = Bytes.to_string b)
+              seg_bases segs
+          in
+          let fail what = QCheck.Test.fail_reportf "%s: %s" mode what in
+          (images_agree () || fail "images differ")
+          && (digests_agree () || fail "digests differ")
+          && (segments_agree () || fail "segments differ")
+          && (images_agree () || fail "images differ once fully backed"))
+        [ false; true ])
+
+(* Allocation guard: building a machine, and running a small workload on
+   it, costs what the program touches, not the segments' 54 MB. The
+   minor heap is emptied first so that no collection falls inside the
+   measured call (OCaml 5.1's counters over-report across one). *)
+let allocated_bytes f =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.allocated_bytes () -. before
+
+let test_machine_allocation_guard () =
+  List.iter
+    (fun (case : Hippo_pmdk_mini.Case.t) ->
+      let prog = Lazy.force case.Hippo_pmdk_mini.Case.program in
+      let under_1mb what bytes =
+        if bytes >= 1e6 then
+          Alcotest.failf "%s: %s allocated %.0f bytes"
+            case.Hippo_pmdk_mini.Case.id what bytes
+      in
+      under_1mb "Interp.create"
+        (allocated_bytes (fun () -> Interp.create Interp.default_config prog));
+      under_1mb "create, workload and exit check"
+        (allocated_bytes (fun () ->
+             let t = Interp.create Interp.default_config prog in
+             case.Hippo_pmdk_mini.Case.workload t;
+             Interp.exit_check t)))
+    Hippo_pmdk_mini.Bugs.all
 
 (* ------------------------------------------------------------------ *)
 (* Pstate *)
@@ -125,7 +530,8 @@ let test_pstate_store_flush_fence () =
   Alcotest.(check int) "one line drained" 1 drained;
   Alcotest.(check int) "all durable" 0 (Pstate.unpersisted_count ps);
   Alcotest.(check int) "durable content" 42
-    (Int64.to_int (Bytes.get_int64_le (Mem.crash_image m) (a - Layout.pm_base)))
+    (Int64.to_int (Bytes.get_int64_le (zero_extended (Mem.crash_image m))
+       (a - Layout.pm_base)))
 
 let test_pstate_clflush_immediate () =
   let ps = Pstate.create () in
@@ -136,7 +542,8 @@ let test_pstate_clflush_immediate () =
   ignore (Pstate.flush ps m ~iid:(dummy_iid ()) ~kind:Instr.Clflush ~addr:a);
   Alcotest.(check int) "durable without fence" 0 (Pstate.unpersisted_count ps);
   Alcotest.(check int) "content" 9
-    (Int64.to_int (Bytes.get_int64_le (Mem.crash_image m) (a - Layout.pm_base)))
+    (Int64.to_int (Bytes.get_int64_le (zero_extended (Mem.crash_image m))
+       (a - Layout.pm_base)))
 
 let test_pstate_clflush_drains_pending_writeback () =
   (* clwb queues a write-back of value 1; the line is re-stored with 2 and
@@ -155,7 +562,8 @@ let test_pstate_clflush_drains_pending_writeback () =
   Alcotest.(check int) "all durable" 0 (Pstate.unpersisted_count ps);
   ignore (Pstate.fence ps m ~seq:2);
   Alcotest.(check int) "newest value survives the fence" 2
-    (Int64.to_int (Bytes.get_int64_le (Mem.crash_image m) (a - Layout.pm_base)))
+    (Int64.to_int (Bytes.get_int64_le (zero_extended (Mem.crash_image m))
+       (a - Layout.pm_base)))
 
 let test_pstate_nt_store () =
   let ps = Pstate.create () in
@@ -180,7 +588,8 @@ let test_pstate_flush_snapshot_semantics () =
   ignore (Pstate.store ps ~iid:(dummy_iid ()) ~loc:dloc ~stack:[] ~addr:a ~size:8 ~seq:1);
   ignore (Pstate.fence ps m ~seq:2);
   Alcotest.(check int) "crash sees the flushed snapshot" 1
-    (Int64.to_int (Bytes.get_int64_le (Mem.crash_image m) (a - Layout.pm_base)));
+    (Int64.to_int (Bytes.get_int64_le (zero_extended (Mem.crash_image m))
+       (a - Layout.pm_base)));
   Alcotest.(check int) "newer store still tracked" 1 (Pstate.unpersisted_count ps)
 
 let test_pstate_supersede () =
@@ -593,6 +1002,9 @@ let suite =
     ("mem globals", `Quick, test_mem_globals);
     ("mem persist + crash image", `Quick, test_mem_persist_and_crash_image);
     ("mem string roundtrip", `Quick, test_mem_string_roundtrip);
+    ("mem lazy segment boundaries", `Quick, test_lazy_segment_boundaries);
+    QCheck_alcotest.to_alcotest prop_lazy_matches_eager;
+    ("machine allocation guard", `Quick, test_machine_allocation_guard);
     ("pstate store/flush/fence", `Quick, test_pstate_store_flush_fence);
     ("pstate clflush immediate", `Quick, test_pstate_clflush_immediate);
     ( "pstate clflush drains pending",
