@@ -25,13 +25,16 @@ serve-smoke:
 	HIPPO_JOBS=2 dune exec bin/hippocrates_cli.exe -- serve --inproc \
 	  --smoke --seed 42 --records 2000 --ops 3000 --workers 4 --jobs 2
 
-# Deterministic simulation smoke: standard mode on the hand-hardened
-# redis (must be clean, 0 exit) and chaos on P-CLHT's buggy manual port
-# (must detect, so the exit code is inverted); both fleets run at two
-# domains with reproducers saved under sim-smoke/.
+# Deterministic simulation smoke: standard and chaos mode on the
+# hand-hardened redis (each must be clean, 0 exit) and chaos on P-CLHT's
+# buggy manual port (must detect, so the exit code is inverted); every
+# fleet runs at two domains with reproducers saved under sim-smoke/.
 sim-smoke:
 	HIPPO_JOBS=2 dune exec bin/hippocrates_cli.exe -- sim --app redis \
 	  --variant manual --mode standard --smoke --seed 42 --jobs 2 \
+	  --out sim-smoke
+	HIPPO_JOBS=2 dune exec bin/hippocrates_cli.exe -- sim --app redis \
+	  --variant manual --mode chaos --smoke --seed 42 --jobs 2 \
 	  --out sim-smoke
 	! HIPPO_JOBS=2 dune exec bin/hippocrates_cli.exe -- sim --app pclht \
 	  --variant manual --mode chaos --smoke --seed 42 --jobs 2 \

@@ -63,9 +63,11 @@ type t = {
       (** what [read] answers for a stored value: identity for Redis,
           the FNV word image for P-CLHT *)
   reopen : pm_image:Bytes.t -> (t, string) result;
-      (** restart the app over a crash image of its PM pool: a fresh
-          interpreter runs the app's recovery path (no initialization),
-          same program and sizing as this adapter *)
+      (** restart the app over a crash image of its PM pool: the
+          session's machine is restarted ({!Machine.restart}: same
+          prepared program, config and PM allocator mark, everything
+          else fresh) and the app's recovery path runs on it, with no
+          initialization *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -115,14 +117,7 @@ let rec program kind variant : (Program.t, string) result =
 (* ------------------------------------------------------------------ *)
 (* Adapters *)
 
-let rec redis_adapter ~name ~nbuckets config prog ?pm_image () : t =
-  let s =
-    match pm_image with
-    | None -> Redis_mini.start ~config ~nbuckets prog
-    | Some (img, brk) ->
-        Redis_mini.recover_attach
-          (Interp.create ~pm_image:img ~pm_brk:brk config prog)
-  in
+let rec redis_adapter ~name (s : Redis_mini.session) : t =
   let mem = Interp.mem s.Redis_mini.interp in
   let put_key key =
     if String.length key = 0 || String.length key > Redis_mini.key_cap then
@@ -166,10 +161,10 @@ let rec redis_adapter ~name ~nbuckets config prog ?pm_image () : t =
     echo = (fun v -> v);
     reopen =
       (fun ~pm_image ->
-        (* the allocator's high-water mark restarts with the image (a
-           real PM heap persists its metadata) *)
-        let brk = Mem.pm_brk mem in
-        Ok (redis_adapter ~name ~nbuckets config prog ~pm_image:(pm_image, brk) ()));
+        Ok
+          (redis_adapter ~name
+             (Redis_mini.recover_attach
+                (Machine.restart ~pm_image s.Redis_mini.interp))));
   }
 
 (* FNV-1a over a string, masked to a positive 62-bit word and forced
@@ -187,14 +182,7 @@ let word_of_string str =
     str;
   if !h = 0 then 1 else !h
 
-let rec pclht_adapter ~name ~nbuckets config prog ?pm_image () : t =
-  let s =
-    match pm_image with
-    | None -> Pclht.start ~config ~nbuckets prog
-    | Some (img, brk) ->
-        Pclht.recover_attach
-          (Interp.create ~pm_image:img ~pm_brk:brk config prog)
-  in
+let rec pclht_adapter ~name (s : Pclht.session) : t =
   let call f args = Compile.call s.Pclht.interp f args in
   {
     name;
@@ -216,8 +204,10 @@ let rec pclht_adapter ~name ~nbuckets config prog ?pm_image () : t =
     echo = (fun v -> string_of_int (word_of_string v));
     reopen =
       (fun ~pm_image ->
-        let brk = Mem.pm_brk (Interp.mem s.Pclht.interp) in
-        Ok (pclht_adapter ~name ~nbuckets config prog ~pm_image:(pm_image, brk) ()));
+        Ok
+          (pclht_adapter ~name
+             (Pclht.recover_attach
+                (Machine.restart ~pm_image s.Pclht.interp))));
   }
 
 (** [wrap ?config ?nbuckets kind variant prog] wraps a fresh session of an
@@ -229,22 +219,12 @@ let wrap ?(config = { Interp.default_config with Interp.trace = false })
     Fmt.str "%s/%s" (kind_to_string kind) (variant_to_string variant)
   in
   match kind with
-  | Redis -> redis_adapter ~name ~nbuckets config prog ()
-  | Pclht -> pclht_adapter ~name ~nbuckets config prog ()
+  | Redis -> redis_adapter ~name (Redis_mini.start ~config ~nbuckets prog)
+  | Pclht -> pclht_adapter ~name (Pclht.start ~config ~nbuckets prog)
 
 (** [make ?config ?nbuckets kind variant] builds the variant program and
     wraps a fresh session. The default config suits small smoke runs;
     million-key services should size [pm_size] and bucket counts to the
     expected record count. *)
-let make ?(config = { Interp.default_config with Interp.trace = false })
-    ?(nbuckets = 1024) kind variant :
-    (t, string) result =
-  let name =
-    Fmt.str "%s/%s" (kind_to_string kind) (variant_to_string variant)
-  in
-  match program kind variant with
-  | Error _ as e -> e
-  | Ok prog -> (
-      match kind with
-      | Redis -> Ok (redis_adapter ~name ~nbuckets config prog ())
-      | Pclht -> Ok (pclht_adapter ~name ~nbuckets config prog ()))
+let make ?config ?nbuckets kind variant : (t, string) result =
+  Result.map (wrap ?config ?nbuckets kind variant) (program kind variant)

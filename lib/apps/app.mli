@@ -49,9 +49,13 @@ type t = {
       (** what [read] answers for a stored value: identity for Redis,
           the FNV word image for P-CLHT *)
   reopen : pm_image:Bytes.t -> (t, string) result;
-      (** restart the app over a crash image of its PM pool: a fresh
-          interpreter runs the app's recovery path (no initialization),
-          same program and sizing as this adapter *)
+      (** restart the app over a crash image of its PM pool: the
+          session's machine is restarted ({!Machine.restart}: same
+          prepared program, config and PM allocator mark; memory,
+          persistency state, cost and counters fresh) and the app's
+          recovery path runs on it, with no initialization. The old
+          session is left as the crash found it. O(bytes of
+          [pm_image]): nothing is re-prepared. *)
 }
 
 (** The FNV-1a word image P-CLHT stores for a string key or value

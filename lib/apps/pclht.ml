@@ -218,7 +218,7 @@ let start ?(config = { Interp.default_config with Interp.trace = false })
   attach ?nbuckets (Interp.create config prog)
 
 (** [recover_attach interp] rebinds the table root on an interpreter
-    created over a crash image: [clht_recover_check] re-derives the
+    restarted over a crash image: [clht_recover_check] re-derives the
     header from [pm_base] (the pool's first allocation) and validates
     it; the verdict is discarded here — callers judge consistency with
     {!check}. *)

@@ -33,8 +33,9 @@ val attach : ?nbuckets:int -> Interp.t -> session
 
 val start : ?config:Interp.config -> ?nbuckets:int -> Program.t -> session
 
-(** Rebind the table root on an interpreter created over a crash image
-    ([clht_recover_check] re-derives the header from [pm_base]). *)
+(** Rebind the table root on an interpreter restarted over a crash image
+    ([Machine.restart ~pm_image]; [clht_recover_check] re-derives the
+    header from [pm_base]). *)
 val recover_attach : Interp.t -> session
 val op_insert : session -> k:int -> version:int -> unit
 

@@ -359,12 +359,12 @@ let start ?(config = { Interp.default_config with Interp.trace = false })
   attach ?nbuckets (Interp.create config prog)
 
 (** [recover_attach interp] rebinds the server roots on an interpreter
-    that was created over a crash image ([Interp.create ~pm_image]
-    [~pm_brk]). Redis recovery is pure root recomputation — the dict
-    header is the pool's first (cache-line-aligned) allocation and the
-    bucket array follows it — so it runs host-side: a PMIR recovery
-    function would add malloc and call sites to the program and perturb
-    the whole-program alias analysis (and with it the repair's flush
+    that was restarted over a crash image ([Machine.restart ~pm_image]).
+    Redis recovery is pure root recomputation — the dict header is the
+    pool's first (cache-line-aligned) allocation and the bucket array
+    follows it — so it runs host-side: a PMIR recovery function would
+    add malloc and call sites to the program and perturb the
+    whole-program alias analysis (and with it the repair's flush
     placement) in every build variant. The volatile connection buffers
     are reallocated fresh; nothing durable is written, so the image
     under recovery is exactly what the crash preserved. Consistency is

@@ -40,8 +40,8 @@ val attach : ?nbuckets:int -> Interp.t -> session
 
 val start : ?config:Interp.config -> ?nbuckets:int -> Program.t -> session
 
-(** Rebind the server roots on an interpreter created over a crash image
-    ([Interp.create ~pm_image ~pm_brk]). Recovery is host-side root
+(** Rebind the server roots on an interpreter restarted over a crash
+    image ([Machine.restart ~pm_image]). Recovery is host-side root
     recomputation (the header is the pool's first allocation) plus fresh
     volatile connection buffers; nothing durable is written and the
     program itself is untouched, so repair analysis sees no extra call

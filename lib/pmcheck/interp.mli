@@ -55,9 +55,11 @@ val default_config : config
 type t = Machine.t
 
 (** [create ?pm_image cfg prog] prepares the program and builds a fresh
-    machine; [pm_image] seeds persistent memory (a restart) and
-    [pm_brk] restores the PM allocator's high-water mark with it. *)
-val create : ?pm_image:Bytes.t -> ?pm_brk:int -> config -> Program.t -> t
+    machine; [pm_image] seeds persistent memory. The pool's allocator
+    starts empty, so this is not a restart: a program that allocates
+    again would re-issue addresses the image already uses. Restart a
+    crashed machine with {!Machine.restart}. *)
+val create : ?pm_image:Bytes.t -> config -> Program.t -> t
 
 val mem : t -> Mem.t
 

@@ -83,19 +83,14 @@ type t = {
   stats : Sitestats.t;  (** per-site pointer-class observations *)
 }
 
-let create ?pm_image ?pm_brk (cfg : config) (prog : Program.t) : t =
-  let funcs = Program.funcs prog in
-  let fidx = Hashtbl.create 64 in
-  List.iteri (fun i f -> Hashtbl.add fidx (Func.name f) i) funcs;
-  let mem =
-    Mem.create ~vol_size:cfg.vol_size ~stack_size:cfg.stack_size
-      ~global_size:cfg.global_size ~pm_size:cfg.pm_size ?pm_image ?pm_brk
-      ~track_images:cfg.track_images (Program.globals prog)
-  in
-  let global_addr = Mem.global_addr mem in
-  let pfuncs =
-    Array.of_list (List.map (Prep.prepare_func ~fidx ~global_addr) funcs)
-  in
+let new_mem ?pm_image ?pm_brk (cfg : config) prog =
+  Mem.create ~vol_size:cfg.vol_size ~stack_size:cfg.stack_size
+    ~global_size:cfg.global_size ~pm_size:cfg.pm_size ?pm_image ?pm_brk
+    ~track_images:cfg.track_images (Program.globals prog)
+
+(* A machine over [mem] running the already-prepared [pfuncs]: every
+   field that execution mutates starts fresh. *)
+let assemble ~prog ~cfg ~pfuncs ~fidx mem =
   {
     prog;
     pfuncs;
@@ -117,6 +112,24 @@ let create ?pm_image ?pm_brk (cfg : config) (prog : Program.t) : t =
     frames = [];
     stats = Sitestats.create ();
   }
+
+let create ?pm_image (cfg : config) (prog : Program.t) : t =
+  let funcs = Program.funcs prog in
+  let fidx = Hashtbl.create 64 in
+  List.iteri (fun i f -> Hashtbl.add fidx (Func.name f) i) funcs;
+  let mem = new_mem ?pm_image cfg prog in
+  let global_addr = Mem.global_addr mem in
+  let pfuncs =
+    Array.of_list (List.map (Prep.prepare_func ~fidx ~global_addr) funcs)
+  in
+  assemble ~prog ~cfg ~pfuncs ~fidx mem
+
+(* The prepared code is shared: it is read-only, and the global layout it
+   resolved addresses against is a function of the program and config
+   alone. Compiled closures are not, as they capture [mem] and [ps]. *)
+let restart ~pm_image t =
+  let mem = new_mem ~pm_image ~pm_brk:(Mem.pm_brk t.mem) t.cfg t.prog in
+  assemble ~prog:t.prog ~cfg:t.cfg ~pfuncs:t.pfuncs ~fidx:t.fidx mem
 
 let mem t = t.mem
 let set_crash_hook t f = t.crash_hook <- Some f

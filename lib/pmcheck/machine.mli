@@ -58,7 +58,19 @@ type t = {
   stats : Sitestats.t;  (** per-site pointer-class observations *)
 }
 
-val create : ?pm_image:Bytes.t -> ?pm_brk:int -> config -> Program.t -> t
+(** [create ?pm_image cfg prog] prepares [prog] and builds a fresh
+    machine over a fresh pool, seeded with [pm_image] if given. *)
+val create : ?pm_image:Bytes.t -> config -> Program.t -> t
+
+(** [restart ~pm_image t] is the machine a crash of [t] reboots into: the
+    same program, config and prepared code, over a pool seeded with
+    [pm_image] whose allocator resumes at [t]'s high-water mark (a real
+    PM allocator persists its heap metadata). Everything execution
+    mutates starts fresh — memory, persistency state, cost, steps, crash
+    points, trace, bugs and output — and [t] is left untouched.
+    O(bytes of [pm_image]); nothing is re-prepared. *)
+val restart : pm_image:Bytes.t -> t -> t
+
 val mem : t -> Mem.t
 val set_crash_hook : t -> (unit -> unit) -> unit
 

@@ -50,7 +50,7 @@ val create :
 val global_addr : t -> string -> int
 
 (** The PM allocator's high-water mark (a restart passes it back as
-    [create ?pm_brk]). *)
+    [create ?pm_brk]; see {!Machine.restart}). *)
 val pm_brk : t -> int
 
 (** Little-endian load/store of 1, 2, 4 or 8 bytes. *)

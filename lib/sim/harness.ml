@@ -100,9 +100,24 @@ let scenario_config cfg =
     rates = rates_of_mode cfg.mode;
   }
 
+(* A fresh session of [prog]. Set-up runs the program (table
+   initialization), and a trap there — a table too large for the pool,
+   say — is a configuration error, not a scenario verdict. *)
+let open_session ~config ~nbuckets kind variant prog () =
+  let fail m =
+    Error
+      (Printf.sprintf "%s/%s: session set-up: %s" (App.kind_to_string kind)
+         (App.variant_to_string variant) m)
+  in
+  try Ok (App.wrap ~config ~nbuckets kind variant prog) with
+  | Mem.Trap m -> fail m
+  | Machine.Aborted -> fail "abort"
+  | Machine.Out_of_fuel -> fail "out of fuel"
+
 (** [run cfg] plays [cfg.scenarios] scenarios over a [cfg.jobs]-wide
     pool. Program construction (including the repair pipeline for
-    [Repaired]) happens once, up front. *)
+    [Repaired]) happens once, up front; a session whose set-up traps is
+    an [Error]. *)
 let run cfg : (report, string) result =
   match App.program cfg.kind cfg.variant with
   | Error e -> Error e
@@ -114,18 +129,13 @@ let run cfg : (report, string) result =
           | Error _ -> None
         else None
       in
-      let icfg = interp_config cfg in
-      let make_app () =
-        Ok (App.wrap ~config:icfg ~nbuckets:cfg.nbuckets cfg.kind
-              cfg.variant prog)
+      let session =
+        open_session ~config:(interp_config cfg) ~nbuckets:cfg.nbuckets
+          cfg.kind
       in
+      let make_app = session cfg.variant prog in
       let make_baseline =
-        Option.map
-          (fun p () ->
-            Ok
-              (App.wrap ~config:icfg ~nbuckets:cfg.nbuckets cfg.kind
-                 (baseline_variant cfg.kind) p))
-          baseline_prog
+        Option.map (session (baseline_variant cfg.kind)) baseline_prog
       in
       let scfg = scenario_config cfg in
       let results =

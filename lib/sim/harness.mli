@@ -51,7 +51,9 @@ val scenario_config : config -> Scenario.config
 
 (** [run cfg] plays [cfg.scenarios] scenarios over a [cfg.jobs]-wide
     pool. Program construction (including the repair pipeline for
-    [Repaired]) happens once, up front. *)
+    [Repaired]) happens once, up front. A session whose set-up traps
+    (e.g. [nbuckets] too large for the PM pool) is
+    [Error "<app>/<variant>: session set-up: <message>"]. *)
 val run : config -> (report, string) result
 
 (** The seed-stamped one-liner that replays a report's configuration

@@ -11,8 +11,12 @@
     Faults at an op: the machine is armed ({!Machine.arm_crash}) so the
     op stops at an injected crash point; apps without explicit crash
     points (Redis) crash at the op boundary instead. The durable image
-    is then perturbed ({!Faults.inject}), the app is restarted on it
-    through its recovery path ([App.reopen]), and recovery is judged:
+    is then perturbed ({!Faults.inject}) and fingerprinted: the
+    transcript's [img=] field is the MD5 of the trimmed image, which
+    identifies the whole PM segment because trimmed images are
+    canonical. The app is restarted on the image through its recovery
+    path ([App.reopen], a {!Machine.restart} of the session's machine:
+    O(image bytes), nothing re-prepared), and recovery is judged:
 
     - the app's own invariant ([App.check] — the crash-consistency
       oracle);
@@ -266,13 +270,6 @@ let exec_op app = function
   | Read { key } -> `Read (app.App.read ~key)
   | Delete { key } -> `Del (app.App.delete ~key)
 
-(* The transcript's [img=] field fingerprints the whole PM segment: the
-   MD5 of the trimmed crash image zero-extended to [pm_size] bytes. *)
-let segment_md5 ~pm_size image =
-  let full = Bytes.make pm_size '\000' in
-  Bytes.blit image 0 full 0 (Bytes.length image);
-  Digest.to_hex (Digest.bytes full)
-
 (* Run one op on one side under a fault plan. [inj_st] is this side's
    private injection substream for the step (both sides derive it from
    the same path, so their schedules match). *)
@@ -344,11 +341,13 @@ let run_step side ~step ~seed ~index ~cfg ~keys op (plan : Faults.plan) =
       let image = Mem.crash_image mem in
       side.clock <-
         side.clock +. Interp.cost_ns interp +. cfg.recovery_ns;
+      (* [img=] fingerprints the crash image. Images are trimmed, so two
+         fingerprints are equal exactly when the whole PM segments are. *)
       Buffer.add_string side.buf
         (Printf.sprintf "%d !crash pt=%d img=%s reordered=%d torn=%d\n"
            step
            (Machine.crash_points_hit interp)
-           (segment_md5 ~pm_size:interp.Machine.cfg.Machine.pm_size image)
+           (Digest.to_hex (Digest.bytes image))
            reordered torn);
       (* the op that was cut down (or completed un-durably): its key may
          legitimately read back old or new *)

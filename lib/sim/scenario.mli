@@ -6,7 +6,9 @@
 
     A scenario is a pure function of [(seed, index, config)]; its
     transcript MD5 is the digest the determinism battery compares
-    across [--jobs] widths. *)
+    across [--jobs] widths. A crash's transcript line fingerprints the
+    crash image ([img=], the MD5 of the trimmed image), so a transcript
+    does not depend on the size of the PM segment. *)
 
 open Hippo_apps
 

@@ -154,14 +154,16 @@ let test_recovery_then_recrash_chain () =
   let rcfg = { cfg with Interp.pm_size = 1 lsl 13 } in
   let s1 = R.start ~config:rcfg ~nbuckets:4 prog in
   List.iter (fun k -> R.op_insert s1 ~k ~version:1) [ 1; 2; 3 ];
-  let crash s =
-    (Interp.crash_image s.R.interp, Mem.pm_brk (Interp.mem s.R.interp))
+  let restart s =
+    let pm_image = Interp.crash_image s.R.interp in
+    (pm_image, R.recover_attach (Machine.restart ~pm_image s.R.interp))
   in
-  let img1, brk1 = crash s1 in
-  Alcotest.(check bool) "allocator mark persisted" true (brk1 > 0);
-  let s2 =
-    R.recover_attach (Interp.create ~pm_image:img1 ~pm_brk:brk1 rcfg prog)
-  in
+  Alcotest.(check bool) "allocator mark persisted" true
+    (Mem.pm_brk (Interp.mem s1.R.interp) > 0);
+  let _, s2 = restart s1 in
+  Alcotest.(check int) "restart keeps the allocator mark"
+    (Mem.pm_brk (Interp.mem s1.R.interp))
+    (Mem.pm_brk (Interp.mem s2.R.interp));
   Alcotest.(check int) "first recovery validates" 1
     (Interp.call s2.R.interp "cmd_check" []);
   Alcotest.(check int) "all inserts durable" 3
@@ -171,10 +173,7 @@ let test_recovery_then_recrash_chain () =
   Alcotest.(check bool) "pre-crash key survives the new insert" true
     (R.op_read s2 ~k:1 > 0);
   (* re-crash the recovered instance: second restart of the chain *)
-  let img2, brk2 = crash s2 in
-  let s3 =
-    R.recover_attach (Interp.create ~pm_image:img2 ~pm_brk:brk2 rcfg prog)
-  in
+  let img2, s3 = restart s2 in
   Alcotest.(check int) "second recovery validates" 1
     (Interp.call s3.R.interp "cmd_check" []);
   Alcotest.(check int) "chain preserved every key" 4
@@ -186,9 +185,10 @@ let test_recovery_then_recrash_chain () =
         true
         (R.op_read s3 ~k > 0))
     [ 1; 2; 3; 9 ];
-  (* negative control — the regression this test pins: dropping the
-     allocator mark re-issues live addresses, and the next insert
-     overwrites the pool from its base *)
+  (* negative control — the regression this test pins: a machine
+     created over the image, not restarted, has no allocator mark; it
+     re-issues live addresses, and the next insert overwrites the pool
+     from its base *)
   let sbad = R.recover_attach (Interp.create ~pm_image:img2 rcfg prog) in
   let corrupted =
     try

@@ -480,13 +480,16 @@ let prop_lazy_matches_eager =
         [ false; true ])
 
 (* Allocation guard: building a machine, and running a small workload on
-   it, costs what the program touches, not the segments' 54 MB. The
-   minor heap is emptied first so that no collection falls inside the
-   measured call (OCaml 5.1's counters over-report across one). *)
+   it, costs what the program touches, not the segments' 54 MB. OCaml
+   5.1's counters credit minor-heap words only when a minor collection
+   runs, so the minor heap is emptied on both sides of the measured
+   call: before, to keep earlier allocation out of the count, and after,
+   to bring all of the call's own in. *)
 let allocated_bytes f =
   Gc.minor ();
   let before = Gc.allocated_bytes () in
   ignore (Sys.opaque_identity (f ()));
+  Gc.minor ();
   Gc.allocated_bytes () -. before
 
 let test_machine_allocation_guard () =
@@ -843,6 +846,59 @@ let test_interp_global_values () =
   ignore (Interp.call t "main" []);
   Alcotest.(check (list int)) "global round trip" [ 31 ] (Interp.output t)
 
+(* [Machine.restart] boots the machine a crash reboots into: the prepared
+   program and the PM allocator mark carry over, every counter and
+   accumulator starts fresh, and the crashed machine is left alone. *)
+let test_machine_restart () =
+  let p =
+    build_prog (fun b ->
+        let _ =
+          Builder.func b "main" [ "x" ] ~body:(fun fb ->
+              let a = Builder.call fb "pm_alloc" [ i 64 ] in
+              Builder.store fb ~addr:a (v "x");
+              Builder.flush fb a;
+              Builder.fence fb ();
+              (* unflushed: working and durable images differ *)
+              let c = Builder.call fb "pm_alloc" [ i 64 ] in
+              Builder.store fb ~addr:c (Builder.add fb (v "x") (i 1));
+              Builder.crash fb;
+              Builder.call_void fb "emit" [ v "x" ];
+              Builder.ret fb a)
+        in
+        ())
+  in
+  let cfg = { Interp.default_config with cost = Some Cost.default } in
+  let t = Interp.create cfg p in
+  ignore (Compile.call t "main" [ 7 ]);
+  let steps = Interp.steps t and cost = Interp.cost_ns t in
+  let image = Interp.crash_image t in
+  let brk = Mem.pm_brk (Interp.mem t) in
+  Alcotest.(check bool) "old machine ran" true
+    (steps > 0 && cost > 0. && Interp.raw_bugs t <> []);
+  let t' = Machine.restart ~pm_image:image t in
+  Alcotest.(check bool) "prepared code is shared" true
+    (t'.Machine.pfuncs == t.Machine.pfuncs);
+  Alcotest.(check int) "steps" 0 (Interp.steps t');
+  Alcotest.(check (float 0.)) "cost" 0. (Interp.cost_ns t');
+  Alcotest.(check int) "crash points" 0 (Interp.crash_points_hit t');
+  Alcotest.(check int) "bugs" 0 (List.length (Interp.raw_bugs t'));
+  Alcotest.(check int) "trace" 0 (List.length (Interp.trace t'));
+  Alcotest.(check (list int)) "output" [] (Interp.output t');
+  Alcotest.(check int) "allocator mark" brk (Mem.pm_brk (Interp.mem t'));
+  Alcotest.(check bytes) "durable image" image (Interp.crash_image t');
+  Alcotest.(check bytes) "working image" image
+    (Mem.working_image (Interp.mem t'));
+  let a' = Compile.call t' "main" [ 9 ] in
+  Alcotest.(check bool) "allocation resumes past the mark" true
+    (a' >= Layout.pm_base + brk);
+  Alcotest.(check bool) "new machine ran" true
+    (Interp.steps t' > 0 && Interp.crash_points_hit t' = 1);
+  Alcotest.(check (list int)) "new output" [ 9 ] (Interp.output t');
+  Alcotest.(check int) "old steps" steps (Interp.steps t);
+  Alcotest.(check (float 0.)) "old cost" cost (Interp.cost_ns t);
+  Alcotest.(check bytes) "old crash image" image (Interp.crash_image t);
+  Alcotest.(check (list int)) "old output" [ 7 ] (Interp.output t)
+
 (* ------------------------------------------------------------------ *)
 (* Trace serialization *)
 
@@ -1005,6 +1061,7 @@ let suite =
     ("mem lazy segment boundaries", `Quick, test_lazy_segment_boundaries);
     QCheck_alcotest.to_alcotest prop_lazy_matches_eager;
     ("machine allocation guard", `Quick, test_machine_allocation_guard);
+    ("machine restart", `Quick, test_machine_restart);
     ("pstate store/flush/fence", `Quick, test_pstate_store_flush_fence);
     ("pstate clflush immediate", `Quick, test_pstate_clflush_immediate);
     ( "pstate clflush drains pending",

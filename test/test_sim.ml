@@ -59,6 +59,35 @@ let test_quick_mode_clean () =
         (List.length r.Harness.violations))
     [ App.Redis; App.Pclht ]
 
+(* The transcript fingerprints each crash image, not the segment it came
+   from: a scenario's transcript does not depend on the PM segment's
+   size as long as the workload fits. *)
+let test_transcript_independent_of_pm_size () =
+  let cfg = small App.Redis App.Manual Harness.Chaos in
+  let prog =
+    match App.program App.Redis App.Manual with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let play pm_size =
+    let config = { (Harness.interp_config cfg) with Interp.pm_size } in
+    match
+      Scenario.run ~seed:42 ~index:0 (Harness.scenario_config cfg)
+        ~make_app:(fun () ->
+          Ok
+            (App.wrap ~config ~nbuckets:cfg.Harness.nbuckets App.Redis
+               App.Manual prog))
+        ()
+    with
+    | Ok o -> o
+    | Error e -> Alcotest.fail e
+  in
+  let at_16mb = play (1 lsl 24) and at_1mb = play (1 lsl 20) in
+  Alcotest.(check bool) "the scenario crashes" true
+    (at_16mb.Scenario.crashes > 0);
+  Alcotest.(check string) "transcript" at_16mb.Scenario.transcript
+    at_1mb.Scenario.transcript
+
 (* ------------------------------------------------------------------ *)
 (* chaos on the buggy baseline detects; the repair survives the same
    schedule (do no harm, observed end to end) *)
@@ -179,6 +208,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_jobs_identical;
     Alcotest.test_case "quick mode on manual builds is clean" `Quick
       test_quick_mode_clean;
+    Alcotest.test_case "transcripts do not depend on the PM segment size"
+      `Quick test_transcript_independent_of_pm_size;
     Alcotest.test_case "chaos detects P-CLHT's injected bugs" `Quick
       test_chaos_detects_injected_bugs;
     Alcotest.test_case "repaired app survives the baseline's chaos" `Slow
