@@ -17,31 +17,23 @@
      bench/main.exe ablate_reuse    — A1: clone reuse on/off
      bench/main.exe ablate_reduction— A2: fix reduction on/off
      bench/main.exe ablate_heuristic— A3: cost-model robustness
-     bench/main.exe table_main      — per-phase engine timing breakdown
-                                      (ablation sweep, shared analysis cache)
-     bench/main.exe table_par       — corpus-sweep wall-clock scaling over
-                                      worker domains (jobs 1 vs 2 vs 4)
-     bench/main.exe table_crash     — single-pass dedup crash sweep vs
-                                      per-crash-point replay
-     bench/main.exe table_fuzz      — coverage-guided fuzzing vs blind
-                                      generation at equal exec counts
      bench/main.exe table_opt       — flush/fence optimizer over every
                                       repaired corpus and app subject:
                                       static sites removed, report
                                       identity, perfmodel cost deltas and
                                       the P-CLHT crash-verdict gauntlet
-     bench/main.exe micro           — bechamel micro-benchmarks
 
    table_opt is not part of the default sweep.
 
    `--jobs N` sets the domain budget for every corpus sweep (default:
-   HIPPO_JOBS or the machine's recommended domain count). `--jobs 1` is
-   byte-identical to the historical serial harness. `--seed N` seeds the
-   seed-threaded experiment (table_fuzz; default 0). An
-   unknown experiment or flag, or a malformed --jobs/--seed value,
-   prints usage to stderr and exits 2 before anything runs. *)
+   HIPPO_JOBS or the machine's recommended domain count). Every output
+   but fig5's wall-clock columns is byte-identical at any --jobs; the
+   runtest rules in bench/dune pin all of them except fig4 (the slowest)
+   against bench/paper.expected. An unknown experiment or flag, or a
+   malformed --jobs value, prints usage to stderr and exits 2 before
+   anything runs. *)
 
-open Hippo_pmir
+open Cmdliner
 open Hippo_pmcheck
 open Hippo_core
 open Hippo_pmdk_mini
@@ -52,7 +44,7 @@ let section title = Fmt.pr "@.=== %s ===@." title
 module Sweep = Hippo_bugstudy.Sweep
 
 (* Domain budget for every corpus sweep; set by --jobs. *)
-let jobs = ref (Hippo_parallel.Pool.default_domains ())
+let jobs = ref 1
 
 (* ------------------------------------------------------------------ *)
 (* E1 — Fig. 1: the 26-bug study *)
@@ -67,11 +59,10 @@ let fig1 () =
     n total (100 * n / total)
 
 (* ------------------------------------------------------------------ *)
-(* Corpus plumbing shared by E2/E3/E4/E7 *)
+(* Corpus plumbing shared by E2, E7 and table_opt *)
 
-let repair_case ?(options = Driver.default_options) ?cache (case : Case.t) =
-  Driver.repair ~options ?cache ~name:case.Case.id
-    ~workload:case.Case.workload
+let repair_case (case : Case.t) =
+  Driver.repair ~name:case.Case.id ~workload:case.Case.workload
     (Lazy.force case.Case.program)
 
 (* E2 — §6.1 effectiveness *)
@@ -80,7 +71,7 @@ let table_effectiveness () =
   section "§6.1 — effectiveness: fix all 23 reproduced bugs";
   let all_ok = ref true in
   let pmdk_ok = ref 0 in
-  let pmdk_results, _cache = Sweep.corpus ~jobs:!jobs Bugs.all in
+  let pmdk_results = Sweep.corpus ~jobs:!jobs Bugs.all in
   List.iter
     (fun (_, r) ->
       let ok =
@@ -122,10 +113,8 @@ let table_heuristics () =
   in
   let identical = ref 0 in
   let sweep_with oracle =
-    fst
-      (Sweep.corpus
-         ~options:{ Driver.default_options with oracle }
-         ~jobs:!jobs all_cases)
+    Sweep.corpus ~options:{ Driver.default_options with oracle } ~jobs:!jobs
+      all_cases
   in
   let sig_of (_, (r : Driver.result)) =
     List.sort String.compare (List.map Fix.to_string r.Driver.plan.Fix.fixes)
@@ -174,7 +163,7 @@ let fig3 () =
         shape
         (Fmt.str "%a" Case.pp_dev_fix case.Case.dev_fix)
         comparison)
-    (fst (Sweep.corpus ~jobs:!jobs Bugs.all));
+    (Sweep.corpus ~jobs:!jobs Bugs.all);
   Fmt.pr
     "  functionally identical: %d/11 (paper: 8/11); equivalent: %d/11 \
      (paper: 3/11)@."
@@ -263,7 +252,7 @@ let fig5 () =
       r.Driver.trace_events r.Driver.time_s
       (r.Driver.peak_heap_bytes / (1024 * 1024))
   in
-  let pmdk_results = List.map snd (fst (Sweep.corpus ~jobs:!jobs Bugs.all)) in
+  let pmdk_results = List.map snd (Sweep.corpus ~jobs:!jobs Bugs.all) in
   let instrs, events, time, mem =
     List.fold_left
       (fun (instrs, events, time, mem) (r : Driver.result) ->
@@ -331,8 +320,8 @@ let ablate_reuse () =
 let ablate_reduction () =
   section "A2 — fix reduction (Phase 2) on vs off";
   let cases = Bugs.all @ [ List.hd Pclht.cases; List.hd Memcached_mini.cases ] in
-  let ons, _ = Sweep.corpus ~jobs:!jobs cases in
-  let offs, _ =
+  let ons = Sweep.corpus ~jobs:!jobs cases in
+  let offs =
     Sweep.corpus
       ~options:{ Driver.default_options with reduction = false }
       ~jobs:!jobs cases
@@ -382,62 +371,6 @@ let ablate_heuristic () =
   Fmt.pr
     "  (the interprocedural advantage must survive fence-heavy constants \
      and shrink when volatile flushes are free)@."
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one per experiment pipeline *)
-
-let micro () =
-  section "bechamel micro-benchmarks (one per experiment pipeline)";
-  let open Bechamel in
-  let listing5 = Lazy.force (List.hd Bugs.all).Case.program in
-  let text = Printer.to_string listing5 in
-  let clht = Pclht.build () in
-  let tests =
-    [
-      Test.make ~name:"fig1_aggregate"
-        (Staged.stage (fun () -> Hippo_bugstudy.Dataset.figure1 ()));
-      Test.make ~name:"pmir_parse"
-        (Staged.stage (fun () -> Parser.program text));
-      Test.make ~name:"pmir_validate"
-        (Staged.stage (fun () -> Validate.check listing5));
-      Test.make ~name:"andersen_analyze"
-        (Staged.stage (fun () -> Hippo_alias.Andersen.analyze clht));
-      Test.make ~name:"pmcheck_clht_workload"
-        (Staged.stage (fun () ->
-             let t = Interp.create Interp.default_config clht in
-             Pclht.workload t;
-             Interp.exit_check t;
-             Interp.bugs t));
-      Test.make ~name:"repair_pmdk_452"
-        (Staged.stage (fun () -> repair_case (List.nth Bugs.all 1)));
-      Test.make ~name:"repair_pclht"
-        (Staged.stage (fun () -> repair_case (List.hd Pclht.cases)));
-      Test.make ~name:"ycsb_generate_ops"
-        (Staged.stage (fun () ->
-             Hippo_ycsb.Workload.ops
-               (Hippo_ycsb.Workload.default_spec Hippo_ycsb.Workload.A)
-               ~seed:1));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false
-      ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      Hashtbl.iter
-        (fun name raw ->
-          let est = Analyze.one ols instance raw in
-          match Analyze.OLS.estimates est with
-          | Some [ ns ] -> Fmt.pr "  %-28s %12.1f ns/run@." name ns
-          | _ -> Fmt.pr "  %-28s (no estimate)@." name)
-        results)
-    tests
 
 (* ------------------------------------------------------------------ *)
 (* E8 — static checker: detection vs dynamic ground truth *)
@@ -522,297 +455,6 @@ let table_static () =
      if ok then "zero residual dynamic bugs on all PMDK cases"
      else "RESIDUAL DYNAMIC BUGS REMAIN")
 
-(* ------------------------------------------------------------------ *)
-(* E9 — engine: per-phase breakdown + shared-analysis ablation sweep *)
-
-let table_main () =
-  section
-    "engine — per-phase timing breakdown (ablation sweep, shared analysis \
-     cache)";
-  let cache = Hippo_engine.Cache.create () in
-  let case = List.hd Pclht.cases in
-  let configs =
-    [
-      ("default", Driver.default_options);
-      ("no-hoist", { Driver.default_options with hoisting = false });
-      ("no-reduction", { Driver.default_options with reduction = false });
-      ("no-reuse", { Driver.default_options with clone_reuse = false });
-    ]
-  in
-  let events =
-    List.concat_map
-      (fun (label, options) ->
-        let r = repair_case ~options ~cache case in
-        Fmt.pr "  %-14s fixes: %2d  verified: %s@." label
-          (List.length r.Driver.plan.Fix.fixes)
-          (if
-             Verify.effective r.Driver.verification
-             && Verify.harm_free r.Driver.verification
-           then "yes"
-           else "NO");
-        r.Driver.events)
-      configs
-  in
-  Fmt.pr "  per-phase breakdown (%s, %d configurations):@." case.Case.id
-    (List.length configs);
-  Fmt.pr "%a" Hippo_engine.Event.pp_table events;
-  List.iter
-    (fun (slot, computed, reused) ->
-      Fmt.pr "  cache %-8s computed %d, reused %d@." slot computed reused)
-    (Hippo_engine.Cache.stats cache);
-  Fmt.pr "  Andersen points-to runs across the sweep: %d (expected 1 — \
-          computed once, not once per configuration)@."
-    (Hippo_engine.Cache.andersen_runs cache)
-
-(* E10 — corpus-sweep scaling over worker domains *)
-
-let table_par () =
-  section "parallel — corpus-sweep wall-clock scaling over worker domains";
-  let cases =
-    Bugs.all @ [ List.hd Pclht.cases; List.hd Memcached_mini.cases ]
-  in
-  (* force once up front so no run pays the one-time program construction *)
-  List.iter (fun (c : Case.t) -> ignore (Lazy.force c.Case.program)) cases;
-  let plan_sig results =
-    List.concat_map
-      (fun (_, (r : Driver.result)) ->
-        List.map Fix.to_string r.Driver.plan.Fix.fixes)
-      results
-  in
-  let run jobs =
-    (* wall clock, not Sys.time: CPU time sums over domains and would hide
-       any speedup *)
-    let t0 = Unix.gettimeofday () in
-    let results, cache = Sweep.corpus ~jobs cases in
-    (Unix.gettimeofday () -. t0, results, cache)
-  in
-  Fmt.pr "  %d cases; recommended domain count on this host: %d@."
-    (List.length cases)
-    (Domain.recommended_domain_count ());
-  let base_t, base_r, _ = run 1 in
-  Fmt.pr "  jobs %2d: %7.3fs  %7s  (baseline)@." 1 base_t "1.00x";
-  List.iter
-    (fun jobs ->
-      let t, r, cache = run jobs in
-      Fmt.pr "  jobs %2d: %7.3fs  %6.2fx  (plans %s baseline; %d analysis \
-              computes across worker caches)@."
-        jobs t (base_t /. t)
-        (if plan_sig r = plan_sig base_r then "identical to" else "DIFFER from")
-        (List.fold_left
-           (fun acc (_, c, _) -> acc + c)
-           0
-           (Hippo_engine.Cache.stats cache)))
-    [ 2; 4 ];
-  Fmt.pr
-    "  (speedup tracks physical cores: a 1-core host pins every row near \
-     1.00x, a 4-core host should reach >= 2x at jobs 4)@."
-
-(* E11 — crash-sweep: single-pass dedup vs per-crash-point replay *)
-
-(* Small interpreter buffers: a crash sweep creates one machine per
-   recovery run, and at the default sizes buffer zeroing would dwarf the
-   work being measured. Both strategies run under the same per-subject
-   config, sized to the subject's actual footprint. *)
-let crash_config ~pm_size =
-  {
-    Interp.default_config with
-    Interp.vol_size = 1 lsl 12;
-    stack_size = 1 lsl 14;
-    global_size = 1 lsl 12;
-    pm_size;
-  }
-
-let counter_pmir =
-  {pmir|
-; shadow counter: value at [0], shadow at [64]; the shadow store is
-; never flushed, so every crash point loses it — and every durable
-; image is distinct (the dedup-hostile case).
-func @cnt_init() {
-entry:
-  %c = call @pm_alloc(128)
-  store.i64 0 -> %c @ "cnt.c":1
-  %s = gep %c, 64
-  store.i64 0 -> %s @ "cnt.c":2
-  flush.clwb %c
-  flush.clwb %s
-  fence.sfence
-  ret
-}
-
-func @cnt_bump() {
-entry:
-  %c = call @pm_base()
-  %s = gep %c, 64
-  %x0 = load.i64 %c
-  %x = add %x0, 1
-  store.i64 %x -> %c @ "cnt.c":10
-  flush.clwb %c
-  fence.sfence
-  store.i64 %x -> %s @ "cnt.c":12
-  crash @ "cnt.c":14
-  ret
-}
-
-func @cnt_check() {
-entry:
-  %c = call @pm_base()
-  %s = gep %c, 64
-  %a = load.i64 %c
-  %b = load.i64 %s
-  %e = eq %a, %b
-  ret %e
-}
-|pmir}
-
-let pingpong_pmir =
-  {pmir|
-; correctly-persisted one-bit toggle: the durable image cycles between
-; two states, so a sweep of any length needs only a handful of recovery
-; runs (the dedup-friendly case).
-func @pp_init() {
-entry:
-  %c = call @pm_alloc(64)
-  store.i64 0 -> %c @ "pp.c":1
-  flush.clwb %c
-  fence.sfence
-  ret
-}
-
-func @pp_flip() {
-entry:
-  %c = call @pm_base()
-  %x = load.i64 %c
-  %y = sub 1, %x
-  store.i64 %y -> %c @ "pp.c":6
-  flush.clwb %c
-  fence.sfence
-  crash @ "pp.c":9
-  ret
-}
-
-func @pp_check() {
-entry:
-  %c = call @pm_base()
-  %x = load.i64 %c
-  %ok = lt %x, 2
-  ret %ok
-}
-|pmir}
-
-let crash_subjects () =
-  let parsed name text =
-    try Parser.program text
-    with Parser.Parse_error { line; msg } ->
-      Fmt.failwith "bench %s: parse error at line %d: %s" name line msg
-  in
-  let clht_setup =
-    [ ("clht_init", [ 4 ]) ]
-    @ List.concat_map
-        (fun k -> [ ("clht_put", [ k; k * 3 ]) ])
-        (List.init 40 (fun k -> k + 1))
-    @ [ ("clht_put", [ 3; 999 ]) ]
-  in
-  [
-    ( "p-clht",
-      Pclht.build (),
-      clht_setup,
-      "clht_recover_check",
-      crash_config ~pm_size:(1 lsl 15) );
-    ( "counter",
-      parsed "counter" counter_pmir,
-      ("cnt_init", []) :: List.init 150 (fun _ -> ("cnt_bump", [])),
-      "cnt_check",
-      crash_config ~pm_size:(1 lsl 12) );
-    ( "pingpong",
-      parsed "pingpong" pingpong_pmir,
-      ("pp_init", []) :: List.init 150 (fun _ -> ("pp_flip", [])),
-      "pp_check",
-      crash_config ~pm_size:(1 lsl 12) );
-  ]
-
-let table_crash () =
-  section
-    "crash — single-pass dedup sweep vs per-crash-point replay (--jobs 1)";
-  Fmt.pr
-    "  %-10s %6s %9s %9s %10s %10s %8s %s@." "subject" "n" "distinct"
-    "runs" "replay" "single" "speedup" "verdicts";
-  let rows =
-    List.map
-      (fun (id, prog, setup, checker, config) ->
-        let time f =
-          let t0 = Unix.gettimeofday () in
-          let r = f () in
-          (Unix.gettimeofday () -. t0, r)
-        in
-        let t_sp, (v_sp, stats) =
-          time (fun () ->
-              Crashsim.sweep_with_stats ~config ~jobs:1 prog ~setup ~checker
-                ~checker_args:[])
-        in
-        let t_rp, v_rp =
-          time (fun () ->
-              Crashsim.replay_sweep ~config ~jobs:1 prog ~setup ~checker
-                ~checker_args:[])
-        in
-        let v_sp4 =
-          Crashsim.sweep ~config ~jobs:4 prog ~setup ~checker
-            ~checker_args:[]
-        in
-        let identical = v_sp = v_rp && v_sp = v_sp4 in
-        Fmt.pr "  %-10s %6d %9d %9d %9.3fs %9.3fs %7.1fx %s@." id
-          stats.Crashsim.crash_points stats.Crashsim.distinct_images
-          stats.Crashsim.recovery_runs t_rp t_sp (t_rp /. t_sp)
-          (if identical then "identical" else "DIFFER");
-        (t_rp, t_sp, identical))
-      (crash_subjects ())
-  in
-  let tot_rp = List.fold_left (fun a (r, _, _) -> a +. r) 0.0 rows in
-  let tot_sp = List.fold_left (fun a (_, s, _) -> a +. s) 0.0 rows in
-  let all_identical = List.for_all (fun (_, _, i) -> i) rows in
-  Fmt.pr
-    "  total: replay %.3fs, single-pass %.3fs, speedup %.1fx (threshold: >= \
-     5x); verdicts %s across strategies and jobs {1,4}@."
-    tot_rp tot_sp (tot_rp /. tot_sp)
-    (if all_identical then "identical" else "DIFFER")
-
-(* fuzz — coverage-guided mutation vs coverage-blind generation ------- *)
-
-let seed = ref 0
-
-let table_fuzz () =
-  section
-    (Fmt.str
-       "fuzz — guided mutation vs blind generation at equal exec counts \
-        (seed %d, --jobs %d)"
-       !seed !jobs);
-  Fmt.pr "  %-8s %8s %8s %10s %8s %s@." "execs" "guided" "blind" "corpus"
-    "violations" "guided>blind";
-  let ahead =
-    List.map
-      (fun execs ->
-        let s =
-          Hippo_fuzz.Fuzzer.run
-            {
-              Hippo_fuzz.Fuzzer.default_config with
-              Hippo_fuzz.Fuzzer.seed = !seed;
-              jobs = !jobs;
-              max_execs = execs;
-            }
-        in
-        let ahead = s.Hippo_fuzz.Fuzzer.edges > s.Hippo_fuzz.Fuzzer.blind_edges in
-        Fmt.pr "  %-8d %8d %8d %10d %8d %s@." execs
-          s.Hippo_fuzz.Fuzzer.edges s.Hippo_fuzz.Fuzzer.blind_edges
-          s.Hippo_fuzz.Fuzzer.corpus_size
-          (List.length s.Hippo_fuzz.Fuzzer.found)
-          (if ahead then "yes" else "NO");
-        ahead)
-      [ 64; 128; 256 ]
-  in
-  Fmt.pr
-    "  guided coverage strictly exceeds the blind baseline at every exec \
-     count: %s@."
-    (if List.for_all Fun.id ahead then "yes" else "NO")
-
 (* opt — the flush/fence optimizer: savings and do-no-harm ------------ *)
 
 let clht_sweep_setup =
@@ -823,11 +465,7 @@ let clht_sweep_setup =
   @ [ ("clht_put", [ 3; 999 ]) ]
 
 let table_opt () =
-  section
-    (Fmt.str
-       "opt — flush/fence optimizer over repaired corpus and app subjects \
-        (--jobs %d)"
-       !jobs);
+  section "opt — flush/fence optimizer over repaired corpus and app subjects";
   let module O = Hippo_engine.Optimize in
   let module Timed = Hippo_perfmodel.Timed in
   let sim_cost prog workload =
@@ -855,10 +493,7 @@ let table_opt () =
   let corpus_rows =
     List.map
       (fun (c : Case.t) ->
-        let r =
-          Driver.repair ~name:c.Case.id ~workload:c.Case.workload
-            (Lazy.force c.Case.program)
-        in
+        let r = repair_case c in
         row (c.Case.id ^ "/repaired") r.Driver.repaired c.Case.workload)
       (Bugs.all @ Pclht.cases @ Memcached_mini.cases)
   in
@@ -920,7 +555,7 @@ let table_opt () =
     total_removed
 
 (* ------------------------------------------------------------------ *)
-(* Command line: [--full] [--jobs N] [--seed N] [EXPERIMENT...] *)
+(* Command line: [--full] [--jobs N] [EXPERIMENT...] *)
 
 let full = ref false
 
@@ -938,12 +573,7 @@ let experiments =
     ("ablate_reuse", ablate_reuse);
     ("ablate_reduction", ablate_reduction);
     ("ablate_heuristic", ablate_heuristic);
-    ("table_main", table_main);
-    ("table_par", table_par);
-    ("table_crash", table_crash);
-    ("table_fuzz", table_fuzz);
     ("table_opt", table_opt);
-    ("micro", micro);
   ]
 
 (* the default sweep: fix_stats and code_size reuse fig4's repairs *)
@@ -959,46 +589,47 @@ let run_all () =
   code_size ~variants:v ();
   ablate_reuse ();
   ablate_reduction ();
-  ablate_heuristic ();
-  table_main ();
-  table_par ();
-  table_crash ();
-  table_fuzz ();
-  micro ()
+  ablate_heuristic ()
 
-let usage_error msg =
-  Fmt.epr
-    "bench: %s@.usage: main.exe [--full] [--jobs N] [--seed N] \
-     [EXPERIMENT...]@.experiments: %s@."
-    msg
-    (String.concat " " (List.map fst experiments));
-  exit 2
+let main full_ jobs_ runs =
+  full := full_;
+  jobs := jobs_;
+  match runs with [] -> run_all () | runs -> List.iter (fun run -> run ()) runs
 
-(* Flags apply wherever they appear; every argument is checked before
-   any experiment runs. *)
-let rec parse = function
-  | [] -> []
-  | "--full" :: rest ->
-      full := true;
-      parse rest
-  | "--jobs" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some k when k >= 1 -> jobs := k
-      | _ -> usage_error (Fmt.str "--jobs expects a positive integer, got %S" n));
-      parse rest
-  | "--seed" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some k -> seed := k
-      | None -> usage_error (Fmt.str "--seed expects an integer, got %S" n));
-      parse rest
-  | [ (("--jobs" | "--seed") as flag) ] ->
-      usage_error (Fmt.str "%s expects a value" flag)
-  | name :: rest -> (
-      match List.assoc_opt name experiments with
-      | Some run -> run :: parse rest
-      | None -> usage_error (Fmt.str "unknown experiment or flag %S" name))
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Fmt.str "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
-let () =
-  match parse (List.tl (Array.to_list Sys.argv)) with
-  | [] -> run_all ()
-  | runs -> List.iter (fun run -> run ()) runs
+let cmd =
+  let full =
+    Arg.(
+      value & flag
+      & info [ "full" ] ~doc:"Paper-scale parameters for Fig. 4.")
+  in
+  let jobs =
+    Arg.(
+      value
+      & opt positive_int (Hippo_parallel.Pool.default_domains ())
+      & info [ "jobs" ] ~docv:"N"
+          ~doc:"Domain budget for every corpus sweep. Defaults to \
+                $(b,HIPPO_JOBS) when set, otherwise the machine's \
+                recommended domain count.")
+  in
+  let runs =
+    Arg.(
+      value
+      & pos_all (enum experiments) []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:"Experiments to run, in order; none runs the default sweep.")
+  in
+  Cmd.v
+    (Cmd.info "bench" ~doc:"Regenerate the paper's tables and figures.")
+    Term.(const main $ full $ jobs $ runs)
+
+(* Every argument is checked before any experiment runs; a bad command
+   line is a usage error, exit 2. *)
+let () = match Cmd.eval_value cmd with Ok _ -> () | Error _ -> exit 2

@@ -22,6 +22,14 @@ let read_program path =
       Error (Fmt.str "%s:%d: %s" path line msg)
   | Sys_error e -> Error e
 
+(* An output path is outside input like a program file: an unwritable one
+   is [Error "<path>: <message>"] (a [Sys_error] message starts with the
+   path), never an exception. [writing] wraps the library writers. *)
+let writing f = try Ok (f ()) with Sys_error m -> Error m
+
+let write_file path output =
+  writing (fun () -> Out_channel.with_open_text path output)
+
 let validate_or_die prog =
   match Validate.check prog with
   | [] -> Ok ()
@@ -71,10 +79,23 @@ let entry_args_arg =
 
 let exits = [ Cmd.Exit.info 1 ~doc:"on failure" ]
 
+(* Count flags parse through these, so a value the workload code cannot
+   take is a usage error (exit 124) before anything runs. *)
+let int_at_least ~min ~kind =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | _ -> Error (`Msg (Fmt.str "expected %s, got %S" kind s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least ~min:1 ~kind:"a positive integer"
+let non_negative_int = int_at_least ~min:0 ~kind:"a non-negative integer"
+
 let jobs_arg =
   Arg.(
     value
-    & opt int (Hippo_parallel.Pool.default_domains ())
+    & opt positive_int (Hippo_parallel.Pool.default_domains ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:"Domain budget for parallel phases (verification and crash \
               sweeps). Defaults to $(b,HIPPO_JOBS) when set, otherwise the \
@@ -88,19 +109,6 @@ let seed_arg =
         ~doc:"Root RNG seed for randomized modes (fuzzing, crash-point \
               sampling). Every worker derives its own substream from this \
               one value, so results are reproducible at any $(b,--jobs).")
-
-(* Count flags parse through these, so a value the workload code cannot
-   take is a usage error (exit 124) before anything runs. *)
-let int_at_least ~min ~kind =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= min -> Ok n
-    | _ -> Error (`Msg (Fmt.str "expected %s, got %S" kind s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let positive_int = int_at_least ~min:1 ~kind:"a positive integer"
-let non_negative_int = int_at_least ~min:0 ~kind:"a non-negative integer"
 
 type trace_format = Pmemcheck | Pmtest
 
@@ -150,7 +158,7 @@ let check_cmd =
   in
   let crash_sample_arg =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int 0
       & info [ "crash-sample" ] ~docv:"K"
           ~doc:"With $(b,--crash-sweep), check only $(docv) crash points \
                 sampled uniformly (seeded by $(b,--seed)) instead of every \
@@ -188,8 +196,7 @@ let check_cmd =
               sampled_sweep prog ~setup:[ (entry, args) ] ~checker
             else
               let v, s =
-                Crashsim.sweep_with_stats ~jobs:(max 1 jobs) prog
-                  ~setup:[ (entry, args) ]
+                Crashsim.sweep_with_stats ~jobs prog ~setup:[ (entry, args) ]
                   ~checker ~checker_args:[]
               in
               (v, Some s)
@@ -227,17 +234,21 @@ let check_cmd =
       let bugs = r.Hippo_staticcheck.Checker.bugs in
       Fmt.pr "durability bugs: %d@." (List.length bugs);
       List.iter (fun b -> Fmt.pr "  %a@." Report.pp_bug b) bugs;
-      (match trace_out with
-      | Some path ->
-          (* bug reports only: there is no execution, hence no events or
-             site statistics; `fix --trace` accepts the file (Full-AA) *)
-          let oc = open_out path in
-          List.iter
-            (fun b -> output_string oc (Report.to_line b ^ "\n"))
-            bugs;
-          close_out oc;
-          Fmt.pr "reports written to %s@." path
-      | None -> ());
+      let* () =
+        match trace_out with
+        | Some path ->
+            (* bug reports only: there is no execution, hence no events or
+               site statistics; `fix --trace` accepts the file (Full-AA) *)
+            let* () =
+              write_file path (fun oc ->
+                  List.iter
+                    (fun b -> output_string oc (Report.to_line b ^ "\n"))
+                    bugs)
+            in
+            Fmt.pr "reports written to %s@." path;
+            Ok ()
+        | None -> Ok ()
+      in
       Ok (if bugs = [] then 0 else 1)
     in
     let result =
@@ -264,27 +275,31 @@ let check_cmd =
         (Pstate.( (Interp.pstate t).fences_total ));
       Fmt.pr "durability bugs: %d@." (List.length bugs);
       List.iter (fun b -> Fmt.pr "  %a@." Report.pp_bug b) bugs;
-      (match trace_out with
-      | Some path ->
-          let oc = open_out path in
-          (match format with
-          | Pmemcheck ->
-              output_string oc (Trace.to_string (Interp.trace t));
-              output_char oc '\n';
-              List.iter
-                (fun l -> output_string oc (l ^ "\n"))
-                (Sitestats.to_lines (Interp.site_stats t));
-              List.iter
-                (fun b -> output_string oc (Report.to_line b ^ "\n"))
-                (Interp.raw_bugs t)
-          | Pmtest ->
-              output_string oc
-                (Pmtest_format.to_string ~events:(Interp.trace t)
-                   ~bugs:(Interp.raw_bugs t));
-              output_char oc '\n');
-          close_out oc;
-          Fmt.pr "trace written to %s@." path
-      | None -> ());
+      let* () =
+        match trace_out with
+        | Some path ->
+            let* () =
+              write_file path (fun oc ->
+                  match format with
+                  | Pmemcheck ->
+                      output_string oc (Trace.to_string (Interp.trace t));
+                      output_char oc '\n';
+                      List.iter
+                        (fun l -> output_string oc (l ^ "\n"))
+                        (Sitestats.to_lines (Interp.site_stats t));
+                      List.iter
+                        (fun b -> output_string oc (Report.to_line b ^ "\n"))
+                        (Interp.raw_bugs t)
+                  | Pmtest ->
+                      output_string oc
+                        (Pmtest_format.to_string ~events:(Interp.trace t)
+                           ~bugs:(Interp.raw_bugs t));
+                      output_char oc '\n')
+            in
+            Fmt.pr "trace written to %s@." path;
+            Ok ()
+        | None -> Ok ()
+      in
       let* sweep_code = crash_sweep_check prog ~args in
       Ok (if bugs = [] && sweep_code = 0 then 0 else 1)
     in
@@ -441,7 +456,7 @@ let fix_cmd =
           hoisting = not no_hoist;
           oracle = oracle_choice;
           style = (if portable then Apply.Portable else Apply.Direct);
-          jobs = max 1 jobs;
+          jobs;
         }
       in
       let* repaired, report =
@@ -514,22 +529,29 @@ let fix_cmd =
           r.Driver.t_outcome.Hippo_engine.Optimize.o_prog
         end
       in
-      (match trace_out with
-      | Some path ->
-          let events = List.rev !collected in
-          Hippo_engine.Event.write_jsonl path events;
-          Fmt.epr "%d engine events written to %s@." (List.length events) path;
-          Fmt.epr "%a" Hippo_engine.Event.pp_table events
-      | None -> ());
+      let* () =
+        match trace_out with
+        | Some path ->
+            let events = List.rev !collected in
+            let* () =
+              writing (fun () -> Hippo_engine.Event.write_jsonl path events)
+            in
+            Fmt.epr "%d engine events written to %s@." (List.length events)
+              path;
+            Fmt.epr "%a" Hippo_engine.Event.pp_table events;
+            Ok ()
+        | None -> Ok ()
+      in
       if diff then
         Fmt.epr "%s@." (Diff.report ~original:prog ~repaired);
       let text = Printer.to_string repaired in
-      (match output with
-      | Some path ->
-          let oc = open_out path in
-          output_string oc text;
-          close_out oc
-      | None -> print_string text);
+      let* () =
+        match output with
+        | Some path -> write_file path (fun oc -> output_string oc text)
+        | None ->
+            print_string text;
+            Ok ()
+      in
       Ok 0
     in
     match result with
@@ -582,12 +604,13 @@ let optimize_cmd =
       let text =
         Printer.to_string r.Driver.t_outcome.Hippo_engine.Optimize.o_prog
       in
-      (match output with
-      | Some path ->
-          let oc = open_out path in
-          output_string oc text;
-          close_out oc
-      | None -> print_string text);
+      let* () =
+        match output with
+        | Some path -> write_file path (fun oc -> output_string oc text)
+        | None ->
+            print_string text;
+            Ok ()
+      in
       Ok (if r.Driver.t_outcome.Hippo_engine.Optimize.o_reverted then 1 else 0)
     in
     match result with
@@ -645,7 +668,7 @@ let fuzz_cmd =
   in
   let execs_arg =
     Arg.(
-      value & opt (some int) None
+      value & opt (some non_negative_int) None
       & info [ "execs" ] ~docv:"N"
           ~doc:"Guided-execution budget (the coverage-blind baseline adds \
                 as many again). Default: 64 with $(b,--smoke), else 256 \
@@ -675,7 +698,7 @@ let fuzz_cmd =
     let cfg =
       {
         Hippo_fuzz.Fuzzer.seed;
-        jobs = max 1 jobs;
+        jobs;
         max_execs;
         max_time = time;
         corpus_dir;
@@ -685,12 +708,17 @@ let fuzz_cmd =
     Fmt.pr "fuzz: seed %d, budget %s@." seed
       (if max_execs < max_int then Fmt.str "%d execs" max_execs
        else Fmt.str "%.0fs" time);
-    let s = Hippo_fuzz.Fuzzer.run cfg in
-    Fmt.pr "%a" Hippo_fuzz.Fuzzer.pp_summary s;
-    (match corpus_dir with
-    | Some dir -> Fmt.pr "corpus and reproducers saved under %s/@." dir
-    | None -> ());
-    if s.Hippo_fuzz.Fuzzer.found = [] then 0 else 1
+    (* the run saves the corpus under [corpus_dir] *)
+    match writing (fun () -> Hippo_fuzz.Fuzzer.run cfg) with
+    | Error e ->
+        Fmt.epr "error: %s@." e;
+        1
+    | Ok s ->
+        Fmt.pr "%a" Hippo_fuzz.Fuzzer.pp_summary s;
+        (match corpus_dir with
+        | Some dir -> Fmt.pr "corpus and reproducers saved under %s/@." dir
+        | None -> ());
+        if s.Hippo_fuzz.Fuzzer.found = [] then 0 else 1
   in
   Cmd.v
     (Cmd.info "fuzz" ~exits
@@ -816,7 +844,7 @@ let serve_cmd =
       1
     end
     else if inproc || smoke then
-      Hippo_parallel.Pool.run ~domains:(max 1 jobs) (fun pool ->
+      Hippo_parallel.Pool.run ~domains:jobs (fun pool ->
           let run_variant variant =
             Hippo_serve.Drive.run_inproc ~pool ~app ~variant ~workload
               ~records ~ops ~workers ~seed ()
@@ -929,7 +957,7 @@ let loadgen_cmd =
         1
     | Ok connect ->
         let r =
-          Hippo_parallel.Pool.run ~domains:(max 1 jobs) (fun pool ->
+          Hippo_parallel.Pool.run ~domains:jobs (fun pool ->
               Hippo_serve.Loadgen.run_sockets ~connect ~pool ~kind:workload
                 ~records ~ops ~workers ~seed ~skip_load ())
         in
@@ -1039,7 +1067,7 @@ let sim_cmd =
         ops;
         keyspace;
         nbuckets;
-        jobs = max 1 jobs;
+        jobs;
         differential = not no_differential;
       }
     in
@@ -1081,11 +1109,18 @@ let sim_cmd =
                 Fmt.pr "  step %d %s: %s@." v.Hippo_sim.Scenario.step
                   v.Hippo_sim.Scenario.kind v.Hippo_sim.Scenario.detail)
             r.Hippo_sim.Harness.violations;
-          let paths = Hippo_sim.Harness.save_reproducers ~dir:out cfg r in
-          List.iter (fun p -> Fmt.pr "reproducer: %s@." p) paths;
-          Fmt.pr "replay: %s@." (Hippo_sim.Harness.replay_cmdline cfg);
-          Fmt.pr "sim: FAIL@.";
-          1
+          match
+            writing (fun () ->
+                Hippo_sim.Harness.save_reproducers ~dir:out cfg r)
+          with
+          | Error e ->
+              Fmt.epr "error: %s@." e;
+              1
+          | Ok paths ->
+              List.iter (fun p -> Fmt.pr "reproducer: %s@." p) paths;
+              Fmt.pr "replay: %s@." (Hippo_sim.Harness.replay_cmdline cfg);
+              Fmt.pr "sim: FAIL@.";
+              1
         end
   in
   Cmd.v

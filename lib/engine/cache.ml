@@ -14,27 +14,15 @@ type entry = {
       (* keyed by the entry-point override *)
 }
 
-type counter = { mutable computes : int; mutable hits : int }
-
 type t = {
   mutable entries : entry list;  (* newest first *)
   mutable next_version : int;
-  slots : (string, counter) Hashtbl.t;
-  slot_order : string list;
+  mutable andersen_runs : int;
 }
 
 type view = { cache : t; entry : entry }
 
-let slot_names = [ "size"; "andersen"; "oracle"; "static" ]
-
-let create () =
-  let slots = Hashtbl.create 4 in
-  List.iter
-    (fun n -> Hashtbl.add slots n { computes = 0; hits = 0 })
-    slot_names;
-  { entries = []; next_version = 0; slots; slot_order = slot_names }
-
-let counter t name = Hashtbl.find t.slots name
+let create () = { entries = []; next_version = 0; andersen_runs = 0 }
 
 let view t prog =
   match List.find_opt (fun e -> e.prog == prog) t.entries with
@@ -60,44 +48,35 @@ let versions t = t.next_version
 
 (* ------------------------------------------------------------------ *)
 
-let memo v slot get set compute =
-  let c = counter v.cache slot in
+let memo v get set compute =
   match get v.entry with
-  | Some x ->
-      c.hits <- c.hits + 1;
-      x
+  | Some x -> x
   | None ->
-      c.computes <- c.computes + 1;
       let x = compute v.entry.prog in
       set v.entry x;
       x
 
 let size v =
-  memo v "size"
-    (fun e -> e.size)
-    (fun e x -> e.size <- Some x)
-    Program.size
+  memo v (fun e -> e.size) (fun e x -> e.size <- Some x) Program.size
 
 let andersen v =
-  memo v "andersen"
+  memo v
     (fun e -> e.andersen)
     (fun e x -> e.andersen <- Some x)
-    Hippo_alias.Andersen.analyze
+    (fun prog ->
+      v.cache.andersen_runs <- v.cache.andersen_runs + 1;
+      Hippo_alias.Andersen.analyze prog)
 
 let oracle v =
-  memo v "oracle"
+  memo v
     (fun e -> e.oracle)
     (fun e x -> e.oracle <- Some x)
     (fun _prog -> Hippo_alias.Oracle.full_aa (andersen v))
 
 let static_check ?entries v =
-  let c = counter v.cache "static" in
   match List.assoc_opt entries v.entry.static_ with
-  | Some r ->
-      c.hits <- c.hits + 1;
-      r
+  | Some r -> r
   | None ->
-      c.computes <- c.computes + 1;
       (* the points-to analysis is shared with every other consumer of
          this version — repair, optimize and re-checks all see one run *)
       let r =
@@ -111,8 +90,6 @@ let static_check ?entries v =
    Andersen result and feeds the static memo so a later plain
    [static_check] with the same entries is a hit. *)
 let static_observed ?entries v ~observe =
-  let c = counter v.cache "static" in
-  c.computes <- c.computes + 1;
   let r =
     Hippo_staticcheck.Checker.check ~aa:(andersen v) ~observe ?entries
       v.entry.prog
@@ -121,34 +98,4 @@ let static_observed ?entries v ~observe =
     v.entry.static_ <- (entries, r) :: v.entry.static_;
   r
 
-(* ------------------------------------------------------------------ *)
-
-let andersen_runs t = (counter t "andersen").computes
-
-(* Read-only aggregation across a parallel sweep: each worker domain
-   memoizes into its own cache; afterwards the per-domain counters and
-   version counts are folded into one cache for reporting. Entries are
-   not transferred — version numbers are only unique within the cache
-   that minted them, so the merged cache is a statistics sink, never a
-   memoization source. *)
-let merge_stats ~into src =
-  into.next_version <- into.next_version + src.next_version;
-  List.iter
-    (fun name ->
-      let a = counter into name and b = counter src name in
-      a.computes <- a.computes + b.computes;
-      a.hits <- a.hits + b.hits)
-    into.slot_order
-
-let stats t =
-  List.map
-    (fun n ->
-      let c = counter t n in
-      (n, c.computes, c.hits))
-    t.slot_order
-
-let pp_stats ppf t =
-  Fmt.pf ppf "@[<v>versions: %d@,%a@]" (versions t)
-    (Fmt.list ~sep:Fmt.cut (fun ppf (n, computes, hits) ->
-         Fmt.pf ppf "%-8s computed %d, reused %d" n computes hits))
-    (stats t)
+let andersen_runs t = t.andersen_runs

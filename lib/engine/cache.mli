@@ -72,17 +72,3 @@ val static_observed :
 
 (** How many times the Andersen analysis actually ran (cache misses). *)
 val andersen_runs : t -> int
-
-(** Per-slot [(name, computes, hits)] counters, e.g.
-    [("andersen", 1, 3)] after one miss and three hits. *)
-val stats : t -> (string * int * int) list
-
-(** [merge_stats ~into src] folds [src]'s counters and version count into
-    [into] — the read-only aggregation step after a parallel sweep where
-    each worker domain memoized into its own cache. Entries are {e not}
-    transferred (version numbers are only unique per minting cache): the
-    merged cache reports aggregate statistics and must not be used for
-    further memoization. [src] is not modified. *)
-val merge_stats : into:t -> t -> unit
-
-val pp_stats : Format.formatter -> t -> unit

@@ -50,10 +50,10 @@ type stats = {
 
 (** Memoized recovery verdicts, keyed by (program, checker, checker args,
     image fingerprint) — everything the recovery run depends on. Reusable
-    across sweeps (original vs repaired program, corpus cases on one
-    worker domain); reuse assumes the sweeps run under one interpreter
-    config. Sharing is read-only from worker domains: sweeps consult the
-    table before fanning recovery out and write results back serially. *)
+    across sweeps (original vs repaired program); reuse assumes the
+    sweeps run under one interpreter config. Sharing is read-only from
+    worker domains: sweeps consult the table before fanning recovery out
+    and write results back serially. *)
 module Memo = struct
   type key = {
     prog_sig : string;  (** digest of the printed program *)
@@ -71,13 +71,6 @@ module Memo = struct
   let create () = { table = Hashtbl.create 256; hits = 0; misses = 0 }
   let hits m = m.hits
   let misses m = m.misses
-  let size m = Hashtbl.length m.table
-
-  (** Fold [m]'s counters into [into] (reporting-only merge of per-domain
-      tables, mirroring {!Hippo_engine.Cache.merge_stats}). *)
-  let merge_stats ~into m =
-    into.hits <- into.hits + m.hits;
-    into.misses <- into.misses + m.misses
 end
 
 let program_sig prog = Digest.string (Hippo_pmir.Printer.to_string prog)

@@ -43,24 +43,16 @@ type stats = {
 
 (** Memoized recovery verdicts keyed by (program, checker, checker args,
     image fingerprint). Pass one table to several single-pass sweeps —
-    e.g. the original and repaired program in {!Hippo_engine.Verify}, or
-    every case a corpus worker domain processes — and repeated durable
-    images cost nothing. Reuse assumes the sweeps share an interpreter
-    config. Not domain-safe: share per domain and merge statistics
-    afterwards ({!Memo.merge_stats}). *)
+    e.g. the original and repaired program in {!Hippo_engine.Verify} —
+    and repeated durable images cost nothing. Reuse assumes the sweeps
+    share an interpreter config. Not domain-safe: share it within one
+    domain. *)
 module Memo : sig
   type t
 
   val create : unit -> t
   val hits : t -> int
   val misses : t -> int
-
-  (** Number of memoized (image, checker) verdicts. *)
-  val size : t -> int
-
-  (** Fold [m]'s hit/miss counters into [into] (read-only reporting merge
-      of per-domain tables). *)
-  val merge_stats : into:t -> t -> unit
 end
 
 (** [check_crash prog ~setup ~checker ~checker_args ~crash_index] runs the

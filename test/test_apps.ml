@@ -208,7 +208,17 @@ let test_clht_buggy_not_crash_consistent () =
   in
   Alcotest.(check bool) "has crash points" true (verdicts <> []);
   Alcotest.(check bool) "some crash state is inconsistent" true
-    (List.exists (fun v -> not v.Crashsim.pessimistic_ok) verdicts)
+    (List.exists (fun v -> not v.Crashsim.pessimistic_ok) verdicts);
+  (* the single-pass sweep on an application, against the per-crash-point
+     replay oracle and at four domains *)
+  Alcotest.(check bool) "replay sweep agrees" true
+    (Crashsim.replay_sweep ~jobs:1 p ~setup:clht_setup
+       ~checker:"clht_recover_check" ~checker_args:[]
+    = verdicts);
+  Alcotest.(check bool) "four-domain sweep agrees" true
+    (Crashsim.sweep ~jobs:4 p ~setup:clht_setup ~checker:"clht_recover_check"
+       ~checker_args:[]
+    = verdicts)
 
 let test_clht_repaired_crash_consistent () =
   let p = Pclht.build () in

@@ -1,12 +1,11 @@
 (* The single-pass crash sweep: differential equivalence against the
    per-crash-point replay sweep, image-hash dedup and recovery
-   memoization, the trace-free crash-point counter, and the Verify /
-   Bugstudy wiring. *)
+   memoization, the trace-free crash-point counter, and the Verify
+   wiring. *)
 
 open Hippo_pmcheck
 module Gen = Hippo_fuzz.Gen
 module Verify = Hippo_engine.Verify
-module Sweep = Hippo_bugstudy.Sweep
 
 (* Small interpreter buffers: these programs touch a few cache lines and
    the suites below create hundreds of recovery machines. *)
@@ -247,39 +246,6 @@ let test_verify_crash_consistency () =
   Alcotest.(check (option bool)) "outcome field set" (Some true)
     o.Verify.crash_consistent_improved
 
-(* ------------------------------------------------------------------ *)
-(* Bugstudy: corpus of crash subjects, per-domain memos *)
-
-let crash_subjects () =
-  List.map
-    (fun (id, steps) ->
-      {
-        Sweep.cs_id = id;
-        cs_program = lazy (prog_of steps);
-        cs_setup = setup;
-        cs_checker = checker;
-        cs_checker_args = [];
-      })
-    [
-      ("half", [ Gen.S_half (0, 1); Gen.S_crash ]);
-      ("pair", [ Gen.S_pair (0, 1); Gen.S_crash; Gen.S_crash ]);
-      ( "toggle",
-        [
-          Gen.S_pair (1, 1); Gen.S_crash; Gen.S_pair (1, 2); Gen.S_crash;
-          Gen.S_pair (1, 1); Gen.S_crash;
-        ] );
-      ("mixed", [ Gen.S_pair (2, 3); Gen.S_crash; Gen.S_half (2, 4); Gen.S_crash ]);
-    ]
-
-let test_crash_corpus_jobs_identical () =
-  let strip (s, v, _) = (s.Sweep.cs_id, v) in
-  let r1, memo1 = Sweep.crash_corpus ~config:cfg ~jobs:1 (crash_subjects ()) in
-  let r4, _ = Sweep.crash_corpus ~config:cfg ~jobs:4 (crash_subjects ()) in
-  Alcotest.(check bool) "verdicts identical at jobs 1 and 4" true
-    (List.map strip r1 = List.map strip r4);
-  Alcotest.(check bool) "aggregate memo saw work" true
-    (Crashsim.Memo.misses memo1 > 0)
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_strategies_identical;
@@ -300,6 +266,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_torn_dirty_digests_match_ground_truth;
     Alcotest.test_case "verify crash consistency, shared memo" `Quick
       test_verify_crash_consistency;
-    Alcotest.test_case "crash corpus identical across jobs" `Quick
-      test_crash_corpus_jobs_identical;
   ]

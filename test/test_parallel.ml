@@ -177,18 +177,11 @@ let corpus_fingerprint results =
 
 let test_sweep_matches_serial () =
   let cases = Hippo_pmdk_mini.Bugs.all in
-  let serial, serial_cache = Hippo_bugstudy.Sweep.corpus ~jobs:1 cases in
-  let par, par_cache = Hippo_bugstudy.Sweep.corpus ~jobs:4 cases in
+  let serial = Hippo_bugstudy.Sweep.corpus ~jobs:1 cases in
+  let par = Hippo_bugstudy.Sweep.corpus ~jobs:4 cases in
   Alcotest.(check bool)
     "identical results in corpus order" true
-    (corpus_fingerprint serial = corpus_fingerprint par);
-  (* same total analysis work, merely spread over per-domain caches *)
-  let computes c =
-    List.fold_left (fun acc (_, n, _) -> acc + n) 0 (E.Cache.stats c)
-  in
-  Alcotest.(check int)
-    "same analysis computes overall" (computes serial_cache)
-    (computes par_cache)
+    (corpus_fingerprint serial = corpus_fingerprint par)
 
 let test_crashsim_sweep_jobs_identical () =
   (* the pmcheck crash-state enumeration fans out over the pool *)
