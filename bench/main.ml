@@ -389,7 +389,9 @@ let table_static () =
     "static checker — detection vs dynamic ground truth (23 corpus bugs)";
   let compare_case (case : Case.t) =
     let prog, dyn = dynamic_bugs_of case in
-    let static_ = (Driver.check_static prog).Hippo_staticcheck.Checker.bugs in
+    let static_ =
+      (Hippo_staticcheck.Checker.check prog).Hippo_staticcheck.Checker.bugs
+    in
     (dyn, static_, SAdapter.compare_reports ~static_ ~dynamic:dyn)
   in
   let print_misses (c : SAdapter.comparison) =
@@ -485,7 +487,7 @@ let table_opt () =
      repaired or manual) program; cost is the perfmodel's simulated ns
      for the subject's own workload, before and after *)
   let row name prog workload =
-    let o = O.run prog in
+    let o = (Driver.optimize ~name prog).Driver.t_outcome in
     let cost0 = sim_cost prog workload in
     let cost1 = sim_cost o.O.o_prog workload in
     (name, o, cost0, cost1)
@@ -531,7 +533,9 @@ let table_opt () =
      optimized P-CLHT must give the same verdict at every crash point,
      at both worker widths *)
   let pclht_rep = app_prog App.Pclht App.Repaired in
-  let pclht_opt = (O.run pclht_rep).O.o_prog in
+  let pclht_opt =
+    (Driver.optimize ~name:"pclht/repaired" pclht_rep).Driver.t_outcome.O.o_prog
+  in
   let verdicts =
     List.map
       (fun jobs ->

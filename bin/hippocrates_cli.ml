@@ -16,6 +16,8 @@ open Hippo_pmir
 open Hippo_pmcheck
 open Hippo_core
 
+let ( let* ) = Result.bind
+
 let read_program path =
   try Ok (Parser.program_of_file path) with
   | Parser.Parse_error { line; msg } ->
@@ -79,6 +81,16 @@ let entry_args_arg =
 
 let exits = [ Cmd.Exit.info 1 ~doc:"on failure" ]
 
+(* Every command body returns [Ok exit_code] or [Error message]; an error
+   prints as "error: <message>" on stderr and exits 1. *)
+let exit_code = function
+  | Ok code -> code
+  | Error e ->
+      Fmt.epr "error: %s@." e;
+      1
+
+let command info term = Cmd.v info Term.(const exit_code $ term)
+
 (* Count flags parse through these, so a value the workload code cannot
    take is a usage error (exit 124) before anything runs. *)
 let int_at_least ~min ~kind =
@@ -110,12 +122,13 @@ let seed_arg =
               sampling). Every worker derives its own substream from this \
               one value, so results are reproducible at any $(b,--jobs).")
 
-type trace_format = Pmemcheck | Pmtest
-
 let format_arg =
   Arg.(
     value
-    & opt (enum [ ("pmemcheck", Pmemcheck); ("pmtest", Pmtest) ]) Pmemcheck
+    & opt
+        (enum
+           [ ("pmemcheck", Tracefile.Pmemcheck); ("pmtest", Tracefile.Pmtest) ])
+        Tracefile.Pmemcheck
     & info [ "format" ] ~docv:"FORMAT"
         ~doc:"Trace dialect: $(b,pmemcheck) (native, with site statistics) \
               or $(b,pmtest) (assertion-log style; Full-AA repairs only).")
@@ -167,7 +180,10 @@ let check_cmd =
   in
   let run prog_path entry args trace_out format static crash_sweep
       crash_sample seed jobs =
-    let ( let* ) = Result.bind in
+    let write_trace path file =
+      write_file path (fun oc ->
+          output_string oc (Tracefile.to_string format file))
+    in
     let sampled_sweep prog ~setup ~checker =
       let n = Crashsim.count_crash_points prog ~setup in
       let k = min crash_sample n in
@@ -224,7 +240,10 @@ let check_cmd =
           Ok (if List.length ok = List.length verdicts then 0 else 1)
     in
     let static_check prog =
-      let r = Driver.check_static ?entries:(static_entries prog ~entry) prog in
+      let r =
+        Hippo_staticcheck.Checker.check ?entries:(static_entries prog ~entry)
+          prog
+      in
       Fmt.pr "static analysis: %d entr%s, %d summaries (%d reused)@."
         (List.length r.Hippo_staticcheck.Checker.stats.entries)
         (if List.length r.Hippo_staticcheck.Checker.stats.entries = 1 then "y"
@@ -240,10 +259,8 @@ let check_cmd =
             (* bug reports only: there is no execution, hence no events or
                site statistics; `fix --trace` accepts the file (Full-AA) *)
             let* () =
-              write_file path (fun oc ->
-                  List.iter
-                    (fun b -> output_string oc (Report.to_line b ^ "\n"))
-                    bugs)
+              write_trace path
+                { Tracefile.events = []; stats = Sitestats.create (); bugs }
             in
             Fmt.pr "reports written to %s@." path;
             Ok ()
@@ -251,65 +268,48 @@ let check_cmd =
       in
       Ok (if bugs = [] then 0 else 1)
     in
-    let result =
-      let* prog = read_program prog_path in
-      let* () = validate_or_die prog in
-      let* () =
-        if static && crash_sweep <> None then
-          Error "--crash-sweep needs a dynamic workload; drop --static"
-        else Ok ()
-      in
-      if static then static_check prog
-      else
-      let* () = require_entry prog entry in
-      let* args = parse_args args in
-      (* the event trace is only materialized when it is written out *)
-      let t, ret = run_workload prog ~trace:(trace_out <> None) ~entry ~args in
-      (match ret with
-      | Ok r -> Fmt.pr "%s(%a) returned %d@." entry Fmt.(list ~sep:comma int) args r
-      | Error e -> Fmt.pr "execution stopped: %s@." e);
-      let bugs = Interp.bugs t in
-      Fmt.pr "PM stores: %d, flushes: %d, fences: %d@."
-        (Pstate.( (Interp.pstate t).stores_pm_total ))
-        (Pstate.( (Interp.pstate t).flushes_total ))
-        (Pstate.( (Interp.pstate t).fences_total ));
-      Fmt.pr "durability bugs: %d@." (List.length bugs);
-      List.iter (fun b -> Fmt.pr "  %a@." Report.pp_bug b) bugs;
-      let* () =
-        match trace_out with
-        | Some path ->
-            let* () =
-              write_file path (fun oc ->
-                  match format with
-                  | Pmemcheck ->
-                      output_string oc (Trace.to_string (Interp.trace t));
-                      output_char oc '\n';
-                      List.iter
-                        (fun l -> output_string oc (l ^ "\n"))
-                        (Sitestats.to_lines (Interp.site_stats t));
-                      List.iter
-                        (fun b -> output_string oc (Report.to_line b ^ "\n"))
-                        (Interp.raw_bugs t)
-                  | Pmtest ->
-                      output_string oc
-                        (Pmtest_format.to_string ~events:(Interp.trace t)
-                           ~bugs:(Interp.raw_bugs t));
-                      output_char oc '\n')
-            in
-            Fmt.pr "trace written to %s@." path;
-            Ok ()
-        | None -> Ok ()
-      in
-      let* sweep_code = crash_sweep_check prog ~args in
-      Ok (if bugs = [] && sweep_code = 0 then 0 else 1)
+    let* prog = read_program prog_path in
+    let* () = validate_or_die prog in
+    let* () =
+      if static && crash_sweep <> None then
+        Error "--crash-sweep needs a dynamic workload; drop --static"
+      else Ok ()
     in
-    match result with
-    | Ok code -> code
-    | Error e ->
-        Fmt.epr "error: %s@." e;
-        1
+    if static then static_check prog
+    else
+    let* () = require_entry prog entry in
+    let* args = parse_args args in
+    (* the event trace is only materialized when it is written out *)
+    let t, ret = run_workload prog ~trace:(trace_out <> None) ~entry ~args in
+    (match ret with
+    | Ok r -> Fmt.pr "%s(%a) returned %d@." entry Fmt.(list ~sep:comma int) args r
+    | Error e -> Fmt.pr "execution stopped: %s@." e);
+    let bugs = Interp.bugs t in
+    Fmt.pr "PM stores: %d, flushes: %d, fences: %d@."
+      (Pstate.( (Interp.pstate t).stores_pm_total ))
+      (Pstate.( (Interp.pstate t).flushes_total ))
+      (Pstate.( (Interp.pstate t).fences_total ));
+    Fmt.pr "durability bugs: %d@." (List.length bugs);
+    List.iter (fun b -> Fmt.pr "  %a@." Report.pp_bug b) bugs;
+    let* () =
+      match trace_out with
+      | Some path ->
+          let* () =
+            write_trace path
+              {
+                Tracefile.events = Interp.trace t;
+                stats = Interp.site_stats t;
+                bugs = Interp.raw_bugs t;
+              }
+          in
+          Fmt.pr "trace written to %s@." path;
+          Ok ()
+      | None -> Ok ()
+    in
+    let* sweep_code = crash_sweep_check prog ~args in
+    Ok (if bugs = [] && sweep_code = 0 then 0 else 1)
   in
-  Cmd.v
+  command
     (Cmd.info "check" ~exits
        ~doc:"Run the pmemcheck-style durability bug finder (or, with \
              $(b,--static), the workload-free static analyzer); optionally \
@@ -321,38 +321,12 @@ let check_cmd =
 
 (* fix --------------------------------------------------------------- *)
 
-let parse_trace ~format content =
-  match format with
-  | Pmtest ->
-      let events, bugs = Pmtest_format.of_string content in
-      (* PMTest traces carry no site statistics: Trace-AA unavailable *)
-      (events, Sitestats.create (), bugs)
-  | Pmemcheck ->
-      let lines =
-        String.split_on_char '\n' content
-        |> List.filter (fun l -> String.trim l <> "")
-      in
-      let stats_lines, rest =
-        List.partition
-          (fun l -> String.length l > 4 && String.sub l 0 5 = "STAT;")
-          lines
-      in
-      let bug_lines, event_lines =
-        List.partition
-          (fun l -> String.length l > 3 && String.sub l 0 4 = "BUG;")
-          rest
-      in
-      let events = List.map Trace.of_line event_lines in
-      let stats = Sitestats.of_lines stats_lines in
-      let bugs = List.map Report.of_line bug_lines in
-      (events, stats, bugs)
-
 (* A trace file is outside input like a program file: an unreadable or
    malformed one is [Error "<file>: <message>"], never an exception. *)
 let load_trace_file ~format path =
   match In_channel.with_open_bin path In_channel.input_all with
   | content -> (
-      try Ok (parse_trace ~format content)
+      try Ok (Tracefile.of_string format content)
       with Trace.Bad_trace m -> Error (Fmt.str "%s: %s" path m))
   | exception Sys_error m ->
       (* open errors already name the file; read errors do not *)
@@ -440,127 +414,120 @@ let fix_cmd =
   in
   let run prog_path entry args trace_in output no_hoist oracle_choice format
       portable diff detector optimize trace_out jobs =
-    let ( let* ) = Result.bind in
-    let result =
-      let* prog = read_program prog_path in
-      let* () = validate_or_die prog in
-      let* args = parse_args args in
-      Fmt.epr "input:    %a@."
-        Hippo_perfmodel.Timed.pp_static_counts
-        (Hippo_perfmodel.Timed.static_counts prog);
-      let collected = ref [] in
-      let trace e = collected := e :: !collected in
-      let options =
-        {
-          Driver.default_options with
-          hoisting = not no_hoist;
-          oracle = oracle_choice;
-          style = (if portable then Apply.Portable else Apply.Direct);
-          jobs;
-        }
-      in
-      let* repaired, report =
-        match trace_in with
-        | Some path ->
-            let* _, stats, raw_bugs = load_trace_file ~format path in
-            let bugs = Report.dedup raw_bugs in
-            let oracle =
-              match oracle_choice with
-              | Driver.Full_aa -> Hippo_alias.Oracle.of_program prog
-              | Driver.Trace_aa -> Hippo_alias.Oracle.trace_aa stats
-            in
-            let plan, _, eliminated =
-              Driver.plan ~options ~trace ~oracle prog bugs
-            in
-            let repaired, stats' =
-              Apply.apply ~style:options.Driver.style ~oracle prog plan
-            in
-            Ok
-              ( repaired,
-                Fmt.str
-                  "bugs: %d; fixes: %d (%d intra, %d inter); reduction \
-                   eliminated %d; clones: %d"
-                  (List.length bugs)
-                  (List.length plan.Fix.fixes)
-                  (Fix.count_intra plan) (Fix.count_hoisted plan) eliminated
-                  stats'.Apply.clones_created )
-        | None when detector = Driver.Static ->
-            let r =
-              Driver.repair_static ~options ~trace
-                ?entries:(static_entries prog ~entry)
-                ~name:prog_path prog
-            in
-            if r.Driver.s_residual <> [] then
-              Error
-                (Fmt.str
-                   "verification failed: %d static bug(s) remain after \
-                    repair"
-                   (List.length r.Driver.s_residual))
-            else
-              Ok (r.Driver.s_repaired, Fmt.str "%a" Driver.pp_static_summary r)
-        | None ->
-            let* () = require_entry prog entry in
-            let workload t = ignore (Compile.call t entry args) in
-            let r =
-              Driver.repair ~options ~detector ~trace
-                ?static_entries:(static_entries prog ~entry)
-                ~name:prog_path ~workload prog
-            in
-            if not (Verify.effective r.Driver.verification) then
-              Error "verification failed: residual bugs after repair"
-            else if not (Verify.harm_free r.Driver.verification) then
-              Error "verification failed: repaired program diverges"
-            else
-              Ok (r.Driver.repaired, Fmt.str "%a" Driver.pp_summary r)
-      in
-      Fmt.epr "repaired: %a@."
-        Hippo_perfmodel.Timed.pp_static_counts
-        (Hippo_perfmodel.Timed.static_counts repaired);
-      Fmt.epr "%s@." report;
-      let repaired =
-        if not optimize then repaired
-        else begin
-          let r =
-            Driver.optimize
-              ?entries:(static_entries repaired ~entry)
-              ~name:prog_path repaired
-          in
-          Fmt.epr "%a@." Driver.pp_opt_summary r;
-          r.Driver.t_outcome.Hippo_engine.Optimize.o_prog
-        end
-      in
-      let* () =
-        match trace_out with
-        | Some path ->
-            let events = List.rev !collected in
-            let* () =
-              writing (fun () -> Hippo_engine.Event.write_jsonl path events)
-            in
-            Fmt.epr "%d engine events written to %s@." (List.length events)
-              path;
-            Fmt.epr "%a" Hippo_engine.Event.pp_table events;
-            Ok ()
-        | None -> Ok ()
-      in
-      if diff then
-        Fmt.epr "%s@." (Diff.report ~original:prog ~repaired);
-      let text = Printer.to_string repaired in
-      let* () =
-        match output with
-        | Some path -> write_file path (fun oc -> output_string oc text)
-        | None ->
-            print_string text;
-            Ok ()
-      in
-      Ok 0
+    let* prog = read_program prog_path in
+    let* () = validate_or_die prog in
+    let* args = parse_args args in
+    Fmt.epr "input:    %a@."
+      Hippo_perfmodel.Timed.pp_static_counts
+      (Hippo_perfmodel.Timed.static_counts prog);
+    let collected = ref [] in
+    let trace e = collected := e :: !collected in
+    let options =
+      {
+        Driver.default_options with
+        hoisting = not no_hoist;
+        oracle = oracle_choice;
+        style = (if portable then Apply.Portable else Apply.Direct);
+        jobs;
+      }
     in
-    match result with
-    | Ok code -> code
-    | Error e ->
-        Fmt.epr "error: %s@." e;
-        1
+    let* repaired, report =
+      match trace_in with
+      | Some path ->
+          let* file = load_trace_file ~format path in
+          let bugs = Report.dedup file.Tracefile.bugs in
+          let oracle =
+            match oracle_choice with
+            | Driver.Full_aa -> Hippo_alias.Oracle.of_program prog
+            | Driver.Trace_aa ->
+                Hippo_alias.Oracle.trace_aa file.Tracefile.stats
+          in
+          let plan, _, eliminated =
+            Driver.plan ~options ~trace ~oracle prog bugs
+          in
+          let repaired, stats' =
+            Apply.apply ~style:options.Driver.style ~oracle prog plan
+          in
+          Ok
+            ( repaired,
+              Fmt.str
+                "bugs: %d; fixes: %d (%d intra, %d inter); reduction \
+                 eliminated %d; clones: %d"
+                (List.length bugs)
+                (List.length plan.Fix.fixes)
+                (Fix.count_intra plan) (Fix.count_hoisted plan) eliminated
+                stats'.Apply.clones_created )
+      | None when detector = Driver.Static ->
+          let r =
+            Driver.repair_static ~options ~trace
+              ?entries:(static_entries prog ~entry)
+              ~name:prog_path prog
+          in
+          if r.Driver.s_residual <> [] then
+            Error
+              (Fmt.str
+                 "verification failed: %d static bug(s) remain after \
+                  repair"
+                 (List.length r.Driver.s_residual))
+          else
+            Ok (r.Driver.s_repaired, Fmt.str "%a" Driver.pp_static_summary r)
+      | None ->
+          let* () = require_entry prog entry in
+          let workload t = ignore (Compile.call t entry args) in
+          let r =
+            Driver.repair ~options ~detector ~trace
+              ?static_entries:(static_entries prog ~entry)
+              ~name:prog_path ~workload prog
+          in
+          if not (Verify.effective r.Driver.verification) then
+            Error "verification failed: residual bugs after repair"
+          else if not (Verify.harm_free r.Driver.verification) then
+            Error "verification failed: repaired program diverges"
+          else
+            Ok (r.Driver.repaired, Fmt.str "%a" Driver.pp_summary r)
+    in
+    Fmt.epr "repaired: %a@."
+      Hippo_perfmodel.Timed.pp_static_counts
+      (Hippo_perfmodel.Timed.static_counts repaired);
+    Fmt.epr "%s@." report;
+    let repaired =
+      if not optimize then repaired
+      else begin
+        let r =
+          Driver.optimize
+            ?entries:(static_entries repaired ~entry)
+            ~name:prog_path repaired
+        in
+        Fmt.epr "%a@." Driver.pp_opt_summary r;
+        r.Driver.t_outcome.Hippo_engine.Optimize.o_prog
+      end
+    in
+    let* () =
+      match trace_out with
+      | Some path ->
+          let events = List.rev !collected in
+          let* () =
+            writing (fun () -> Hippo_engine.Event.write_jsonl path events)
+          in
+          Fmt.epr "%d engine events written to %s@." (List.length events)
+            path;
+          Fmt.epr "%a" Hippo_engine.Event.pp_table events;
+          Ok ()
+      | None -> Ok ()
+    in
+    if diff then
+      Fmt.epr "%s@." (Diff.report ~original:prog ~repaired);
+    let text = Printer.to_string repaired in
+    let* () =
+      match output with
+      | Some path -> write_file path (fun oc -> output_string oc text)
+      | None ->
+          print_string text;
+          Ok ()
+    in
+    Ok 0
   in
-  Cmd.v
+  command
     (Cmd.info "fix" ~exits ~doc:"Repair durability bugs with Hippocrates.")
     Term.(
       const run $ prog_arg $ entry_arg $ entry_args_arg $ trace_in $ output
@@ -584,42 +551,34 @@ let optimize_cmd =
                 on stderr.")
   in
   let run prog_path entry output removals =
-    let ( let* ) = Result.bind in
-    let result =
-      let* prog = read_program prog_path in
-      let* () = validate_or_die prog in
-      Fmt.epr "input:    %a@."
-        Hippo_perfmodel.Timed.pp_static_counts
-        (Hippo_perfmodel.Timed.static_counts prog);
-      let r =
-        Driver.optimize
-          ?entries:(static_entries prog ~entry)
-          ~name:prog_path prog
-      in
-      Fmt.epr "%a@." Driver.pp_opt_summary r;
-      if removals then
-        List.iter
-          (fun rm -> Fmt.epr "  %a@." Hippo_engine.Optimize.pp_removal rm)
-          r.Driver.t_outcome.Hippo_engine.Optimize.o_removals;
-      let text =
-        Printer.to_string r.Driver.t_outcome.Hippo_engine.Optimize.o_prog
-      in
-      let* () =
-        match output with
-        | Some path -> write_file path (fun oc -> output_string oc text)
-        | None ->
-            print_string text;
-            Ok ()
-      in
-      Ok (if r.Driver.t_outcome.Hippo_engine.Optimize.o_reverted then 1 else 0)
+    let* prog = read_program prog_path in
+    let* () = validate_or_die prog in
+    Fmt.epr "input:    %a@."
+      Hippo_perfmodel.Timed.pp_static_counts
+      (Hippo_perfmodel.Timed.static_counts prog);
+    let r =
+      Driver.optimize
+        ?entries:(static_entries prog ~entry)
+        ~name:prog_path prog
     in
-    match result with
-    | Ok code -> code
-    | Error e ->
-        Fmt.epr "error: %s@." e;
-        1
+    Fmt.epr "%a@." Driver.pp_opt_summary r;
+    if removals then
+      List.iter
+        (fun rm -> Fmt.epr "  %a@." Hippo_engine.Optimize.pp_removal rm)
+        r.Driver.t_outcome.Hippo_engine.Optimize.o_removals;
+    let text =
+      Printer.to_string r.Driver.t_outcome.Hippo_engine.Optimize.o_prog
+    in
+    let* () =
+      match output with
+      | Some path -> write_file path (fun oc -> output_string oc text)
+      | None ->
+          print_string text;
+          Ok ()
+    in
+    Ok (if r.Driver.t_outcome.Hippo_engine.Optimize.o_reverted then 1 else 0)
   in
-  Cmd.v
+  command
     (Cmd.info "optimize" ~exits
        ~doc:"Remove provably-redundant flushes and fences (Bent\xc5\x8d-style), \
              reverting wholesale if the static bug reports change at all.")
@@ -629,29 +588,21 @@ let optimize_cmd =
 
 let run_cmd =
   let run prog_path entry args =
-    let ( let* ) = Result.bind in
-    let result =
-      let* prog = read_program prog_path in
-      let* () = validate_or_die prog in
-      let* () = require_entry prog entry in
-      let* args = parse_args args in
-      (* plain execution: nothing reads the event trace, so keep it off *)
-      let t, ret = run_workload prog ~trace:false ~entry ~args in
-      (match ret with
-      | Ok r -> Fmt.pr "returned %d@." r
-      | Error e -> Fmt.pr "execution stopped: %s@." e);
-      (match Interp.output t with
-      | [] -> ()
-      | out -> Fmt.pr "output: %a@." Fmt.(list ~sep:comma int) out);
-      Ok 0
-    in
-    match result with
-    | Ok code -> code
-    | Error e ->
-        Fmt.epr "error: %s@." e;
-        1
+    let* prog = read_program prog_path in
+    let* () = validate_or_die prog in
+    let* () = require_entry prog entry in
+    let* args = parse_args args in
+    (* plain execution: nothing reads the event trace, so keep it off *)
+    let t, ret = run_workload prog ~trace:false ~entry ~args in
+    (match ret with
+    | Ok r -> Fmt.pr "returned %d@." r
+    | Error e -> Fmt.pr "execution stopped: %s@." e);
+    (match Interp.output t with
+    | [] -> ()
+    | out -> Fmt.pr "output: %a@." Fmt.(list ~sep:comma int) out);
+    Ok 0
   in
-  Cmd.v
+  command
     (Cmd.info "run" ~exits ~doc:"Execute a PMIR program.")
     Term.(const run $ prog_arg $ entry_arg $ entry_args_arg)
 
@@ -702,25 +653,20 @@ let fuzz_cmd =
         max_execs;
         max_time = time;
         corpus_dir;
-        smoke;
       }
     in
     Fmt.pr "fuzz: seed %d, budget %s@." seed
       (if max_execs < max_int then Fmt.str "%d execs" max_execs
        else Fmt.str "%.0fs" time);
     (* the run saves the corpus under [corpus_dir] *)
-    match writing (fun () -> Hippo_fuzz.Fuzzer.run cfg) with
-    | Error e ->
-        Fmt.epr "error: %s@." e;
-        1
-    | Ok s ->
-        Fmt.pr "%a" Hippo_fuzz.Fuzzer.pp_summary s;
-        (match corpus_dir with
-        | Some dir -> Fmt.pr "corpus and reproducers saved under %s/@." dir
-        | None -> ());
-        if s.Hippo_fuzz.Fuzzer.found = [] then 0 else 1
+    let* s = writing (fun () -> Hippo_fuzz.Fuzzer.run cfg) in
+    Fmt.pr "%a" Hippo_fuzz.Fuzzer.pp_summary s;
+    (match corpus_dir with
+    | Some dir -> Fmt.pr "corpus and reproducers saved under %s/@." dir
+    | None -> ());
+    Ok (if s.Hippo_fuzz.Fuzzer.found = [] then 0 else 1)
   in
-  Cmd.v
+  command
     (Cmd.info "fuzz" ~exits
        ~doc:"Coverage-guided differential fuzzing of the detectors, the \
              repair pipeline and the crash sweeps over generated PMIR; \
@@ -839,92 +785,71 @@ let serve_cmd =
   let run app variant workload records ops workers inproc smoke unix_path
       port expect_conns seed jobs =
     let kind_name = Hippo_apps.App.kind_to_string app in
-    if (inproc || smoke) && records < workers then begin
-      Fmt.epr "error: %s@." (too_few_records ~records ~workers);
-      1
-    end
+    if (inproc || smoke) && records < workers then
+      Error (too_few_records ~records ~workers)
     else if inproc || smoke then
       Hippo_parallel.Pool.run ~domains:jobs (fun pool ->
           let run_variant variant =
             Hippo_serve.Drive.run_inproc ~pool ~app ~variant ~workload
               ~records ~ops ~workers ~seed ()
           in
-          if smoke then
-            match (run_variant Hippo_apps.App.Manual,
-                   run_variant Hippo_apps.App.Repaired,
-                   run_variant Hippo_apps.App.Optimized) with
-            | Ok manual, Ok repaired, Ok optimized ->
-                Fmt.pr "%a@.%a@.%a@." Hippo_serve.Drive.pp_outcome manual
-                  Hippo_serve.Drive.pp_outcome repaired
-                  Hippo_serve.Drive.pp_outcome optimized;
-                if
-                  Hippo_serve.Drive.agrees manual repaired
-                  && Hippo_serve.Drive.agrees repaired optimized
-                then begin
-                  Fmt.pr
-                    "serve smoke: %s manual, repaired and optimized agree@."
-                    kind_name;
-                  0
-                end
-                else begin
-                  Fmt.pr "serve smoke: %s VARIANTS DISAGREE@." kind_name;
-                  1
-                end
-            | Error e, _, _ | _, Error e, _ | _, _, Error e ->
-                Fmt.epr "error: %s@." e;
-                1
+          if smoke then begin
+            let* manual = run_variant Hippo_apps.App.Manual in
+            let* repaired = run_variant Hippo_apps.App.Repaired in
+            let* optimized = run_variant Hippo_apps.App.Optimized in
+            Fmt.pr "%a@.%a@.%a@." Hippo_serve.Drive.pp_outcome manual
+              Hippo_serve.Drive.pp_outcome repaired
+              Hippo_serve.Drive.pp_outcome optimized;
+            if
+              Hippo_serve.Drive.agrees manual repaired
+              && Hippo_serve.Drive.agrees repaired optimized
+            then begin
+              Fmt.pr "serve smoke: %s manual, repaired and optimized agree@."
+                kind_name;
+              Ok 0
+            end
+            else begin
+              Fmt.pr "serve smoke: %s VARIANTS DISAGREE@." kind_name;
+              Ok 1
+            end
+          end
           else
-            match run_variant variant with
-            | Ok o ->
-                Fmt.pr "%a@." Hippo_serve.Drive.pp_outcome o;
-                Fmt.pr "load: %.1f kops/s, run: %.1f kops/s (wall)@."
-                  (float_of_int o.Hippo_serve.Drive.load_reqs
-                  /. o.Hippo_serve.Drive.wall_load_s /. 1e3)
-                  (float_of_int o.Hippo_serve.Drive.run_reqs
-                  /. o.Hippo_serve.Drive.wall_run_s /. 1e3);
-                0
-            | Error e ->
-                Fmt.epr "error: %s@." e;
-                1)
+            let* o = run_variant variant in
+            Fmt.pr "%a@." Hippo_serve.Drive.pp_outcome o;
+            Fmt.pr "load: %.1f kops/s, run: %.1f kops/s (wall)@."
+              (float_of_int o.Hippo_serve.Drive.load_reqs
+              /. o.Hippo_serve.Drive.wall_load_s /. 1e3)
+              (float_of_int o.Hippo_serve.Drive.run_reqs
+              /. o.Hippo_serve.Drive.wall_run_s /. 1e3);
+            Ok 0)
     else
-      let listen =
+      let* listen =
         match (unix_path, port) with
         | Some path, None -> Ok (Hippo_serve.Listener.listen_unix ~path)
         | None, Some port -> Ok (Hippo_serve.Listener.listen_tcp ~port)
         | None, None -> Error "serve: need --unix, --port or --inproc"
         | Some _, Some _ -> Error "serve: --unix and --port are exclusive"
       in
-      match listen with
-      | Error e ->
-          Fmt.epr "error: %s@." e;
-          1
-      | Ok listen -> (
-          (* capacity hint: socket-mode traffic is bounded by the client's
-             --records/--ops, which the server mirrors here *)
-          let config =
-            Hippo_serve.Drive.serve_config ~final_records:(records + ops) ()
-          in
-          let nbuckets =
-            Hippo_serve.Drive.serve_nbuckets ~final_records:(records + ops)
-          in
-          match Hippo_apps.App.make ~config ~nbuckets app variant with
-          | Error e ->
-              Fmt.epr "error: %s@." e;
-              1
-          | Ok served ->
-              (match port with
-              | Some 0 ->
-                  Fmt.pr "listening on port %d@."
-                    (Hippo_serve.Listener.port_of listen)
-              | _ -> ());
-              let metrics = Hippo_serve.Metrics.create () in
-              Hippo_serve.Listener.serve ~app:served ~metrics ~listen
-                ?expect_conns ();
-              Fmt.pr "served %s: %a@." served.Hippo_apps.App.name
-                Hippo_serve.Metrics.pp metrics;
-              0)
+      (* capacity hint: socket-mode traffic is bounded by the client's
+         --records/--ops, which the server mirrors here *)
+      let config =
+        Hippo_serve.Drive.serve_config ~final_records:(records + ops) ()
+      in
+      let nbuckets =
+        Hippo_serve.Drive.serve_nbuckets ~final_records:(records + ops)
+      in
+      let* served = Hippo_apps.App.make ~config ~nbuckets app variant in
+      (match port with
+      | Some 0 ->
+          Fmt.pr "listening on port %d@." (Hippo_serve.Listener.port_of listen)
+      | _ -> ());
+      let metrics = Hippo_serve.Metrics.create () in
+      Hippo_serve.Listener.serve ~app:served ~metrics ~listen ?expect_conns ();
+      Fmt.pr "served %s: %a@." served.Hippo_apps.App.name
+        Hippo_serve.Metrics.pp metrics;
+      Ok 0
   in
-  Cmd.v
+  command
     (Cmd.info "serve" ~exits
        ~doc:"Serve a PM application over the binary KV protocol (Unix or \
              TCP socket), or drive it in-process ($(b,--inproc)) for CI.")
@@ -941,7 +866,7 @@ let loadgen_cmd =
           ~doc:"Skip the load phase (the server is already populated).")
   in
   let run workload records ops workers unix_path port skip_load seed jobs =
-    let connect =
+    let* connect =
       match (unix_path, port) with
       | _ when records < workers -> Error (too_few_records ~records ~workers)
       | Some path, None ->
@@ -951,29 +876,25 @@ let loadgen_cmd =
       | None, None -> Error "loadgen: need --unix or --port"
       | Some _, Some _ -> Error "loadgen: --unix and --port are exclusive"
     in
-    match connect with
-    | Error e ->
-        Fmt.epr "error: %s@." e;
-        1
-    | Ok connect ->
-        let r =
-          Hippo_parallel.Pool.run ~domains:jobs (fun pool ->
-              Hippo_serve.Loadgen.run_sockets ~connect ~pool ~kind:workload
-                ~records ~ops ~workers ~seed ~skip_load ())
-        in
-        Fmt.pr "load: %d reqs (%a)@." r.Hippo_serve.Loadgen.load_reqs
-          Hippo_serve.Loadgen.pp_verdicts r.Hippo_serve.Loadgen.load_verdicts;
-        Fmt.pr "run: %d reqs (%a)@." r.Hippo_serve.Loadgen.run_reqs
-          Hippo_serve.Loadgen.pp_verdicts r.Hippo_serve.Loadgen.run_verdicts;
-        Fmt.pr "%.1f kops/s (wall)@."
-          (float_of_int
-             (r.Hippo_serve.Loadgen.load_reqs + r.Hippo_serve.Loadgen.run_reqs)
-          /. r.Hippo_serve.Loadgen.wall_s /. 1e3);
-        if r.Hippo_serve.Loadgen.run_verdicts.Hippo_serve.Loadgen.errors = 0
-        then 0
-        else 1
+    let r =
+      Hippo_parallel.Pool.run ~domains:jobs (fun pool ->
+          Hippo_serve.Loadgen.run_sockets ~connect ~pool ~kind:workload
+            ~records ~ops ~workers ~seed ~skip_load ())
+    in
+    Fmt.pr "load: %d reqs (%a)@." r.Hippo_serve.Loadgen.load_reqs
+      Hippo_serve.Loadgen.pp_verdicts r.Hippo_serve.Loadgen.load_verdicts;
+    Fmt.pr "run: %d reqs (%a)@." r.Hippo_serve.Loadgen.run_reqs
+      Hippo_serve.Loadgen.pp_verdicts r.Hippo_serve.Loadgen.run_verdicts;
+    Fmt.pr "%.1f kops/s (wall)@."
+      (float_of_int
+         (r.Hippo_serve.Loadgen.load_reqs + r.Hippo_serve.Loadgen.run_reqs)
+      /. r.Hippo_serve.Loadgen.wall_s /. 1e3);
+    Ok
+      (if r.Hippo_serve.Loadgen.run_verdicts.Hippo_serve.Loadgen.errors = 0
+       then 0
+       else 1)
   in
-  Cmd.v
+  command
     (Cmd.info "loadgen" ~exits
        ~doc:"Stream YCSB traffic at a running $(b,hippocrates serve) over \
              its socket: one connection per logical worker, deterministic \
@@ -1076,54 +997,44 @@ let sim_cmd =
       (Hippo_apps.App.variant_to_string variant)
       (Hippo_sim.Harness.mode_to_string mode)
       seed scenarios ops;
-    match Hippo_sim.Harness.run cfg with
-    | Error e ->
-        Fmt.epr "error: %s@." e;
-        1
-    | Ok r ->
-        Fmt.pr "crashes: %d, recoveries: %d, reordered: %d, torn: %d@."
-          r.Hippo_sim.Harness.crashes r.Hippo_sim.Harness.recoveries
-          r.Hippo_sim.Harness.reordered r.Hippo_sim.Harness.torn;
-        Fmt.pr "virtual time: %.3f ms@."
-          (r.Hippo_sim.Harness.clock_ns /. 1e6);
-        Fmt.pr "digest: %s@." r.Hippo_sim.Harness.digest;
-        (match r.Hippo_sim.Harness.baseline_violating with
-        | [] -> ()
-        | idx ->
-            Fmt.pr "baseline violations in scenarios: %a@."
-              Fmt.(list ~sep:(any ",") int)
-              idx);
-        let violating = r.Hippo_sim.Harness.violating in
-        if violating = [] then begin
-          Fmt.pr "sim: OK (0 violations)@.";
-          0
-        end
-        else begin
-          Fmt.pr "violations: %d in scenarios: %a@."
-            (List.length r.Hippo_sim.Harness.violations)
-            Fmt.(list ~sep:(any ",") int)
-            violating;
-          List.iteri
-            (fun i (v : Hippo_sim.Scenario.violation) ->
-              if i < 5 then
-                Fmt.pr "  step %d %s: %s@." v.Hippo_sim.Scenario.step
-                  v.Hippo_sim.Scenario.kind v.Hippo_sim.Scenario.detail)
-            r.Hippo_sim.Harness.violations;
-          match
-            writing (fun () ->
-                Hippo_sim.Harness.save_reproducers ~dir:out cfg r)
-          with
-          | Error e ->
-              Fmt.epr "error: %s@." e;
-              1
-          | Ok paths ->
-              List.iter (fun p -> Fmt.pr "reproducer: %s@." p) paths;
-              Fmt.pr "replay: %s@." (Hippo_sim.Harness.replay_cmdline cfg);
-              Fmt.pr "sim: FAIL@.";
-              1
-        end
+    let* r = Hippo_sim.Harness.run cfg in
+    Fmt.pr "crashes: %d, recoveries: %d, reordered: %d, torn: %d@."
+      r.Hippo_sim.Harness.crashes r.Hippo_sim.Harness.recoveries
+      r.Hippo_sim.Harness.reordered r.Hippo_sim.Harness.torn;
+    Fmt.pr "virtual time: %.3f ms@." (r.Hippo_sim.Harness.clock_ns /. 1e6);
+    Fmt.pr "digest: %s@." r.Hippo_sim.Harness.digest;
+    (match r.Hippo_sim.Harness.baseline_violating with
+    | [] -> ()
+    | idx ->
+        Fmt.pr "baseline violations in scenarios: %a@."
+          Fmt.(list ~sep:(any ",") int)
+          idx);
+    let violating = r.Hippo_sim.Harness.violating in
+    if violating = [] then begin
+      Fmt.pr "sim: OK (0 violations)@.";
+      Ok 0
+    end
+    else begin
+      Fmt.pr "violations: %d in scenarios: %a@."
+        (List.length r.Hippo_sim.Harness.violations)
+        Fmt.(list ~sep:(any ",") int)
+        violating;
+      List.iteri
+        (fun i (v : Hippo_sim.Scenario.violation) ->
+          if i < 5 then
+            Fmt.pr "  step %d %s: %s@." v.Hippo_sim.Scenario.step
+              v.Hippo_sim.Scenario.kind v.Hippo_sim.Scenario.detail)
+        r.Hippo_sim.Harness.violations;
+      let* paths =
+        writing (fun () -> Hippo_sim.Harness.save_reproducers ~dir:out cfg r)
+      in
+      List.iter (fun p -> Fmt.pr "reproducer: %s@." p) paths;
+      Fmt.pr "replay: %s@." (Hippo_sim.Harness.replay_cmdline cfg);
+      Fmt.pr "sim: FAIL@.";
+      Ok 1
+    end
   in
-  Cmd.v
+  command
     (Cmd.info "sim" ~exits
        ~doc:"Deterministic fault-injecting scenario simulation of the PM \
              applications: seeded workloads, crashes at arbitrary crash \
@@ -1149,9 +1060,9 @@ let corpus_cmd =
         Fmt.pr "%-12s %-14s %-55s %a@." c.Hippo_pmdk_mini.Case.id c.system
           c.title Hippo_pmdk_mini.Case.pp_shape c.expected_shape)
       cases;
-    0
+    Ok 0
   in
-  Cmd.v
+  command
     (Cmd.info "corpus" ~exits ~doc:"List the reproduced bug corpus.")
     Term.(const run $ const ())
 

@@ -22,14 +22,6 @@ type obj = {
 
 let obj_is_pm o = match o.site with `Pm_alloc _ | `Pm_region -> true | _ -> false
 
-let pp_obj ppf o =
-  match o.site with
-  | `Alloca iid -> Fmt.pf ppf "alloca@%a" Iid.pp iid
-  | `Malloc iid -> Fmt.pf ppf "malloc@%a" Iid.pp iid
-  | `Pm_alloc iid -> Fmt.pf ppf "pm_alloc@%a" Iid.pp iid
-  | `Pm_region -> Fmt.string ppf "pm_region"
-  | `Global g -> Fmt.pf ppf "global@%s" g
-
 (* Constraint-graph nodes: one per (function, register), one per function
    return value, one "contents" node per abstract object. *)
 type node =

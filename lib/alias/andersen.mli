@@ -25,7 +25,6 @@ type obj = {
 }
 
 val obj_is_pm : obj -> bool
-val pp_obj : Format.formatter -> obj -> unit
 
 (** Constraint-graph nodes: one per (function, register), one per function
     return value, one "contents" node per abstract object. *)

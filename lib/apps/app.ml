@@ -26,11 +26,6 @@ type kind = Redis | Pclht
 
 let kind_to_string = function Redis -> "redis" | Pclht -> "pclht"
 
-let kind_of_string = function
-  | "redis" -> Some Redis
-  | "pclht" -> Some Pclht
-  | _ -> None
-
 type variant = Flush_free | Manual | Repaired | Optimized
 
 let variant_to_string = function
@@ -38,13 +33,6 @@ let variant_to_string = function
   | Manual -> "manual"
   | Repaired -> "repaired"
   | Optimized -> "optimized"
-
-let variant_of_string = function
-  | "flush-free" -> Some Flush_free
-  | "manual" -> Some Manual
-  | "repaired" -> Some Repaired
-  | "optimized" -> Some Optimized
-  | _ -> None
 
 type read_result = Found of string | Absent
 type scan_result = Scanned of string list | Scan_unsupported

@@ -14,7 +14,6 @@ open Hippo_pmcheck
 type kind = Redis | Pclht
 
 val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
 
 (** Which build is being served:
     - [Flush_free]: the Hippocrates repair input (Redis only — P-CLHT's
@@ -28,7 +27,6 @@ val kind_of_string : string -> kind option
 type variant = Flush_free | Manual | Repaired | Optimized
 
 val variant_to_string : variant -> string
-val variant_of_string : string -> variant option
 
 type read_result = Found of string | Absent
 type scan_result = Scanned of string list | Scan_unsupported

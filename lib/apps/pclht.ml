@@ -196,16 +196,10 @@ let build () : Program.t =
   p
 
 (* ---------------------------------------------------------------------- *)
-(* Host-side driver: a YCSB client session symmetric to
-   {!Redis_mini.run_op}, so the serve handler and load generator can be
-   app-agnostic. CLHT keys and values are nonzero machine words, so YCSB
-   integer keys and (key, version) values are shifted into the nonzero
-   range. *)
+(* Host-side session: an interpreter with an initialized table. The
+   {!App} adapter drives it with string keys mapped onto nonzero words. *)
 
 type session = { interp : Interp.t; hdr_addr : int }
-
-let key_of k = k + 1
-let value_of ~k ~version = ((k + 1) * 8) + version + 1
 
 let attach ?(nbuckets = 1024) interp : session =
   let hdr = Compile.call interp "clht_init" [ nbuckets ] in
@@ -231,37 +225,12 @@ let recover_attach interp : session =
   in
   { interp; hdr_addr = hdr }
 
-let op_insert s ~k ~version =
-  ignore (Compile.call s.interp "clht_put" [ key_of k; value_of ~k ~version ])
-
-(** Returns the stored value word, or 0 when absent. *)
-let op_read s ~k = Compile.call s.interp "clht_get" [ key_of k ]
-
-let op_delete s ~k = Compile.call s.interp "clht_del" [ key_of k ]
-
 (** The table's size field (header offset 24), read host-side: CLHT has
     no size query function. *)
 let count s =
   Mem.load (Interp.mem s.interp) ~addr:(s.hdr_addr + 24) ~size:8
 
 let check s = Compile.call s.interp "clht_check" [] <> 0
-
-(** CLHT has no ordered iteration, so [Scan] degrades to point lookups
-    of the [len] keys following the start key (exactly what
-    {!Redis_mini.run_op} does); the protocol-level scan is reported as
-    unsupported by the {!App} adapter instead. *)
-let run_op s (op : Hippo_ycsb.Workload.op) =
-  match op with
-  | Hippo_ycsb.Workload.Read k -> ignore (op_read s ~k)
-  | Hippo_ycsb.Workload.Update k -> op_insert s ~k ~version:1
-  | Hippo_ycsb.Workload.Insert k -> op_insert s ~k ~version:0
-  | Hippo_ycsb.Workload.Scan (k, len) ->
-      for j = k to k + len - 1 do
-        ignore (op_read s ~k:j)
-      done
-  | Hippo_ycsb.Workload.Read_modify_write k ->
-      ignore (op_read s ~k);
-      op_insert s ~k ~version:2
 
 (** The example workload from RECIPE's evaluation: standard insertion,
     update, lookup and deletion traffic. 60 keys into 16 three-slot

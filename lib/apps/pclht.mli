@@ -18,15 +18,9 @@ open Hippo_pmcheck
 
 val build : unit -> Program.t
 
-(** A YCSB client session symmetric to {!Redis_mini}'s: integer keys and
-    (key, version) values are shifted into CLHT's nonzero-word domain. *)
+(** An interpreter with an initialized table; the {!App} adapter drives
+    it with string keys mapped onto CLHT's nonzero-word domain. *)
 type session = { interp : Interp.t; hdr_addr : int }
-
-(** The nonzero key word a YCSB integer key maps to. *)
-val key_of : int -> int
-
-(** The nonzero value word a (key, version) pair maps to. *)
-val value_of : k:int -> version:int -> int
 
 (** Initialize the table on an existing interpreter. *)
 val attach : ?nbuckets:int -> Interp.t -> session
@@ -37,22 +31,12 @@ val start : ?config:Interp.config -> ?nbuckets:int -> Program.t -> session
     ([Machine.restart ~pm_image]; [clht_recover_check] re-derives the
     header from [pm_base]). *)
 val recover_attach : Interp.t -> session
-val op_insert : session -> k:int -> version:int -> unit
-
-(** Returns the stored value word, or 0 when absent. *)
-val op_read : session -> k:int -> int
-
-val op_delete : session -> k:int -> int
 
 (** The table's size field, read host-side (CLHT has no size query). *)
 val count : session -> int
 
 (** Run [clht_check]: the walk agrees with the stored size. *)
 val check : session -> bool
-
-(** [Scan] degrades to point lookups ({!Redis_mini.run_op}'s behavior);
-    protocol-level scans are reported unsupported by the {!App} adapter. *)
-val run_op : session -> Hippo_ycsb.Workload.op -> unit
 
 (** The example workload from RECIPE's evaluation: insertion, update,
     lookup and deletion traffic, with chains forced through overflow. *)

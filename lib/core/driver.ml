@@ -17,8 +17,6 @@ let now = E.Unix_time.now
 
 type oracle_choice = E.Context.oracle_choice = Full_aa | Trace_aa
 
-let oracle_name = E.Context.oracle_name
-
 type options = E.Context.options = {
   oracle : oracle_choice;
   hoisting : bool;  (** Phase 3 on/off (off = the H-intra configuration) *)
@@ -59,10 +57,6 @@ let plan ?(options = default_options) ?cache ?trace ~oracle prog
   E.Engine.plan ~options ?cache ?trace ~oracle prog bugs
 
 type detector = E.Detector.choice = Dynamic | Static | Both
-
-let detector_name = E.Detector.choice_name
-let detector_of_string = E.Detector.choice_of_string
-let check_static ?entries prog = Hippo_staticcheck.Checker.check ?entries prog
 
 let repair ?(options = default_options) ?(detector = Dynamic) ?static_entries
     ?cache ?trace ~name ~(workload : Interp.t -> unit)

@@ -22,8 +22,6 @@ type oracle_choice = Hippo_engine.Context.oracle_choice =
   | Full_aa
   | Trace_aa
 
-val oracle_name : oracle_choice -> string
-
 type options = Hippo_engine.Context.options = {
   oracle : oracle_choice;
   hoisting : bool;  (** Phase 3 on/off (off = the H-intra configuration) *)
@@ -74,16 +72,9 @@ val plan :
 (** Which bug finder seeds the repair. [Dynamic] is the paper's pipeline
     (pmemcheck-style tracing); [Static] takes the reports of
     {!Hippo_staticcheck.Checker} instead — same report shape, same repair
-    stages; [Both] unions the two report sets. These are the first-class
-    {!Hippo_engine.Detector.t} sources, selected by name. *)
+    stages; [Both] unions the two report sets. Each selects one of the
+    first-class {!Hippo_engine.Detector.t} sources. *)
 type detector = Hippo_engine.Detector.choice = Dynamic | Static | Both
-
-val detector_name : detector -> string
-val detector_of_string : string -> detector option
-
-(** Run the static durability checker (Step 1 of the static pipeline). *)
-val check_static :
-  ?entries:string list -> Program.t -> Hippo_staticcheck.Checker.result
 
 (** The full pipeline. [workload] drives the program through the
     interpreter; the same workload is replayed on the repaired program for

@@ -7,8 +7,6 @@ open Hippo_pmcheck
 
 type oracle_choice = Full_aa | Trace_aa
 
-let oracle_name = function Full_aa -> "Full-AA" | Trace_aa -> "Trace-AA"
-
 type options = {
   oracle : oracle_choice;
   hoisting : bool;  (** Phase 3 on/off (off = the H-intra configuration) *)

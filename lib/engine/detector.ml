@@ -5,17 +5,6 @@ open Hippo_pmcheck
 
 type choice = Dynamic | Static | Both
 
-let choice_name = function
-  | Dynamic -> "dynamic"
-  | Static -> "static"
-  | Both -> "both"
-
-let choice_of_string = function
-  | "dynamic" -> Some Dynamic
-  | "static" -> Some Static
-  | "both" -> Some Both
-  | _ -> None
-
 type outcome = {
   bugs : Report.bug list;
   site_stats : Sitestats.t option;

@@ -14,9 +14,6 @@ open Hippo_pmcheck
 (** The classic three-way selection, kept for CLI/API compatibility. *)
 type choice = Dynamic | Static | Both
 
-val choice_name : choice -> string
-val choice_of_string : string -> choice option
-
 (** What a detector found. [site_stats] and [trace_events] are only
     populated by dynamic execution (they feed the Trace-AA oracle and
     the offline-overhead experiment); [checker_stats] only by the static

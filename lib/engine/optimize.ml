@@ -13,9 +13,9 @@
      that deletion is a dynamic no-op on every execution, so crash-sweep
      verdicts cannot drift.
 
-   A site is removed only when both agree. The pipeline additionally
-   re-checks the optimized program and reverts wholesale if the static
-   reports are not byte-identical. *)
+   A site is removed only when both agree. The engine's opt-verify pass
+   additionally re-checks the optimized program and reverts wholesale if
+   the static reports are not byte-identical. *)
 
 open Hippo_pmir
 open Hippo_pmcheck
@@ -755,52 +755,6 @@ type outcome = {
   o_report_equal : bool;
   o_reverted : bool;
 }
-
-let run ?(cache = Cache.create ()) ?entries prog =
-  let a = analyze ~cache ?entries prog in
-  let before = Hippo_perfmodel.Timed.static_counts prog in
-  match a.a_removals with
-  | [] ->
-      {
-        o_prog = prog;
-        o_removals = [];
-        o_candidates = 0;
-        o_before = before;
-        o_after = before;
-        o_bugs = a.a_bugs;
-        o_residual = a.a_bugs;
-        o_report_equal = true;
-        o_reverted = false;
-      }
-  | removals ->
-      let prog' = rewrite prog removals in
-      let v' = Cache.view cache prog' in
-      let residual = (Cache.static_check ?entries v').SC.Checker.bugs in
-      if reports_equal a.a_bugs residual then
-        {
-          o_prog = prog';
-          o_removals = removals;
-          o_candidates = List.length removals;
-          o_before = before;
-          o_after = Hippo_perfmodel.Timed.static_counts prog';
-          o_bugs = a.a_bugs;
-          o_residual = residual;
-          o_report_equal = true;
-          o_reverted = false;
-        }
-      else
-        (* do no harm: any static-report drift keeps the input program *)
-        {
-          o_prog = prog;
-          o_removals = [];
-          o_candidates = List.length removals;
-          o_before = before;
-          o_after = before;
-          o_bugs = a.a_bugs;
-          o_residual = a.a_bugs;
-          o_report_equal = false;
-          o_reverted = true;
-        }
 
 (* Do-no-harm check: byte-identical crash-sweep verdict lists. *)
 let crash_verdicts_identical ?config ?jobs ~setup ~checker ~checker_args

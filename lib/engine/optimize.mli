@@ -36,9 +36,10 @@
       operation is a dynamic no-op on every concrete execution, so
       crash-image sweeps cannot change verdict.
 
-    As a belt-and-braces guarantee, {!run} re-checks the rewritten
-    program and {e reverts the whole rewrite} if the static reports are
-    not identical to the input's. *)
+    As a belt-and-braces guarantee, the engine's [opt-verify] pass
+    ({!Engine.opt_passes}) re-checks the rewritten program and
+    {e reverts the whole rewrite} if the static reports are not
+    identical to the input's. *)
 
 open Hippo_pmir
 open Hippo_pmcheck
@@ -81,6 +82,7 @@ val rewrite : Program.t -> removal list -> Program.t
 (** Sorted [Report.to_line] rendering, the report-identity criterion. *)
 val reports_equal : Report.bug list -> Report.bug list -> bool
 
+(** The optimizer pipeline's result, built by [opt-verify]. *)
 type outcome = {
   o_prog : Program.t;  (** optimized program; the input when reverted *)
   o_removals : removal list;  (** applied removals; [[]] when reverted *)
@@ -92,10 +94,6 @@ type outcome = {
   o_report_equal : bool;
   o_reverted : bool;  (** reports drifted; the input program was kept *)
 }
-
-(** Analyse, rewrite, re-check; revert wholesale on static-report
-    drift. *)
-val run : ?cache:Cache.t -> ?entries:string list -> Program.t -> outcome
 
 (** [crash_verdicts_identical ~setup ~checker ~checker_args orig opt]
     sweeps both programs over every crash point (crash points are

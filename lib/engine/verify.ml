@@ -18,8 +18,6 @@ type outcome = {
   residual_bugs : Report.bug list;
   outputs_match : bool;
   pm_working_match : bool;
-  crash_consistent_improved : bool option;
-      (** set by callers that also run crash simulation *)
 }
 
 let harm_free o = o.outputs_match && o.pm_working_match
@@ -63,46 +61,7 @@ let check ~jobs ~(workload : Interp.t -> unit) ~(config : Interp.config)
       Bytes.equal
         (Mem.working_image (Interp.mem t0))
         (Mem.working_image (Interp.mem t1));
-    crash_consistent_improved = None;
   }
-
-type crash_report = {
-  original_consistent : bool;
-  repaired_consistent : bool;
-  original_stats : Crashsim.stats;
-  repaired_stats : Crashsim.stats;
-}
-
-let crash_improved r = r.repaired_consistent && not r.original_consistent
-
-(** Crash-simulation counterpart of {!check}: sweep every crash point of
-    both programs and compare. The two single-pass sweeps share one memo
-    under the original's signature — sound because a harm-free repair
-    preserves working-image semantics, so the two checkers agree on every
-    image; durable images the repair leaves unchanged (most of them) are
-    then recovered once, not twice. *)
-let check_crash_consistency ?(jobs = 1) ?memo
-    ~(config : Interp.config) ~setup ~checker ~checker_args
-    ~(original : Program.t) ~(repaired : Program.t) () : crash_report =
-  let memo = match memo with Some m -> m | None -> Crashsim.Memo.create () in
-  let memo_sig = Crashsim.program_sig original in
-  let sweep prog =
-    Crashsim.sweep_with_stats ~config ~jobs ~memo ~memo_sig prog
-      ~setup ~checker ~checker_args
-  in
-  let vo, original_stats = sweep original in
-  let vr, repaired_stats = sweep repaired in
-  {
-    original_consistent = List.for_all Crashsim.consistent vo;
-    repaired_consistent = List.for_all Crashsim.consistent vr;
-    original_stats;
-    repaired_stats;
-  }
-
-(** Fold a crash report into an outcome: the repaired program recovers at
-    every crash point. *)
-let with_crash_report (o : outcome) (r : crash_report) =
-  { o with crash_consistent_improved = Some r.repaired_consistent }
 
 let pp ppf o =
   Fmt.pf ppf "residual bugs: %d; outputs %s; PM state %s"

@@ -9,7 +9,6 @@ type config = {
   max_execs : int;
   max_time : float;
   corpus_dir : string option;
-  smoke : bool;
 }
 
 let default_config =
@@ -19,7 +18,6 @@ let default_config =
     max_execs = 256;
     max_time = 0.;
     corpus_dir = None;
-    smoke = false;
   }
 
 type found = {

@@ -3,12 +3,13 @@
     Rounds of a fixed candidate count: each round builds its candidates
     serially (generation for the seed round, corpus mutation afterwards
     — every candidate's RNG is {!Hippo_parallel.Stream.state}[ ~seed
-    [namespace; round; slot]]), evaluates them across the PR 3 domain
-    pool, then merges outcomes into the corpus serially in slot order.
-    Because candidate construction, RNG streams and merging are all
-    independent of scheduling, a run is byte-identical at any [--jobs]
-    width for a given [--seed] (exec-bounded runs; a wall-clock budget
-    necessarily makes the round count timing-dependent).
+    [namespace; round; slot]]), evaluates them across the
+    {!Hippo_parallel.Pool} domain pool, then merges outcomes into the
+    corpus serially in slot order. Because candidate construction, RNG
+    streams and merging are all independent of scheduling, a run is
+    byte-identical at any [--jobs] width for a given [--seed]
+    (exec-bounded runs; a wall-clock budget necessarily makes the round
+    count timing-dependent).
 
     After the guided loop an equal number of coverage-blind generated
     programs is executed (namespace 1) as the baseline the summary
@@ -23,7 +24,6 @@ type config = {
   max_execs : int;  (** guided executions; the blind baseline adds as many *)
   max_time : float;  (** wall-clock budget in seconds; [0.] = unlimited *)
   corpus_dir : string option;  (** save corpus + reproducers here *)
-  smoke : bool;  (** CI mode: small fixed budget, fully deterministic *)
 }
 
 val default_config : config

@@ -1,9 +1,9 @@
 (** Randomized well-typed PMIR generator (the fuzzer's seed source).
 
-    Promoted from the PR 3 test-local generator so the fuzzer, the qcheck
-    suites and the benchmarks share one program family. Programs mix PM
-    stores, flushes, fences, volatile traffic, interprocedural persist
-    helpers and data-dependent branches ([S_guard]).
+    One generator serves the fuzzer, the qcheck suites and the
+    benchmarks, so all of them exercise one program family. Programs mix
+    PM stores, flushes, fences, volatile traffic, interprocedural
+    persist helpers and data-dependent branches ([S_guard]).
 
     Three families:
     - {!arb_bug_free}: every PM store is covered by a

@@ -107,7 +107,7 @@ let evaluate_exn prog =
   let dynamic = Interp.bugs t in
   let edges = Coverage.to_list cov in
   (* O1: every dynamic site must be covered by a static report *)
-  let static_ = (Driver.check_static ~entries:[ "main" ] prog).Checker.bugs in
+  let static_ = (Checker.check ~entries:[ "main" ] prog).Checker.bugs in
   let cmp = Adapter.compare_reports ~static_ ~dynamic in
   if cmp.Adapter.missed <> [] then
     flag "static_dynamic"

@@ -236,9 +236,3 @@ let sweep_with_stats ?config ?(jobs = 1) ?memo ?memo_sig prog ~setup ~checker
 (** [sweep] is {!sweep_with_stats} without the statistics. *)
 let sweep ?config ?jobs ?memo prog ~setup ~checker ~checker_args =
   fst (sweep_with_stats ?config ?jobs ?memo prog ~setup ~checker ~checker_args)
-
-(** A program is crash consistent for a workload when recovery succeeds on
-    the pessimistic image of every crash point. *)
-let crash_consistent ?config ?jobs ?memo prog ~setup ~checker ~checker_args =
-  List.for_all consistent
-    (sweep ?config ?jobs ?memo prog ~setup ~checker ~checker_args)

@@ -30,6 +30,8 @@ type verdict = {
   lucky_ok : bool;  (** recovery succeeded on the working image *)
 }
 
+(** Recovery succeeded on the pessimistic image. A program is crash
+    consistent for a workload when every verdict of its {!sweep} is. *)
 val consistent : verdict -> bool
 
 type stats = {
@@ -43,10 +45,10 @@ type stats = {
 
 (** Memoized recovery verdicts keyed by (program, checker, checker args,
     image fingerprint). Pass one table to several single-pass sweeps —
-    e.g. the original and repaired program in {!Hippo_engine.Verify} —
-    and repeated durable images cost nothing. Reuse assumes the sweeps
-    share an interpreter config. Not domain-safe: share it within one
-    domain. *)
+    e.g. the original and repaired program in the fuzz oracle's
+    repair-harm check — and repeated durable images cost nothing. Reuse
+    assumes the sweeps share an interpreter config. Not domain-safe:
+    share it within one domain. *)
 module Memo : sig
   type t
 
@@ -101,7 +103,8 @@ val replay_sweep :
     omitted, each sweep memoizes privately (within-sweep dedup still
     applies). [memo_sig] overrides the program component of the memo
     key; pass one signature for two programs only when their checkers are
-    known equivalent on every image (original vs harm-free repair). *)
+    known equivalent on every image (original vs harm-free repair, as the
+    fuzz oracle's repair-harm check does). *)
 val sweep_with_stats :
   ?config:Interp.config ->
   ?jobs:int ->
@@ -123,15 +126,3 @@ val sweep :
   checker:string ->
   checker_args:int list ->
   verdict list
-
-(** A program is crash consistent for a workload when recovery succeeds on
-    the pessimistic image of every crash point. *)
-val crash_consistent :
-  ?config:Interp.config ->
-  ?jobs:int ->
-  ?memo:Memo.t ->
-  Hippo_pmir.Program.t ->
-  setup:(string * int list) list ->
-  checker:string ->
-  checker_args:int list ->
-  bool

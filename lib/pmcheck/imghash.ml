@@ -22,8 +22,6 @@ type digest = { h1 : int64; h2 : int64 }
 let zero_digest = { h1 = 0L; h2 = 0L }
 let equal_digest a b = Int64.equal a.h1 b.h1 && Int64.equal a.h2 b.h2
 
-let pp_digest ppf d = Fmt.pf ppf "%016Lx%016Lx" d.h1 d.h2
-
 type t = { mutable a : int64; mutable b : int64 }
 
 let create () = { a = 0L; b = 0L }

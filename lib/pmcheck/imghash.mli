@@ -13,7 +13,6 @@ val zero_digest : digest
 (** Digest of an all-zero image. *)
 
 val equal_digest : digest -> digest -> bool
-val pp_digest : Format.formatter -> digest -> unit
 
 type t
 (** A mutable fingerprint accumulator. *)

@@ -268,8 +268,8 @@ let lines_of r =
 (** [commit_chosen t mem chosen] makes a chosen subset of the in-flight
     write-backs durable, modelling a write-pending queue that drained
     some entries before power was lost. Write-backs to one cache line
-    complete in store order (the PR 3 clflush-drain invariant), so the
-    chosen set is first {e closed}: picking a record drags along every
+    complete in store order (the invariant a clflush's drain keeps), so
+    the chosen set is first {e closed}: picking a record drags along every
     older pending record sharing a cache line with it, transitively.
     Committing then proceeds oldest-first, exactly like {!fence} — an
     injected schedule can choose {e which lines} drained, never the

@@ -100,7 +100,8 @@ val pending_records : t -> record list
     entries before power loss. The chosen set is closed under "older
     pending record sharing a cache line" and committed oldest-first, so
     injected reordering can pick {e which lines} drained but can never
-    violate the per-line store-order (PR 3 clflush-drain) invariant.
+    violate per-line store order (the invariant a clflush's drain of
+    earlier in-flight flushes to its line keeps).
     Returns the number of records made durable. *)
 val commit_chosen : t -> Mem.t -> (record -> bool) -> int
 

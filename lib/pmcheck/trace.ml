@@ -110,10 +110,7 @@ let to_line = function
         (match iid with Some i -> Iid.to_string i | None -> "exit")
         Loc.pp loc (stack_to_string stack)
 
-let to_string events = String.concat "\n" (List.map to_line events)
-
-(* Parsing (used to demonstrate the tool consumes on-disk traces, and to
-   round-trip in tests). *)
+(* Parsing: {!Tracefile} reads on-disk traces line by line. *)
 
 exception Bad_trace of string
 
@@ -232,8 +229,3 @@ let of_line line =
           seq = parse_int seq;
         }
   | _ -> bad "unparseable trace line %S" line
-
-let of_string s =
-  String.split_on_char '\n' s
-  |> List.filter (fun l -> String.trim l <> "")
-  |> List.map of_line

@@ -7,8 +7,8 @@
     interprocedural fix candidates.
 
     Serialization is line-oriented (';'-separated fields, stacks
-    '<'-separated innermost-first), round-tripping through
-    {!to_string}/{!of_string}. *)
+    '<'-separated innermost-first), one event per line through
+    {!to_line}/{!of_line}; {!Tracefile} assembles whole trace files. *)
 
 open Hippo_pmir
 
@@ -69,7 +69,6 @@ val stack_to_string : stack -> string
 val arg_class_to_string : arg_class -> string
 val arg_class_of_string : string -> arg_class option
 val to_line : event -> string
-val to_string : event list -> string
 
 exception Bad_trace of string
 
@@ -84,4 +83,3 @@ val parse_int : string -> int
 val parse_bool : string -> bool
 
 val of_line : string -> event
-val of_string : string -> event list

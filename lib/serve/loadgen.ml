@@ -11,7 +11,7 @@
     identical under any interleaving of workers and any [--jobs] width.
 
     Neither app supports scans, so [Scan (k, len)] is emulated as [len]
-    point GETs (exactly what the apps' own [run_op] harnesses do) and
+    point GETs (exactly what {!Hippo_apps.Redis_mini.run_op} does) and
     read-modify-write as GET + SET. *)
 
 open Hippo_ycsb

@@ -292,25 +292,3 @@ let decode_frame payload buf ~pos : ('a * int, error) result =
 
 let decode_request buf ~pos = decode_frame decode_request_payload buf ~pos
 let decode_reply buf ~pos = decode_frame decode_reply_payload buf ~pos
-
-(* ------------------------------------------------------------------ *)
-
-let pp_request ppf = function
-  | Set { key; value } ->
-      Fmt.pf ppf "SET %s (%d bytes)" key (String.length value)
-  | Get { key } -> Fmt.pf ppf "GET %s" key
-  | Del { key } -> Fmt.pf ppf "DEL %s" key
-  | Scan { key; len } -> Fmt.pf ppf "SCAN %s %d" key len
-  | Count -> Fmt.pf ppf "COUNT"
-  | Stats -> Fmt.pf ppf "STATS"
-
-let pp_reply ppf = function
-  | Ok_ -> Fmt.pf ppf "OK"
-  | Value v -> Fmt.pf ppf "VALUE (%d bytes)" (String.length v)
-  | Not_found -> Fmt.pf ppf "NOT_FOUND"
-  | Deleted d -> Fmt.pf ppf "DELETED %b" d
-  | Unsupported -> Fmt.pf ppf "UNSUPPORTED"
-  | Count_is n -> Fmt.pf ppf "COUNT_IS %d" n
-  | Stats_are s ->
-      Fmt.pf ppf "STATS ops=%d %a" s.ops Hippo_perfmodel.Stats.Hist.pp s.hist
-  | Err m -> Fmt.pf ppf "ERR %s" m

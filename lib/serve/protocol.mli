@@ -69,5 +69,3 @@ val encode_reply : reply -> string
 val decode_request : string -> pos:int -> (request * int, error) result
 
 val decode_reply : string -> pos:int -> (reply * int, error) result
-val pp_request : Format.formatter -> request -> unit
-val pp_reply : Format.formatter -> reply -> unit

@@ -24,12 +24,6 @@ let mode_to_string = function
   | Standard -> "standard"
   | Chaos -> "chaos"
 
-let mode_of_string = function
-  | "quick" -> Some Quick
-  | "standard" -> Some Standard
-  | "chaos" -> Some Chaos
-  | _ -> None
-
 let rates_of_mode = function
   | Quick -> Faults.none
   | Standard -> Faults.standard

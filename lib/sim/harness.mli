@@ -8,7 +8,6 @@ open Hippo_apps
 type mode = Quick | Standard | Chaos
 
 val mode_to_string : mode -> string
-val mode_of_string : string -> mode option
 val rates_of_mode : mode -> Faults.rates
 
 type config = {

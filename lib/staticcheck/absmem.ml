@@ -95,11 +95,6 @@ let bind t r s =
 
 let loc_key oid = { Key.oid; iid = Iid.of_serial ~func:"" 0; sites = [] }
 
-let loc_state t oid =
-  match KMap.find_opt (loc_key oid) t.locs with
-  | Some l -> l
-  | None -> Lattice.bot
-
 let set_loc t oid l = { t with locs = KMap.add (loc_key oid) l t.locs }
 
 let join_rec (a : srec) (b : srec) : srec =

@@ -84,9 +84,6 @@ val forget_env : t -> t
 val lookup : t -> string -> sym
 val bind : t -> string -> sym -> t
 
-(** Coarse lattice state of one abstract location ([Bot] if untouched). *)
-val loc_state : t -> int -> Lattice.t
-
 val set_loc : t -> int -> Lattice.t -> t
 
 val join : t -> t -> t

@@ -3,9 +3,6 @@
 
 type t = Bot | Persisted | Flush_pending | Dirty | Top
 
-let bot = Bot
-let top = Top
-
 let rank = function
   | Bot -> 0
   | Persisted -> 1

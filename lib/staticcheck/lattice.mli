@@ -18,8 +18,6 @@
 
 type t = Bot | Persisted | Flush_pending | Dirty | Top
 
-val bot : t
-val top : t
 
 (** Height in the chain, [Bot] = 0 … [Top] = 4. *)
 val rank : t -> int

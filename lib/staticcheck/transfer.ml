@@ -70,9 +70,6 @@ let value_oids_raw ctx ~func (v : Value.t) =
       | None -> ISet.empty)
   | Value.Null -> ISet.empty
 
-let value_pm_oids ctx ~func (v : Value.t) =
-  pm_only ctx (value_oids_raw ctx ~func v)
-
 (* Recompute the coarse layer for [oid] from its live records: with none
    left, everything written was persisted. *)
 let refresh_loc st oid =

@@ -54,11 +54,6 @@ val value_oids_raw : ctx -> func:string -> Value.t -> ISet.t
 (** Restrict an object set to persistent objects. *)
 val pm_only : ctx -> ISet.t -> ISet.t
 
-(** PM objects among an operand's possible targets ({!value_oids_raw}
-    restricted to persistent objects); the syntactic mod-sets of
-    {!Summary} are built from this. *)
-val value_pm_oids : ctx -> func:string -> Value.t -> ISet.t
-
 (** Transfer a non-control instruction ([Call], [Br], [Condbr], [Ret] and
     [Crash] are the {!Checker}'s business and are left untouched).
     [chain] is the witness path new store records carry. *)

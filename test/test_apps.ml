@@ -228,8 +228,9 @@ let test_clht_repaired_crash_consistent () =
   Alcotest.(check bool) "repaired and clean" true
     (Hippo_core.Verify.effective r.Hippo_core.Driver.verification);
   let ok =
-    Crashsim.crash_consistent r.Hippo_core.Driver.repaired ~setup:clht_setup
-      ~checker:"clht_recover_check" ~checker_args:[]
+    List.for_all Crashsim.consistent
+      (Crashsim.sweep r.Hippo_core.Driver.repaired ~setup:clht_setup
+         ~checker:"clht_recover_check" ~checker_args:[])
   in
   Alcotest.(check bool) "crash consistent after repair" true ok
 

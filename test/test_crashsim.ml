@@ -1,11 +1,10 @@
 (* The single-pass crash sweep: differential equivalence against the
    per-crash-point replay sweep, image-hash dedup and recovery
-   memoization, the trace-free crash-point counter, and the Verify
-   wiring. *)
+   memoization (within a sweep, across sweeps and across an original
+   and its repair), and the trace-free crash-point counter. *)
 
 open Hippo_pmcheck
 module Gen = Hippo_fuzz.Gen
-module Verify = Hippo_engine.Verify
 
 (* Small interpreter buffers: these programs touch a few cache lines and
    the suites below create hundreds of recovery machines. *)
@@ -214,37 +213,30 @@ let prop_torn_dirty_digests_match_ground_truth =
            (Imghash.digest (Imghash.of_bytes (Mem.working_image mem))))
 
 (* ------------------------------------------------------------------ *)
-(* Verify: crash consistency of original vs repaired, shared memo *)
+(* One memo across an original and its harm-free repair *)
 
-let test_verify_crash_consistency () =
+let test_memo_shared_across_repair () =
   let original = prog_of [ Gen.S_half (0, 1); Gen.S_crash ] in
   let repaired = prog_of [ Gen.S_pair (0, 1); Gen.S_crash ] in
   let memo = Crashsim.Memo.create () in
-  let r =
-    Verify.check_crash_consistency ~config:cfg ~memo ~setup ~checker
-      ~checker_args:[] ~original ~repaired ()
+  (* a harm-free repair preserves working-image semantics, so both
+     sweeps may key the memo under the original's signature *)
+  let memo_sig = Crashsim.program_sig original in
+  let sweep prog =
+    Crashsim.sweep_with_stats ~config:cfg ~memo ~memo_sig prog ~setup ~checker
+      ~checker_args:[]
   in
-  Alcotest.(check bool) "original inconsistent" false r.Verify.original_consistent;
-  Alcotest.(check bool) "repaired consistent" true r.Verify.repaired_consistent;
-  Alcotest.(check bool) "improved" true (Verify.crash_improved r);
-  (* the repaired sweep's working image equals the original's (harm-free
-     repair), so the shared memo answers at least one of its checks *)
+  let original_verdicts, _ = sweep original in
+  let repaired_verdicts, stats = sweep repaired in
+  Alcotest.(check bool) "original inconsistent" false
+    (List.for_all Crashsim.consistent original_verdicts);
+  Alcotest.(check bool) "repaired consistent" true
+    (List.for_all Crashsim.consistent repaired_verdicts);
+  (* the repaired sweep's working image equals the original's, so the
+     shared memo answers at least one of its checks *)
   Alcotest.(check bool) "memo shared across programs" true
-    (r.Verify.repaired_stats.Crashsim.memo_hits
-    > 2 * r.Verify.repaired_stats.Crashsim.crash_points
-      - r.Verify.repaired_stats.Crashsim.distinct_images);
-  let o =
-    Verify.with_crash_report
-      {
-        Verify.residual_bugs = [];
-        outputs_match = true;
-        pm_working_match = true;
-        crash_consistent_improved = None;
-      }
-      r
-  in
-  Alcotest.(check (option bool)) "outcome field set" (Some true)
-    o.Verify.crash_consistent_improved
+    (stats.Crashsim.memo_hits
+    > (2 * stats.Crashsim.crash_points) - stats.Crashsim.distinct_images)
 
 let suite =
   [
@@ -264,6 +256,6 @@ let suite =
     Alcotest.test_case "recovery-then-re-crash chain" `Quick
       test_recovery_then_recrash_chain;
     QCheck_alcotest.to_alcotest prop_torn_dirty_digests_match_ground_truth;
-    Alcotest.test_case "verify crash consistency, shared memo" `Quick
-      test_verify_crash_consistency;
+    Alcotest.test_case "memo shared across a harm-free repair" `Quick
+      test_memo_shared_across_repair;
   ]

@@ -131,20 +131,25 @@ let prop_trace_file_plan_equivalence =
       workload t;
       Interp.exit_check t;
       let native_bugs = Interp.bugs t in
-      (* round-trip reports and statistics through their textual forms *)
-      let bugs' =
-        List.map Report.of_line (List.map Report.to_line (Interp.raw_bugs t))
-        |> Report.dedup
-      in
-      let stats' =
-        Sitestats.of_lines (Sitestats.to_lines (Interp.site_stats t))
+      (* round-trip the whole trace through the native on-disk dialect *)
+      let file =
+        Tracefile.of_string Tracefile.Pmemcheck
+          (Tracefile.to_string Tracefile.Pmemcheck
+             {
+               Tracefile.events = Interp.trace t;
+               stats = Interp.site_stats t;
+               bugs = Interp.raw_bugs t;
+             })
       in
       let plan_of bugs stats =
         let oracle = Hippo_alias.Oracle.trace_aa stats in
         let plan, _, _ = Driver.plan ~oracle p bugs in
         List.sort String.compare (List.map Fix.to_string plan.Fix.fixes)
       in
-      plan_of native_bugs (Interp.site_stats t) = plan_of bugs' stats')
+      List.map Trace.to_line file.Tracefile.events
+      = List.map Trace.to_line (Interp.trace t)
+      && plan_of native_bugs (Interp.site_stats t)
+         = plan_of (Report.dedup file.Tracefile.bugs) file.Tracefile.stats)
 
 let prop_repair_idempotent =
   QCheck.Test.make ~name:"repairing a repaired program changes nothing"

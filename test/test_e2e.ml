@@ -105,9 +105,9 @@ let prop_repaired_crash_consistent =
           p
       in
       Verify.effective r.Driver.verification
-      && Crashsim.crash_consistent r.Driver.repaired
-           ~setup:[ ("main", []) ]
-           ~checker:"check" ~checker_args:[])
+      && List.for_all Crashsim.consistent
+           (Crashsim.sweep r.Driver.repaired ~setup:[ ("main", []) ]
+              ~checker:"check" ~checker_args:[]))
 
 (* a buggy instance really is crash inconsistent (the property above is
    not vacuous) *)

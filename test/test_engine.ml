@@ -98,16 +98,21 @@ let pass_names (events : E.Event.t list) =
 let test_event_stream_order () =
   let p = Test_driver.program_of_steps [ Test_driver.S_pm_store (0, 1) ] in
   let r = Driver.repair ~name:"evt" ~workload p in
+  let o = Driver.optimize ~name:"evt" r.Driver.repaired in
   Alcotest.(check (list string))
     "one event per pass, in pipeline order"
     [ "locate"; "compute"; "reduce"; "hoist"; "apply"; "verify" ]
     (pass_names r.Driver.events);
+  Alcotest.(check (list string))
+    "one event per optimizer pass, in pipeline order"
+    [ "opt-analyze"; "opt-apply"; "opt-verify" ]
+    (pass_names o.Driver.t_events);
   List.iter
     (fun (e : E.Event.t) ->
       Alcotest.(check bool)
         (e.E.Event.pass ^ " duration is non-negative")
         true (e.E.Event.dur_s >= 0.0))
-    r.Driver.events;
+    (r.Driver.events @ o.Driver.t_events);
   (* verify runs against the bumped program version *)
   let verify = List.nth r.Driver.events 5 in
   Alcotest.(check int) "verify sees version 1" 1 verify.E.Event.version

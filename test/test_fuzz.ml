@@ -142,7 +142,6 @@ let smoke_config jobs =
     Fuzzer.seed = 42;
     jobs;
     max_execs = 48;
-    smoke = true;
   }
 
 let summary_fingerprint (s : Fuzzer.summary) =

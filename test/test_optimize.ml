@@ -18,6 +18,10 @@ let build body =
   Validate.check_exn p;
   p
 
+(* The optimizer as users run it: the engine's opt-analyze -> opt-apply
+   -> opt-verify passes behind [Driver.optimize]. *)
+let optimize p = (Driver.optimize ~name:"test" p).Driver.t_outcome
+
 let rules o = List.map (fun r -> r.Optimize.r_rule) o.Optimize.o_removals
 
 let counts p =
@@ -41,7 +45,7 @@ let test_covered_flush_and_dominated_fence () =
         fence fb ();
         ret_void fb)
   in
-  let o = Optimize.run p in
+  let o = optimize p in
   Alcotest.(check bool) "not reverted" false o.Optimize.o_reverted;
   Alcotest.(check bool) "reports identical" true o.Optimize.o_report_equal;
   Alcotest.(check (list bool))
@@ -74,7 +78,7 @@ let test_double_persist () =
     Validate.check_exn p;
     p
   in
-  let o = Optimize.run p in
+  let o = optimize p in
   Alcotest.(check bool) "not reverted" false o.Optimize.o_reverted;
   Alcotest.(check (list Alcotest.bool))
     "covered persist removed" [ true ]
@@ -90,7 +94,7 @@ let test_volatile_flush () =
         flush fb v;
         ret_void fb)
   in
-  let o = Optimize.run p in
+  let o = optimize p in
   Alcotest.(check bool) "volatile flush removed" true
     (rules o = [ Optimize.Volatile_flush ])
 
@@ -107,7 +111,7 @@ let test_adjacent_fences_coalesce () =
         fence fb ();
         ret_void fb)
   in
-  let o = Optimize.run p in
+  let o = optimize p in
   Alcotest.(check int) "two of three fences removed" 2
     (List.length
        (List.filter (fun r -> r = Optimize.Dominated_fence) (rules o)));
@@ -143,7 +147,7 @@ let test_one_path_flush_kept () =
     Validate.check_exn p;
     p
   in
-  let o = Optimize.run p in
+  let o = optimize p in
   Alcotest.(check int) "no flush removed" 0
     (List.length
        (List.filter
@@ -179,10 +183,10 @@ let test_fence_before_crash_point_kept () =
     Validate.check_exn p;
     p
   in
-  let o_crash = Optimize.run (shape ~with_crash:true) in
+  let o_crash = optimize (shape ~with_crash:true) in
   Alcotest.(check bool) "crash in window: fence kept" true
     (not (List.mem Optimize.Coalesced_fence (rules o_crash)));
-  let o_clear = Optimize.run (shape ~with_crash:false) in
+  let o_clear = optimize (shape ~with_crash:false) in
   Alcotest.(check bool) "crash-free window: fence coalesced" true
     (List.mem Optimize.Coalesced_fence (rules o_clear));
   let _, n1 = counts o_clear.Optimize.o_prog in
@@ -216,7 +220,7 @@ let test_fence_after_flushing_callee_kept () =
     Validate.check_exn p;
     p
   in
-  let o = Optimize.run p in
+  let o = optimize p in
   Alcotest.(check bool) "final fence kept" true
     (not (List.mem Optimize.Dominated_fence (rules o)))
 
@@ -235,7 +239,7 @@ let test_alloc_site_not_promoted () =
         fence fb ();
         ret_void fb)
   in
-  let o = Optimize.run p in
+  let o = optimize p in
   Alcotest.(check bool) "no covered flush on pm_alloc object" true
     (not (List.mem Optimize.Covered_flush (rules o)))
 
@@ -261,7 +265,7 @@ let test_corpus_memcached_optimizes () =
       (fun (c : Hippo_pmdk_mini.Case.t) -> c.Hippo_pmdk_mini.Case.id = "mc-1")
       Hippo_apps.Memcached_mini.cases
   in
-  let o = Optimize.run (repair_case case) in
+  let o = optimize (repair_case case) in
   Alcotest.(check bool) "not reverted" false o.Optimize.o_reverted;
   Alcotest.(check bool) "removes at least one persistence op" true
     (o.Optimize.o_removals <> []);
@@ -276,7 +280,7 @@ let test_corpus_case_452_stays_tight () =
       (fun (c : Hippo_pmdk_mini.Case.t) -> c.Hippo_pmdk_mini.Case.issue = Some 452)
       Hippo_pmdk_mini.Bugs.all
   in
-  let o = Optimize.run (repair_case case) in
+  let o = optimize (repair_case case) in
   Alcotest.(check bool) "not reverted" false o.Optimize.o_reverted;
   Alcotest.(check int) "nothing to remove: the repair is tight" 0
     (List.length o.Optimize.o_removals)
@@ -291,7 +295,7 @@ let clht_setup =
 let test_pclht_repaired_optimizes_and_verdicts_identical () =
   let p = Hippo_apps.Pclht.build () in
   let r = Driver.repair ~name:"pclht" ~workload:Hippo_apps.Pclht.workload p in
-  let o = Optimize.run r.Driver.repaired in
+  let o = optimize r.Driver.repaired in
   Alcotest.(check bool) "not reverted" false o.Optimize.o_reverted;
   Alcotest.(check bool) "removes at least one persistence op" true
     (o.Optimize.o_removals <> []);
@@ -314,7 +318,7 @@ let test_redis_variants_optimize () =
       match Hippo_apps.App.program Hippo_apps.App.Redis variant with
       | Error e -> Alcotest.fail e
       | Ok p ->
-          let o = Optimize.run p in
+          let o = optimize p in
           Alcotest.(check bool) "not reverted" false o.Optimize.o_reverted;
           Alcotest.(check bool) "reports identical" true
             o.Optimize.o_report_equal;
@@ -336,8 +340,14 @@ let test_andersen_shared_with_repair () =
     Cache.static_check (Cache.view cache r.Driver.repaired)
   in
   let runs = Cache.andersen_runs cache in
-  let (_ : Optimize.analysis) = Optimize.analyze ~cache r.Driver.repaired in
-  Alcotest.(check int) "no extra Andersen run for optimize" runs
+  let o =
+    (Driver.optimize ~cache ~name:"pclht" r.Driver.repaired).Driver.t_outcome
+  in
+  Alcotest.(check bool) "the rewrite is a new version" true
+    (o.Optimize.o_removals <> []);
+  (* opt-analyze reuses the repaired version's Andersen; only opt-verify's
+     re-check of the rewritten program needs a run of its own *)
+  Alcotest.(check int) "one Andersen run, for the rewritten version" (runs + 1)
     (Cache.andersen_runs cache)
 
 (* ------------------------------------------------------------------ *)
@@ -348,7 +358,7 @@ let qcount = 60
 let prop_valid_and_report_equal =
   QCheck.Test.make ~count:qcount ~name:"optimized output valid + reports equal"
     Gen.arb_mixed (fun p ->
-      let o = Optimize.run p in
+      let o = optimize p in
       (* revert never fires: the analysis itself is report-preserving *)
       Validate.is_valid o.Optimize.o_prog
       && o.Optimize.o_report_equal
@@ -360,7 +370,7 @@ let prop_valid_and_report_equal =
 let prop_crash_verdicts_identical =
   QCheck.Test.make ~count:25 ~name:"crash-sweep verdicts identical"
     Gen.arb_crash (fun p ->
-      let o = Optimize.run p in
+      let o = optimize p in
       List.for_all
         (fun jobs ->
           Optimize.crash_verdicts_identical ~jobs ~setup:Gen.setup

@@ -927,10 +927,15 @@ let trace_of_buggy () =
 let test_trace_roundtrip () =
   let tr = trace_of_buggy () in
   Alcotest.(check bool) "nonempty" true (List.length tr >= 5);
-  let tr' = Trace.of_string (Trace.to_string tr) in
+  let file events =
+    Tracefile.to_string Tracefile.Pmemcheck
+      { Tracefile.events; stats = Sitestats.create (); bugs = [] }
+  in
+  let tr' =
+    (Tracefile.of_string Tracefile.Pmemcheck (file tr)).Tracefile.events
+  in
   Alcotest.(check int) "same length" (List.length tr) (List.length tr');
-  Alcotest.(check string) "identical after reserialize"
-    (Trace.to_string tr) (Trace.to_string tr')
+  Alcotest.(check string) "identical after reserialize" (file tr) (file tr')
 
 let test_trace_stacks () =
   let tr = trace_of_buggy () in
@@ -966,12 +971,19 @@ let test_sitestats_roundtrip () =
 let test_pmtest_format_roundtrip () =
   let t, _ = Interp.run (buggy_store_prog ()) ~entry:"main" ~args:[] in
   let events = Interp.trace t and bugs = Interp.raw_bugs t in
-  let text = Pmtest_format.to_string ~events ~bugs in
-  let events', bugs' = Pmtest_format.of_string text in
-  Alcotest.(check int) "event count" (List.length events) (List.length events');
+  let text =
+    Tracefile.to_string Tracefile.Pmtest
+      { Tracefile.events; stats = Interp.site_stats t; bugs }
+  in
+  let file = Tracefile.of_string Tracefile.Pmtest text in
+  let bugs' = file.Tracefile.bugs in
+  Alcotest.(check int) "event count" (List.length events)
+    (List.length file.Tracefile.events);
   Alcotest.(check int) "bug count" (List.length bugs) (List.length bugs');
+  Alcotest.(check int) "no site statistics" 0
+    (List.length (Sitestats.to_lines file.Tracefile.stats));
   Alcotest.(check string) "stable reserialization" text
-    (Pmtest_format.to_string ~events:events' ~bugs:bugs');
+    (Tracefile.to_string Tracefile.Pmtest file);
   (* parsed reports must re-key onto the same instructions *)
   List.iter2
     (fun (a : Report.bug) (b : Report.bug) ->
@@ -1031,8 +1043,9 @@ let setup = [ ("init", []); ("bump", []); ("bump", []); ("bump", []) ]
 
 let test_crashsim_correct_program_consistent () =
   let ok =
-    Crashsim.crash_consistent (counter_prog ~bug:false) ~setup ~checker:"check"
-      ~checker_args:[]
+    List.for_all Crashsim.consistent
+      (Crashsim.sweep (counter_prog ~bug:false) ~setup ~checker:"check"
+         ~checker_args:[])
   in
   Alcotest.(check bool) "consistent" true ok
 

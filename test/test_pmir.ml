@@ -1,6 +1,7 @@
 (* Unit and property tests for the PMIR substrate: values, identities,
    the builder's structured control flow, the validator, the textual
-   printer/parser round-trip, and function cloning. *)
+   printer/parser round-trip, totality on mutated real programs, and
+   function cloning. *)
 
 open Hippo_pmir
 
@@ -359,6 +360,74 @@ let prop_builder_validates =
   QCheck.Test.make ~name:"builder output validates" ~count:200 arb_program
     Validate.is_valid
 
+(* qcheck: near misses of real programs. Every PMIR input is outside
+   input, so a mutant must fail to parse with [Parse_error] or, once it
+   parses and validates, run through the static checker and both
+   execution tiers without an untyped exception, the tiers agreeing. *)
+
+let mutation_subjects =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun (c : Hippo_pmdk_mini.Case.t) ->
+            Printer.to_string (Lazy.force c.Hippo_pmdk_mini.Case.program))
+          Hippo_pmdk_mini.Bugs.all
+       @ [
+           Printer.to_string
+             (Hippo_apps.Redis_mini.build Hippo_apps.Redis_mini.Flush_free);
+         ]))
+
+let token_alphabet =
+  [|
+    "%"; "@"; ":"; ","; "("; ")"; "{"; "}"; "="; "\""; "-"; ">"; " "; "\n";
+    "0"; "1"; "64"; "-1"; "x"; "main"; "entry"; "func"; "ret"; "br"; "call";
+    "crash"; "gep"; "load.i64"; "store.i8"; "flush.clwb"; "fence.sfence";
+  |]
+
+(* 1-4 single bytes of one subject, each replaced by an alphabet token *)
+let gen_mutant st =
+  let subjects = Lazy.force mutation_subjects in
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let text = ref (pick subjects) in
+  for _ = 1 to 1 + Random.State.int st 4 do
+    let n = String.length !text in
+    let pos = Random.State.int st n in
+    text :=
+      String.sub !text 0 pos ^ pick token_alphabet
+      ^ String.sub !text (pos + 1) (n - pos - 1)
+  done;
+  !text
+
+(* what the tiers must agree on: the result or trap message, the bug
+   count and the output *)
+let tier_outcome run =
+  let open Hippo_pmcheck in
+  match run () with
+  | t, ret -> Ok (ret, List.length (Interp.bugs t), Interp.output t)
+  | exception Mem.Trap m -> Error m
+
+let prop_mutants_total =
+  QCheck.Test.make ~count:1000
+    ~name:"mutated programs: parse errors typed, checker and tiers total"
+    (QCheck.make ~print:Fun.id gen_mutant)
+    (fun text ->
+      match Parser.program text with
+      | exception Parser.Parse_error _ -> true
+      | prog when not (Validate.is_valid prog) -> true
+      | prog -> (
+          ignore (Hippo_staticcheck.Checker.check prog);
+          match Program.func_names prog with
+          | [] -> true
+          | first :: _ ->
+              let open Hippo_pmcheck in
+              let entry = if Program.mem prog "main" then "main" else first in
+              let config =
+                { Interp.default_config with fuel = 200_000; trace = false }
+              in
+              let interp () = Interp.run ~config prog ~entry ~args:[] in
+              let compiled () = Compile.run ~config prog ~entry ~args:[] in
+              tier_outcome interp = tier_outcome compiled))
+
 (* ------------------------------------------------------------------ *)
 (* Clone *)
 
@@ -430,4 +499,5 @@ let suite =
     ("retarget calls", `Quick, test_retarget_calls);
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_builder_validates;
+    QCheck_alcotest.to_alcotest prop_mutants_total;
   ]

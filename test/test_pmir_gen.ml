@@ -15,7 +15,8 @@ let dynamic_bugs p =
   Interp.exit_check t;
   Interp.bugs t
 
-let static_bugs p = (Driver.check_static p).Hippo_staticcheck.Checker.bugs
+let static_bugs p =
+  (Hippo_staticcheck.Checker.check p).Hippo_staticcheck.Checker.bugs
 
 let prop_detectors_agree_on_bug_free =
   QCheck.Test.make
