@@ -285,10 +285,9 @@ let check_cmd =
     | Ok r -> Fmt.pr "%s(%a) returned %d@." entry Fmt.(list ~sep:comma int) args r
     | Error e -> Fmt.pr "execution stopped: %s@." e);
     let bugs = Interp.bugs t in
-    Fmt.pr "PM stores: %d, flushes: %d, fences: %d@."
-      (Pstate.( (Interp.pstate t).stores_pm_total ))
-      (Pstate.( (Interp.pstate t).flushes_total ))
-      (Pstate.( (Interp.pstate t).fences_total ));
+    let ps = Interp.pstate t in
+    Fmt.pr "PM stores: %d, flushes: %d, fences: %d@." (Pstate.stores ps)
+      (Pstate.flushes ps) (Pstate.fences ps);
     Fmt.pr "durability bugs: %d@." (List.length bugs);
     List.iter (fun b -> Fmt.pr "  %a@." Report.pp_bug b) bugs;
     let* () =

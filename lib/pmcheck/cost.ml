@@ -26,7 +26,9 @@ type t = {
   flush_vol_ns : float;  (** clwb on volatile memory: DRAM write-back *)
   fence_base_ns : float;  (** sfence with an empty write-pending queue *)
   fence_drain_line_ns : float;
-      (** per distinct pending cache line drained by the fence *)
+      (** per distinct cache line in which a record the fence drains
+          starts ({!Pstate.fence}): a record straddling two lines is
+          charged once *)
   call_ns : float;
 }
 

@@ -9,7 +9,11 @@
     Deterministic-pessimistic model: lines are never spontaneously evicted,
     so "may still be volatile at the crash" becomes "is volatile at the
     crash" — the same worst-case stance pmemcheck takes when it reports
-    every unflushed store. *)
+    every unflushed store.
+
+    Only live records (dirty or pending) are indexed, by the cache lines
+    they touch, so a store, flush or fence costs the live records of its
+    own lines, and a crash-point read costs the live records. *)
 
 open Hippo_pmir
 
@@ -27,34 +31,72 @@ type record = {
   mutable flushed_by : Iid.t option;  (** the flush that moved it to pending *)
 }
 
+(* Line numbers hash by a multiply and a shift, with no call into the
+   runtime's polymorphic hash. The table indexes by the low bits, so the
+   shift folds the high ones in: lines a power-of-two stride apart must
+   not share a slot. *)
+module Lines = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash line =
+    let h = line * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr 32)
+end)
+
+(* A line's live records, newest store first, and the number of the last
+   fence that drained the line (so a fence filters each line once). *)
+type bucket = { mutable recs : record list; mutable drained_by : int }
+
+(* Invariants:
+   - every live record sits in the bucket of each line it touches, and in
+     no other; a line without live records has no bucket;
+   - buckets are newest first: stores arrive in increasing [seq];
+   - a record is [Pending] exactly when it is in [pending], and it is
+     there once. [pending] is newest first unless flushes of different
+     lines interleave their records' seqs. *)
 type t = {
-  lines : (int, record list ref) Hashtbl.t;  (** keyed by start line index *)
+  lines : bucket Lines.t;
   mutable pending : record list;
   mutable last_fence_seq : int;
-  mutable flushes_total : int;
-  mutable flushes_clean : int;  (** flushes that moved no dirty data *)
-  mutable fences_total : int;
-  mutable stores_pm_total : int;
+  mutable stores : int;
+  mutable flushes : int;
+  mutable fences : int;
 }
 
 let create () =
   {
-    lines = Hashtbl.create 1024;
+    lines = Lines.create 64;
     pending = [];
     last_fence_seq = -1;
-    flushes_total = 0;
-    flushes_clean = 0;
-    fences_total = 0;
-    stores_pm_total = 0;
+    stores = 0;
+    flushes = 0;
+    fences = 0;
   }
 
-let bucket t line =
-  match Hashtbl.find_opt t.lines line with
-  | Some b -> b
-  | None ->
-      let b = ref [] in
-      Hashtbl.add t.lines line b;
-      b
+let stores t = t.stores
+let flushes t = t.flushes
+let fences t = t.fences
+let first_line r = Layout.line_of_addr r.addr
+let last_line r = Layout.line_of_addr (r.addr + r.size - 1)
+let compare_seq a b = Int.compare a.seq b.seq
+let is_dirty r = r.state = Dirty
+
+let rec newest_first = function
+  | a :: (b :: _ as rest) -> a.seq > b.seq && newest_first rest
+  | _ -> true
+
+let oldest_first records =
+  if newest_first records then List.rev records
+  else List.sort compare_seq records
+
+(* A dirty record that a store to [lo, hi) re-dirties whole. *)
+let covered lo hi r = r.state = Dirty && r.addr >= lo && r.addr + r.size <= hi
+
+let rec any_covered lo hi = function
+  | [] -> false
+  | r :: rest -> covered lo hi r || any_covered lo hi rest
 
 (** Record a PM store. Overlapping older {e dirty} records are superseded:
     the new store re-dirties the range, so only the newest cached value's
@@ -62,25 +104,24 @@ let bucket t line =
     writebacks already in flight toward the write-pending queue, which a
     later store to the same range cannot recall. *)
 let store t ~iid ~loc ~stack ~addr ~size ~seq =
-  t.stores_pm_total <- t.stores_pm_total + 1;
-  let lo = addr and hi = addr + size in
-  let line_lo = Layout.line_of_addr lo
-  and line_hi = Layout.line_of_addr (hi - 1) in
-  for line = line_lo to line_hi do
-    let b = bucket t line in
-    b :=
-      List.filter
-        (fun r ->
-          not (r.state = Dirty && r.addr >= lo && r.addr + r.size <= hi))
-        !b
-  done;
+  t.stores <- t.stores + 1;
+  let hi = addr + size in
   let r =
     { iid; loc; stack; addr; size; seq; state = Dirty; snapshot = "";
       flushed_by = None }
   in
-  for line = line_lo to line_hi do
-    let b = bucket t line in
-    b := r :: !b
+  (* a covered record lies on these lines only, so this drops it from
+     every bucket it sits in *)
+  for line = Layout.line_of_addr addr to Layout.line_of_addr (hi - 1) do
+    match Lines.find_opt t.lines line with
+    | None -> Lines.add t.lines line { recs = [ r ]; drained_by = 0 }
+    | Some b ->
+        let live =
+          if any_covered addr hi b.recs then
+            List.filter (fun x -> not (covered addr hi x)) b.recs
+          else b.recs
+        in
+        b.recs <- r :: live
   done;
   r
 
@@ -99,133 +140,161 @@ let store_nt t mem ~iid ~loc ~stack ~addr ~size ~seq =
 let commit_snapshot mem (r : record) =
   Mem.persist_string mem ~addr:r.addr r.snapshot
 
-let remove_record t (r : record) =
-  let line_lo = Layout.line_of_addr r.addr
-  and line_hi = Layout.line_of_addr (r.addr + r.size - 1) in
-  for line = line_lo to line_hi do
-    match Hashtbl.find_opt t.lines line with
+(* Drop a durable record from the buckets it still sits in. *)
+let unindex t r =
+  for line = first_line r to last_line r do
+    match Lines.find_opt t.lines line with
     | None -> ()
-    | Some b -> b := List.filter (fun x -> not (x == r)) !b
+    | Some b -> (
+        match List.filter (fun x -> x != r) b.recs with
+        | [] -> Lines.remove t.lines line
+        | recs -> b.recs <- recs)
   done
+
+(* The records of [recs] (newest first) in [state], oldest first. *)
+let oldest_in state recs =
+  List.fold_left
+    (fun acc r -> if r.state = state then r :: acc else acc)
+    [] recs
 
 (** Flush the cache line containing [addr]. Dirty records intersecting the
     line capture their current working bytes and become pending ([Clwb],
     [Clflushopt]) or immediately durable ([Clflush], which the ISA orders
     with respect to stores to the same line). Returns the number of dirty
     records the flush transitioned. *)
-let compare_seq a b = Int.compare a.seq b.seq
-
 let flush t mem ~iid ~kind ~addr =
-  t.flushes_total <- t.flushes_total + 1;
+  t.flushes <- t.flushes + 1;
   if not (Layout.is_pm addr) then 0
-  else begin
+  else
     let line = Layout.line_of_addr addr in
-    let lo = line * Layout.cache_line and hi = (line + 1) * Layout.cache_line in
-    let affected = ref [] in
-    List.iter
-      (fun b ->
-        List.iter
-          (fun r ->
-            if r.state = Dirty && r.addr < hi && lo < r.addr + r.size then
-              affected := r :: !affected)
-          !b)
-      (List.filter_map (Hashtbl.find_opt t.lines) [ line - 1; line ]);
-    let affected = List.sort_uniq compare_seq !affected in
-    (* Write-backs to one line complete in order, so a clflush — which
-       makes the line's current contents durable right away — logically
-       completes after any earlier still-in-flight flush of the same
-       line. Drain those pending records first (oldest first), or their
-       stale snapshots would overwrite the newer bytes at the next
-       fence. *)
-    (match kind with
-    | Instr.Clflush ->
-        let drained, in_flight =
-          List.partition
-            (fun r -> r.addr < hi && lo < r.addr + r.size)
-            t.pending
+    match Lines.find_opt t.lines line with
+    | None -> 0
+    | Some b ->
+        (* every record of the bucket touches the line *)
+        let dirty = oldest_in Dirty b.recs in
+        let by = Some iid in
+        let capture r =
+          r.snapshot <- Mem.read_string mem ~addr:r.addr ~len:r.size;
+          r.flushed_by <- by
         in
-        List.iter
-          (fun r ->
-            commit_snapshot mem r;
-            remove_record t r)
-          (List.sort compare_seq drained);
-        t.pending <- in_flight
-    | Instr.Clwb | Instr.Clflushopt -> ());
-    List.iter
-      (fun r ->
-        r.snapshot <- Mem.read_string mem ~addr:r.addr ~len:r.size;
-        r.flushed_by <- Some iid;
-        match kind with
-        | Instr.Clflush ->
-            commit_snapshot mem r;
-            remove_record t r
+        (match kind with
         | Instr.Clwb | Instr.Clflushopt ->
-            r.state <- Pending;
-            t.pending <- r :: t.pending)
-      affected;
-    if affected = [] then t.flushes_clean <- t.flushes_clean + 1;
-    List.length affected
-  end
+            List.iter
+              (fun r ->
+                capture r;
+                r.state <- Pending;
+                t.pending <- r :: t.pending)
+              dirty
+        | Instr.Clflush ->
+            (* Write-backs to one line complete in order, so a clflush —
+               which makes the line's current contents durable right away
+               — logically completes after any earlier still-in-flight
+               flush of the same line. Drain those pending records first
+               (oldest first), or their stale snapshots would overwrite
+               the newer bytes at the next fence. *)
+            let in_flight = oldest_in Pending b.recs in
+            List.iter (commit_snapshot mem) in_flight;
+            if in_flight <> [] then
+              t.pending <-
+                List.filter
+                  (fun r -> line < first_line r || last_line r < line)
+                  t.pending;
+            List.iter
+              (fun r ->
+                capture r;
+                commit_snapshot mem r)
+              dirty;
+            (* the line holds no live record now; a record that also
+               touches a neighbouring line leaves that bucket too *)
+            Lines.remove t.lines line;
+            List.iter (unindex t) in_flight;
+            List.iter (unindex t) dirty);
+        List.length dirty
+
+(* Does a pending record of [recs] start on [line]? *)
+let rec pending_starts_on line = function
+  | [] -> false
+  | r :: rest ->
+      (r.state = Pending && first_line r = line)
+      || pending_starts_on line rest
 
 (** A fence orders every pending flush: pending records become durable.
-    Returns the number of {e distinct cache lines} drained — the
+    Returns the number of distinct cache lines in which drained records
+    {e start} — a record straddling two lines counts once — the
     write-pending-queue drain work a real sfence waits for. *)
 let fence t mem ~seq =
-  t.fences_total <- t.fences_total + 1;
+  t.fences <- t.fences + 1;
   t.last_fence_seq <- seq;
-  let lines = Hashtbl.create 16 in
-  (* Write-backs of overlapping ranges land in store order: commit oldest
-     first so the newest flushed snapshot is the one that survives. *)
-  List.iter
-    (fun r ->
-      Hashtbl.replace lines (Layout.line_of_addr r.addr) ();
-      commit_snapshot mem r;
-      remove_record t r)
-    (List.sort compare_seq t.pending);
-  t.pending <- [];
-  Hashtbl.length lines
+  match t.pending with
+  | [] -> 0
+  | pending ->
+      t.pending <- [];
+      (* Write-backs of overlapping ranges land in store order: commit
+         oldest first so the newest flushed snapshot is the one that
+         survives. *)
+      let ordered = oldest_first pending in
+      List.iter (commit_snapshot mem) ordered;
+      (* Each touched line is filtered once, dropping all of its pending
+         records; a drained record still sits in its first line's bucket
+         when that line is filtered, so each start line counts once. *)
+      let fence_no = t.fences and starts = ref 0 in
+      List.iter
+        (fun r ->
+          for line = first_line r to last_line r do
+            match Lines.find_opt t.lines line with
+            | Some b when b.drained_by <> fence_no -> (
+                if pending_starts_on line b.recs then incr starts;
+                match List.filter is_dirty b.recs with
+                | [] -> Lines.remove t.lines line
+                | recs ->
+                    b.recs <- recs;
+                    b.drained_by <- fence_no)
+            | _ -> ()
+          done)
+        ordered;
+      !starts
+
+(* Every live record once: under its first line. *)
+let fold_live f t acc =
+  Lines.fold
+    (fun line b acc ->
+      List.fold_left
+        (fun acc r -> if first_line r = line then f r acc else acc)
+        acc b.recs)
+    t.lines acc
 
 (** All still-unpersisted records, classified (paper §4.2): a [Dirty]
     record whose store precedes the last fence is a missing-flush (a fence
     that could order a flush exists); a [Dirty] record with no subsequent
-    fence is missing-flush&fence; a [Pending] record is missing-fence. *)
+    fence is missing-flush&fence; a [Pending] record is missing-fence.
+    Sorted by source location, then oldest store first. *)
 let unpersisted_bugs t ~(crash : Report.crash_info) : Report.bug list =
-  let seen = Hashtbl.create 64 in
-  let bugs = ref [] in
-  Hashtbl.iter
-    (fun _ b ->
-      List.iter
-        (fun r ->
-          if not (Hashtbl.mem seen r.seq) then begin
-            Hashtbl.add seen r.seq ();
-            let kind =
-              match r.state with
-              | Pending -> Report.Missing_fence
-              | Dirty ->
-                  if r.seq < t.last_fence_seq then Report.Missing_flush
-                  else Report.Missing_flush_fence
-            in
-            bugs :=
-              {
-                Report.kind;
-                store =
-                  {
-                    iid = r.iid;
-                    loc = r.loc;
-                    stack = r.stack;
-                    addr = r.addr;
-                    size = r.size;
-                  };
-                crash;
-                ordering_flush = r.flushed_by;
-              }
-              :: !bugs
-          end)
-        !b)
-    t.lines;
-  List.sort
-    (fun (a : Report.bug) b -> Loc.compare a.store.loc b.store.loc)
-    !bugs
+  let by_site a b =
+    match Loc.compare a.loc b.loc with 0 -> compare_seq a b | c -> c
+  in
+  List.map
+    (fun r ->
+      let kind =
+        match r.state with
+        | Pending -> Report.Missing_fence
+        | Dirty ->
+            if r.seq < t.last_fence_seq then Report.Missing_flush
+            else Report.Missing_flush_fence
+      in
+      {
+        Report.kind;
+        store =
+          { iid = r.iid; loc = r.loc; stack = r.stack; addr = r.addr;
+            size = r.size };
+        crash;
+        ordering_flush = r.flushed_by;
+      })
+    (List.sort by_site (fold_live List.cons t []))
+
+(** Count of records not yet durable (dirty or pending). *)
+let unpersisted_count t = fold_live (fun _ n -> n + 1) t 0
+
+let pending_count t = List.length t.pending
 
 (* ------------------------------------------------------------------ *)
 (* Fault-injection hooks (the simulation harness).
@@ -237,33 +306,17 @@ let unpersisted_bugs t ~(crash : Report.crash_info) : Report.bug list =
    entry points below preserve the machine's physical ordering rules, so
    no injected schedule can fabricate an impossible image. *)
 
-let dedup_by_seq records =
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun r ->
-      if Hashtbl.mem seen r.seq then false
-      else begin
-        Hashtbl.add seen r.seq ();
-        true
-      end)
-    records
-
 (** Every still-dirty record, oldest store first (deterministic iteration
     base for fault injection and tests). *)
 let dirty_records t =
-  let acc = ref [] in
-  Hashtbl.iter
-    (fun _ b -> List.iter (fun r -> if r.state = Dirty then acc := r :: !acc) !b)
-    t.lines;
-  List.sort compare_seq (dedup_by_seq !acc)
+  List.sort compare_seq
+    (fold_live (fun r acc -> if is_dirty r then r :: acc else acc) t [])
 
 (** In-flight (flushed, unfenced) records, oldest first. *)
-let pending_records t = List.sort compare_seq (dedup_by_seq t.pending)
+let pending_records t = oldest_first t.pending
 
 let lines_of r =
-  let lo = Layout.line_of_addr r.addr
-  and hi = Layout.line_of_addr (r.addr + r.size - 1) in
-  List.init (hi - lo + 1) (fun i -> lo + i)
+  List.init (last_line r - first_line r + 1) (fun i -> first_line r + i)
 
 (** [commit_chosen t mem chosen] makes a chosen subset of the in-flight
     write-backs durable, modelling a write-pending queue that drained
@@ -305,12 +358,11 @@ let commit_chosen t mem chosen =
   let drained, in_flight =
     List.partition (fun r -> Hashtbl.mem picked r.seq) t.pending
   in
-  let drained = List.sort compare_seq (dedup_by_seq drained) in
   List.iter
     (fun r ->
       commit_snapshot mem r;
-      remove_record t r)
-    drained;
+      unindex t r)
+    (oldest_first drained);
   t.pending <- in_flight;
   List.length drained
 
@@ -329,14 +381,3 @@ let tear_dirty mem (r : record) ~keep_word =
       Mem.persist_range mem ~addr:a ~size:(b - a)
     end
   done
-
-(** Count of records not yet durable (dirty or pending). *)
-let unpersisted_count t =
-  let seen = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun _ b ->
-      List.iter (fun r -> Hashtbl.replace seen r.seq ()) !b)
-    t.lines;
-  Hashtbl.length seen
-
-let pending_count t = List.length t.pending

@@ -8,7 +8,16 @@
 
     Deterministic-pessimistic model: lines are never spontaneously
     evicted, so "may still be volatile at the crash" becomes "is volatile
-    at the crash" — the same worst-case stance pmemcheck takes. *)
+    at the crash" — the same worst-case stance pmemcheck takes.
+
+    Only live (dirty or pending) records are indexed: an int-keyed table
+    maps each cache line holding one to its live records, newest store
+    first, and a line leaves the table when its last record becomes
+    durable or is superseded. A store, flush or fence therefore costs the
+    live records on the lines it touches, and the crash-point readers
+    ({!unpersisted_bugs}, {!unpersisted_count}, {!dirty_records}) cost
+    the live records — never the lines ever touched. Callers pass stores
+    in increasing [seq] order (the machine's global event counter). *)
 
 open Hippo_pmir
 
@@ -26,15 +35,7 @@ type record = {
   mutable flushed_by : Iid.t option;  (** the flush that made it pending *)
 }
 
-type t = {
-  lines : (int, record list ref) Hashtbl.t;
-  mutable pending : record list;
-  mutable last_fence_seq : int;
-  mutable flushes_total : int;
-  mutable flushes_clean : int;  (** flushes that moved no dirty data *)
-  mutable fences_total : int;
-  mutable stores_pm_total : int;
-}
+type t
 
 val create : unit -> t
 
@@ -70,18 +71,28 @@ val store_nt :
 val flush : t -> Mem.t -> iid:Iid.t -> kind:Instr.flush_kind -> addr:int -> int
 
 (** A fence makes every pending record durable (committing the
-    flush-time snapshots). Returns the number of {e distinct cache lines}
-    drained — the write-pending-queue work a real sfence waits for. *)
+    flush-time snapshots, oldest store first). Returns the number of
+    distinct cache lines in which drained records {e start}, the
+    write-pending-queue work a real sfence waits for: a record straddling
+    two lines counts once. *)
 val fence : t -> Mem.t -> seq:int -> int
 
 (** All still-unpersisted records, classified per §4.2: [Dirty] with a
     later fence = missing-flush; [Dirty] with no later fence =
     missing-flush&fence; [Pending] = missing-fence. Sorted by source
-    location. *)
+    location, then by store [seq], oldest first. *)
 val unpersisted_bugs : t -> crash:Report.crash_info -> Report.bug list
 
 val unpersisted_count : t -> int
 val pending_count : t -> int
+
+(** PM stores recorded (nontemporal ones included). *)
+val stores : t -> int
+
+(** Flushes executed, at PM and volatile addresses. *)
+val flushes : t -> int
+
+val fences : t -> int
 
 (** {2 Fault-injection hooks (the simulation harness)}
 

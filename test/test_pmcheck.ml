@@ -636,6 +636,94 @@ let test_pstate_flush_cross_line_record () =
   ignore (Pstate.flush ps m ~iid:(dummy_iid ()) ~kind:Instr.Clwb ~addr:(base + 64));
   Alcotest.(check int) "record pending via second line" 1 (Pstate.pending_count ps)
 
+let test_pstate_fence_counts_start_lines () =
+  (* the cost model charges one fence_drain_line_ns per line in which a
+     drained record starts, so a record straddling two lines counts once *)
+  let ps = Pstate.create () in
+  let m = mk_mem () in
+  let base = Mem.alloc_pm m 192 in
+  let seq = ref 0 in
+  let store addr =
+    Mem.store m ~addr ~size:8 (!seq + 1);
+    ignore
+      (Pstate.store ps ~iid:(dummy_iid ()) ~loc:dloc ~stack:[] ~addr ~size:8
+         ~seq:!seq);
+    incr seq
+  in
+  let clwb addr =
+    ignore (Pstate.flush ps m ~iid:(dummy_iid ()) ~kind:Instr.Clwb ~addr)
+  in
+  store (base + 60);
+  clwb base;
+  clwb (base + 64);
+  Alcotest.(check int) "straddling record: one line" 1
+    (Pstate.fence ps m ~seq:!seq);
+  incr seq;
+  store base;
+  store (base + 128);
+  clwb base;
+  clwb (base + 128);
+  Alcotest.(check int) "records in two lines: two" 2
+    (Pstate.fence ps m ~seq:!seq)
+
+(* Guard: durable lines leave the index. With both images already backed
+   to the last line, 100 000 store/clwb/fence cycles on distinct lines
+   leave the live heap where it was. *)
+let test_pstate_index_holds_only_live_lines () =
+  let ps = Pstate.create () in
+  let m = mk_mem () in
+  let lines = 100_000 in
+  let base = Mem.alloc_pm m (lines * 64) in
+  let last = base + ((lines - 1) * 64) in
+  Mem.store m ~addr:last ~size:8 1;
+  Mem.persist_range m ~addr:last ~size:8;
+  let iid = dummy_iid () in
+  Gc.compact ();
+  let before = (Gc.stat ()).live_words in
+  for k = 0 to lines - 1 do
+    let addr = base + (k * 64) in
+    Mem.store m ~addr ~size:8 (k + 1);
+    ignore
+      (Pstate.store ps ~iid ~loc:dloc ~stack:[] ~addr ~size:8 ~seq:(2 * k));
+    ignore (Pstate.flush ps m ~iid ~kind:Instr.Clwb ~addr);
+    ignore (Pstate.fence ps m ~seq:((2 * k) + 1))
+  done;
+  Gc.compact ();
+  let grown = (Gc.stat ()).live_words - before in
+  Alcotest.(check int) "all durable" 0 (Pstate.unpersisted_count ps);
+  Alcotest.(check int) "last line stored" lines
+    (Mem.load m ~addr:last ~size:8);
+  if grown >= 1_000 then
+    Alcotest.failf "live heap grew by %d words over %d durable lines" grown
+      lines
+
+(* Allocation guard on a served update's write path: a 12-word value
+   written back word by word, the 8-byte field recording it, and a
+   fence. *)
+let test_pstate_update_cycle_allocation () =
+  let ps = Pstate.create () in
+  let m = mk_mem () in
+  let base = Mem.alloc_pm m 192 in
+  let iid = dummy_iid () and seq = ref 0 in
+  let store_clwb addr =
+    incr seq;
+    Mem.store m ~addr ~size:8 !seq;
+    ignore (Pstate.store ps ~iid ~loc:dloc ~stack:[] ~addr ~size:8 ~seq:!seq);
+    ignore (Pstate.flush ps m ~iid ~kind:Instr.Clwb ~addr)
+  in
+  let cycle () =
+    for w = 0 to 11 do
+      store_clwb (base + 16 + (8 * w))
+    done;
+    store_clwb (base + 128);
+    incr seq;
+    Pstate.fence ps m ~seq:!seq
+  in
+  Alcotest.(check int) "lines drained" 3 (cycle ());
+  let words = allocated_bytes cycle /. float_of_int (Sys.word_size / 8) in
+  if words > 1_200. then
+    Alcotest.failf "an update cycle allocated %.0f words" words
+
 (* ------------------------------------------------------------------ *)
 (* Interp *)
 
@@ -1085,6 +1173,15 @@ let suite =
     ("pstate supersede", `Quick, test_pstate_supersede);
     ("pstate classification", `Quick, test_pstate_classification);
     ("pstate cross-line flush", `Quick, test_pstate_flush_cross_line_record);
+    ( "pstate fence counts start lines",
+      `Quick,
+      test_pstate_fence_counts_start_lines );
+    ( "pstate index holds only live lines",
+      `Quick,
+      test_pstate_index_holds_only_live_lines );
+    ( "pstate update cycle allocation",
+      `Quick,
+      test_pstate_update_cycle_allocation );
     ("interp arith and flow", `Quick, test_interp_arith_and_flow);
     ("interp recursion", `Quick, test_interp_recursion);
     ("interp division traps", `Quick, test_interp_division_traps);

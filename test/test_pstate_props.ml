@@ -1,6 +1,8 @@
 (* qcheck properties of the persistency state machine: random sequences
    of PM stores, flushes and fences must maintain the model's invariants,
-   and the durable image must change only at durability events. *)
+   the durable image must change only at durability events, and [Pstate]
+   must agree with [Pstate_model], the reference implementation it
+   replaced. *)
 
 open Hippo_pmir
 open Hippo_pmcheck
@@ -133,6 +135,168 @@ let prop_missing_fence_only_when_pending =
       fence_bugs = Pstate.pending_count ps)
 
 (* ------------------------------------------------------------------ *)
+(* Differential property: [Pstate] against [Pstate_model] over twin
+   memories. The sequences cover four PM lines with stores of every size
+   at any offset (8-byte ones straddling lines included), nontemporal
+   stores, the three flush kinds at PM and volatile addresses, fences and
+   both fault-injection hooks. Sites repeat, so bugs tie on location. *)
+
+type mop =
+  | M_store of { off : int; size : int; value : int; nt : bool; site : int }
+  | M_flush of { off : int option; kind : Instr.flush_kind }
+      (** [None]: a volatile address *)
+  | M_fence
+  | M_commit of int  (** which write-backs drain: a mask over seqs *)
+  | M_tear of { pick : int; words : int }
+
+let gen_mop : mop QCheck.Gen.t =
+  let open QCheck.Gen in
+  let kind = oneofl [ Instr.Clwb; Instr.Clflushopt; Instr.Clflush ] in
+  frequency
+    [
+      ( 6,
+        let* size = oneofl [ 1; 2; 4; 8 ] in
+        let* off = int_range 0 (256 - size) in
+        let* value = int in
+        let* nt = frequency [ (5, return false); (1, return true) ] in
+        let+ site = int_range 1 3 in
+        M_store { off; size; value; nt; site } );
+      ( 4,
+        let* off =
+          frequency
+            [ (5, map Option.some (int_range 0 255)); (1, return None) ]
+        in
+        let+ kind = kind in
+        M_flush { off; kind } );
+      (2, return M_fence);
+      (1, map (fun mask -> M_commit mask) int);
+      (1, map2 (fun pick words -> M_tear { pick; words }) nat int);
+    ]
+
+let mop_to_string = function
+  | M_store { off; size; value; nt; site } ->
+      Printf.sprintf "store%s.%d +%d<-%d @%d" (if nt then ".nt" else "") size
+        off value site
+  | M_flush { off; kind } ->
+      Printf.sprintf "flush.%s %s"
+        (Instr.flush_kind_to_string kind)
+        (match off with Some o -> "+" ^ string_of_int o | None -> "vol")
+  | M_fence -> "fence"
+  | M_commit mask -> Printf.sprintf "commit_chosen %x" mask
+  | M_tear { pick; words } -> Printf.sprintf "tear %d/%x" pick words
+
+let arb_mops =
+  QCheck.make
+    QCheck.Gen.(list_size (int_range 1 60) gen_mop)
+    ~print:(fun ops -> String.concat "; " (List.map mop_to_string ops))
+
+let seqs_of = List.map (fun (r : Pstate.record) -> r.seq)
+let model_seqs_of = List.map (fun (r : Pstate_model.record) -> r.seq)
+
+(* the model's report order with ties on location put in store order;
+   a store's iid serial is its seq *)
+let by_site_then_seq (a : Report.bug) (b : Report.bug) =
+  match Loc.compare a.store.loc b.store.loc with
+  | 0 -> Int.compare (Iid.serial a.store.iid) (Iid.serial b.store.iid)
+  | c -> c
+
+let prop_agrees_with_model =
+  QCheck.Test.make ~name:"pstate agrees with the list-per-line model"
+    ~count:300 ~long_factor:50 arb_mops (fun mops ->
+      let ps = Pstate.create () and model = Pstate_model.create () in
+      let m = Mem.create [] and mm = Mem.create [] in
+      let base = Mem.alloc_pm m 256 in
+      ignore (Mem.alloc_pm mm 256);
+      let crash : Report.crash_info =
+        { crash_iid = None; crash_loc = Loc.none; crash_stack = [] }
+      in
+      List.iteri
+        (fun seq op ->
+          let fail what got want =
+            QCheck.Test.fail_reportf "op %d (%s): %s %d, model %d" seq
+              (mop_to_string op) what got want
+          in
+          let agree what got want = if got <> want then fail what got want in
+          (match op with
+          | M_store { off; size; value; nt; site } ->
+              let addr = base + off
+              and iid = Iid.of_serial ~func:"store" seq
+              and loc = Loc.make ~file:"t.c" ~line:site in
+              Mem.store m ~addr ~size value;
+              Mem.store mm ~addr ~size value;
+              if nt then begin
+                Pstate.store_nt ps m ~iid ~loc ~stack:[] ~addr ~size ~seq;
+                Pstate_model.store_nt model mm ~iid ~loc ~stack:[] ~addr ~size
+                  ~seq
+              end
+              else begin
+                ignore (Pstate.store ps ~iid ~loc ~stack:[] ~addr ~size ~seq);
+                ignore
+                  (Pstate_model.store model ~iid ~loc ~stack:[] ~addr ~size
+                     ~seq)
+              end
+          | M_flush { off; kind } ->
+              let addr =
+                match off with Some o -> base + o | None -> Layout.vol_base
+              and iid = Iid.of_serial ~func:"flush" seq in
+              agree "flush moved"
+                (Pstate.flush ps m ~iid ~kind ~addr)
+                (Pstate_model.flush model mm ~iid ~kind ~addr)
+          | M_fence ->
+              agree "fence drained"
+                (Pstate.fence ps m ~seq)
+                (Pstate_model.fence model mm ~seq)
+          | M_commit mask ->
+              let chosen s = (mask lsr (s mod 60)) land 1 = 1 in
+              agree "commit_chosen drained"
+                (Pstate.commit_chosen ps m (fun r -> chosen r.seq))
+                (Pstate_model.commit_chosen model mm (fun r -> chosen r.seq))
+          | M_tear { pick; words } -> (
+              let keep_word w = (words lsr w) land 1 = 1 in
+              match
+                (Pstate.dirty_records ps, Pstate_model.dirty_records model)
+              with
+              | (_ :: _ as ds), (_ :: _ as ds') ->
+                  Pstate.tear_dirty m
+                    (List.nth ds (pick mod List.length ds))
+                    ~keep_word;
+                  Pstate_model.tear_dirty mm
+                    (List.nth ds' (pick mod List.length ds'))
+                    ~keep_word
+              | _ -> ()));
+          if not (Bytes.equal (Mem.crash_image m) (Mem.crash_image mm)) then
+            QCheck.Test.fail_reportf "op %d (%s): crash images differ" seq
+              (mop_to_string op);
+          if not (Bytes.equal (Mem.working_image m) (Mem.working_image mm))
+          then
+            QCheck.Test.fail_reportf "op %d (%s): working images differ" seq
+              (mop_to_string op);
+          if
+            seqs_of (Pstate.dirty_records ps)
+            <> model_seqs_of (Pstate_model.dirty_records model)
+            || seqs_of (Pstate.pending_records ps)
+               <> model_seqs_of (Pstate_model.pending_records model)
+          then
+            QCheck.Test.fail_reportf "op %d (%s): live records differ" seq
+              (mop_to_string op);
+          agree "unpersisted" (Pstate.unpersisted_count ps)
+            (Pstate_model.unpersisted_count model);
+          agree "pending" (Pstate.pending_count ps)
+            (Pstate_model.pending_count model);
+          agree "stores" (Pstate.stores ps) model.stores_pm_total;
+          agree "flushes" (Pstate.flushes ps) model.flushes_total;
+          agree "fences" (Pstate.fences ps) model.fences_total;
+          if
+            Pstate.unpersisted_bugs ps ~crash
+            <> List.stable_sort by_site_then_seq
+                 (Pstate_model.unpersisted_bugs model ~crash)
+          then
+            QCheck.Test.fail_reportf "op %d (%s): bug reports differ" seq
+              (mop_to_string op))
+        mops;
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* fault-injection hook: commit_chosen models a partial write-pending
    queue drain but must preserve the per-line store-order (clflush
    drain) invariant — choosing a write-back drags every older pending
@@ -189,6 +353,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_image_changes_only_at_durability_events;
     QCheck_alcotest.to_alcotest prop_bug_counts_consistent;
     QCheck_alcotest.to_alcotest prop_missing_fence_only_when_pending;
+    QCheck_alcotest.to_alcotest prop_agrees_with_model;
     Alcotest.test_case "commit_chosen closes lines, commits oldest-first"
       `Quick test_commit_chosen_closes_lines_oldest_first;
   ]
