@@ -26,15 +26,20 @@ serve-smoke:
 	  --smoke --seed 42 --records 2000 --ops 3000 --workers 4 --jobs 2
 
 # Deterministic simulation smoke: standard and chaos mode on the
-# hand-hardened redis (each must be clean, 0 exit) and chaos on P-CLHT's
-# buggy manual port (must detect, so the exit code is inverted); every
-# fleet runs at two domains with reproducers saved under sim-smoke/.
+# hand-hardened redis (each must be clean, 0 exit), chaos on repaired
+# P-CLHT in lockstep with its buggy baseline (two restart chains on one
+# domain; must be clean, 0 exit) and chaos on P-CLHT's buggy manual
+# port (must detect, so the exit code is inverted); every fleet runs at
+# two domains with reproducers saved under sim-smoke/.
 sim-smoke:
 	HIPPO_JOBS=2 dune exec bin/hippocrates_cli.exe -- sim --app redis \
 	  --variant manual --mode standard --smoke --seed 42 --jobs 2 \
 	  --out sim-smoke
 	HIPPO_JOBS=2 dune exec bin/hippocrates_cli.exe -- sim --app redis \
 	  --variant manual --mode chaos --smoke --seed 42 --jobs 2 \
+	  --out sim-smoke
+	HIPPO_JOBS=2 dune exec bin/hippocrates_cli.exe -- sim --app pclht \
+	  --variant repaired --mode chaos --smoke --seed 42 --jobs 2 \
 	  --out sim-smoke
 	! HIPPO_JOBS=2 dune exec bin/hippocrates_cli.exe -- sim --app pclht \
 	  --variant manual --mode chaos --smoke --seed 42 --jobs 2 \

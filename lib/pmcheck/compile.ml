@@ -12,15 +12,20 @@
     Fuel is pre-charged per segment (a maximal run of instructions that
     cannot start a nested call or raise [Stopped_at_crash]): when the
     remaining fuel covers the whole segment, the fast chain runs with no
-    per-instruction bookkeeping; otherwise a per-instruction counted chain
-    reproduces the interpreter's [Out_of_fuel] point exactly. [steps] can
+    per-instruction bookkeeping; otherwise a per-instruction counted chain,
+    built the first time the segment needs it, reproduces the
+    interpreter's [Out_of_fuel] point exactly. [steps] can
     overshoot by at most a segment tail when a {!Mem.Trap} aborts a run
     mid-segment; every quantity in the parity contract (trace, bugs,
     output, [cost_ns], coverage, crash images, seq numbers) is
     bit-identical with {!Interp}.
 
-    Functions compile lazily, memoized per machine in
-    {!Machine.t}[.compiled]. *)
+    Functions compile lazily into {!Machine.t}[.compiled], a table shared
+    by the machines of a restart chain. Closures capture only what those
+    machines share — the prepared code, the config and the table — and
+    reach the running machine's state through {!Machine.binding}, which
+    {!call} points at the machine it runs. A restart therefore compiles
+    nothing again. *)
 
 open Hippo_pmir
 open Prep
@@ -36,21 +41,23 @@ let rec get_fn (t : Machine.t) (fi : int) : code =
       t.compiled.(fi) <- Some f;
       f
 
+(* [t] is read here only: a closure that captured it would pin one
+   machine of the chain, so run-time state is read through [bnd]. *)
 and compile_func (t : Machine.t) (fi : int) : code =
-  let pf = t.pfuncs.(fi) in
+  let bnd = t.binding in
+  let pfuncs = t.pfuncs and compiled = t.compiled in
+  let pf = pfuncs.(fi) in
   let fname = pf.fname in
   let code = pf.code in
   let ncode = Array.length code in
-  let mem = t.mem in
-  let ps = t.ps in
   let cfg = t.cfg in
   let fuel = cfg.fuel in
   let trace = cfg.trace in
   let cost = cfg.cost in
   let cov = t.cov in
-  let stats = t.stats in
-  let acc = t.cost_acc in
-  let tracking = Mem.tracking mem in
+  (* = [Mem.tracking] of every machine of the chain: [Machine.new_mem]
+     passes it through *)
+  let tracking = cfg.track_images in
   let leaders = pf.leaders in
   let nblocks = Array.length leaders in
   let fell_off : code =
@@ -77,6 +84,7 @@ and compile_func (t : Machine.t) (fi : int) : code =
     | Some c ->
         let ns = c.op_ns in
         fun regs ->
+          let acc = bnd.cur_acc in
           acc.fv <- acc.fv +. ns;
           next regs
   in
@@ -93,12 +101,14 @@ and compile_func (t : Machine.t) (fi : int) : code =
     | None, Some c ->
         let ns = c.op_ns in
         fun regs ->
+          let acc = bnd.cur_acc in
           acc.fv <- acc.fv +. ns;
           (Array.unsafe_get blocks tgt) regs
     | Some cv, Some c ->
         let ns = c.op_ns in
         fun regs ->
           Coverage.mark cv edge;
+          let acc = bnd.cur_acc in
           acc.fv <- acc.fv +. ns;
           (Array.unsafe_get blocks tgt) regs
   in
@@ -410,7 +420,7 @@ and compile_func (t : Machine.t) (fi : int) : code =
     | PAlloca { dst; size } ->
         let fin = fin_pure next in
         fun regs ->
-          Array.unsafe_set regs dst (Mem.alloc_stack mem size);
+          Array.unsafe_set regs dst (Mem.alloc_stack bnd.cur_mem size);
           fin regs
     | PLoad { dst; addr; size } -> (
         (* Sizes 1 and 8 dominate generated code (byte scans, word and
@@ -421,35 +431,37 @@ and compile_func (t : Machine.t) (fi : int) : code =
         | 1, PReg x, None ->
             fun regs ->
               Array.unsafe_set regs dst
-                (Mem.load1 mem (Array.unsafe_get regs x));
+                (Mem.load1 bnd.cur_mem (Array.unsafe_get regs x));
               next regs
         | 1, PReg x, Some c ->
             let lpm = c.load_pm_ns and ldr = c.load_dram_ns in
             fun regs ->
               let a = Array.unsafe_get regs x in
-              Array.unsafe_set regs dst (Mem.load1 mem a);
+              Array.unsafe_set regs dst (Mem.load1 bnd.cur_mem a);
+              let acc = bnd.cur_acc in
               acc.fv <- acc.fv +. (if Layout.is_pm a then lpm else ldr);
               next regs
         | 8, PReg x, None ->
             fun regs ->
               Array.unsafe_set regs dst
-                (Mem.load8 mem (Array.unsafe_get regs x));
+                (Mem.load8 bnd.cur_mem (Array.unsafe_get regs x));
               next regs
         | 8, PReg x, Some c ->
             let lpm = c.load_pm_ns and ldr = c.load_dram_ns in
             fun regs ->
               let a = Array.unsafe_get regs x in
-              Array.unsafe_set regs dst (Mem.load8 mem a);
+              Array.unsafe_set regs dst (Mem.load8 bnd.cur_mem a);
+              let acc = bnd.cur_acc in
               acc.fv <- acc.fv +. (if Layout.is_pm a then lpm else ldr);
               next regs
         | _ -> (
             let ld : int -> int =
               match size with
-              | 1 -> Mem.load1 mem
-              | 2 -> Mem.load2 mem
-              | 4 -> Mem.load4 mem
-              | 8 -> Mem.load8 mem
-              | sz -> fun a -> Mem.load mem ~addr:a ~size:sz
+              | 1 -> fun a -> Mem.load1 bnd.cur_mem a
+              | 2 -> fun a -> Mem.load2 bnd.cur_mem a
+              | 4 -> fun a -> Mem.load4 bnd.cur_mem a
+              | 8 -> fun a -> Mem.load8 bnd.cur_mem a
+              | sz -> fun a -> Mem.load bnd.cur_mem ~addr:a ~size:sz
             in
             match (addr, cost) with
             | PReg x, None ->
@@ -465,6 +477,7 @@ and compile_func (t : Machine.t) (fi : int) : code =
                 fun regs ->
                   let a = Array.unsafe_get regs x in
                   Array.unsafe_set regs dst (ld a);
+                  let acc = bnd.cur_acc in
                   acc.fv <- acc.fv +. (if Layout.is_pm a then lpm else ldr);
                   next regs
             | PImm a, Some c ->
@@ -473,38 +486,42 @@ and compile_func (t : Machine.t) (fi : int) : code =
                 in
                 fun regs ->
                   Array.unsafe_set regs dst (ld a);
+                  let acc = bnd.cur_acc in
                   acc.fv <- acc.fv +. ns;
                   next regs))
     | PStore { addr; value; size; nt } -> (
         let iid = i.iid and loc = i.loc in
         let st : int -> int -> unit =
-          if tracking then fun a v -> Mem.store mem ~addr:a ~size v
+          if tracking then fun a v -> Mem.store bnd.cur_mem ~addr:a ~size v
           else
             match size with
-            | 1 -> Mem.store1 mem
-            | 2 -> Mem.store2 mem
-            | 4 -> Mem.store4 mem
-            | 8 -> Mem.store8 mem
-            | sz -> fun a v -> Mem.store mem ~addr:a ~size:sz v
+            | 1 -> fun a v -> Mem.store1 bnd.cur_mem a v
+            | 2 -> fun a v -> Mem.store2 bnd.cur_mem a v
+            | 4 -> fun a v -> Mem.store4 bnd.cur_mem a v
+            | 8 -> fun a v -> Mem.store8 bnd.cur_mem a v
+            | sz -> fun a v -> Mem.store bnd.cur_mem ~addr:a ~size:sz v
         in
         let pstore : int -> int -> unit =
           if nt then fun a seq ->
-            Pstate.store_nt ps mem ~iid ~loc ~stack:t.frames ~addr:a ~size ~seq
+            Pstate.store_nt bnd.cur_ps bnd.cur_mem ~iid ~loc
+              ~stack:bnd.cur.frames ~addr:a ~size ~seq
           else
             fun a seq ->
               ignore
-                (Pstate.store ps ~iid ~loc ~stack:t.frames ~addr:a ~size ~seq)
+                (Pstate.store bnd.cur_ps ~iid ~loc ~stack:bnd.cur.frames ~addr:a
+                   ~size ~seq)
         in
         let pm_part : int -> unit =
           if trace then fun a ->
-            let seq = next_seq t in
+            let m = bnd.cur in
+            let seq = next_seq m in
             pstore a seq;
-            push_event t
+            push_event m
               (Trace.Store
                  {
                    iid;
                    loc;
-                   stack = t.frames;
+                   stack = m.frames;
                    addr = a;
                    size;
                    nontemporal = nt;
@@ -512,7 +529,7 @@ and compile_func (t : Machine.t) (fi : int) : code =
                  })
           else
             fun a ->
-              let seq = next_seq t in
+              let seq = next_seq bnd.cur in
               pstore a seq
         in
         let body : int -> int -> unit =
@@ -524,12 +541,14 @@ and compile_func (t : Machine.t) (fi : int) : code =
           | true, None ->
               fun a v ->
                 st a v;
-                Sitestats.observe stats ~site:iid ~arg:(-1) (classify_arg a);
+                Sitestats.observe bnd.cur_stats ~site:iid ~arg:(-1)
+                  (classify_arg a);
                 if Layout.is_pm a then pm_part a
           | false, Some c ->
               let spm = c.store_pm_ns and sdr = c.store_dram_ns in
               fun a v ->
                 st a v;
+                let acc = bnd.cur_acc in
                 if Layout.is_pm a then begin
                   pm_part a;
                   acc.fv <- acc.fv +. spm
@@ -539,7 +558,9 @@ and compile_func (t : Machine.t) (fi : int) : code =
               let spm = c.store_pm_ns and sdr = c.store_dram_ns in
               fun a v ->
                 st a v;
-                Sitestats.observe stats ~site:iid ~arg:(-1) (classify_arg a);
+                Sitestats.observe bnd.cur_stats ~site:iid ~arg:(-1)
+                  (classify_arg a);
+                let acc = bnd.cur_acc in
                 if Layout.is_pm a then begin
                   pm_part a;
                   acc.fv <- acc.fv +. spm
@@ -567,18 +588,19 @@ and compile_func (t : Machine.t) (fi : int) : code =
         let iid = i.iid and loc = i.loc in
         let pm_note : int -> unit =
           if trace then fun a ->
-            let seq = next_seq t in
-            push_event t
+            let m = bnd.cur in
+            let seq = next_seq m in
+            push_event m
               (Trace.Flush
                  {
                    iid;
                    loc;
-                   stack = t.frames;
+                   stack = m.frames;
                    kind;
                    line_addr = Layout.line_base a;
                    seq;
                  })
-          else fun _ -> ignore (next_seq t)
+          else fun _ -> ignore (next_seq bnd.cur)
         in
         let charge_flush : int -> int -> unit =
           match cost with
@@ -588,13 +610,14 @@ and compile_func (t : Machine.t) (fi : int) : code =
               and cl = c.flush_pm_clean_ns
               and v = c.flush_vol_ns in
               fun a moved ->
+                let acc = bnd.cur_acc in
                 acc.fv <-
                   acc.fv
                   +.
                   if Layout.is_pm a then if moved > 0 then d else cl else v
         in
         let body a =
-          let moved = Pstate.flush ps mem ~iid ~kind ~addr:a in
+          let moved = Pstate.flush bnd.cur_ps bnd.cur_mem ~iid ~kind ~addr:a in
           if Layout.is_pm a then pm_note a;
           charge_flush a moved
         in
@@ -611,7 +634,8 @@ and compile_func (t : Machine.t) (fi : int) : code =
         let iid = i.iid and loc = i.loc in
         let note : int -> unit =
           if trace then fun seq ->
-            push_event t (Trace.Fence { iid; loc; stack = t.frames; kind; seq })
+            let m = bnd.cur in
+            push_event m (Trace.Fence { iid; loc; stack = m.frames; kind; seq })
           else fun _ -> ()
         in
         let charge_fence : int -> unit =
@@ -620,11 +644,12 @@ and compile_func (t : Machine.t) (fi : int) : code =
           | Some c ->
               let base = c.fence_base_ns and per = c.fence_drain_line_ns in
               fun drained ->
+                let acc = bnd.cur_acc in
                 acc.fv <- acc.fv +. (base +. (float_of_int drained *. per))
         in
         fun regs ->
-          let seq = next_seq t in
-          let drained = Pstate.fence ps mem ~seq in
+          let seq = next_seq bnd.cur in
+          let drained = Pstate.fence bnd.cur_ps bnd.cur_mem ~seq in
           note seq;
           charge_fence drained;
           next regs
@@ -643,7 +668,9 @@ and compile_func (t : Machine.t) (fi : int) : code =
           | None -> fun () -> ()
           | Some c ->
               let ns = c.call_ns in
-              fun () -> acc.fv <- acc.fv +. ns
+              fun () ->
+                let acc = bnd.cur_acc in
+                acc.fv <- acc.fv +. ns
         in
         match callee with
         | Cintrinsic it ->
@@ -655,19 +682,20 @@ and compile_func (t : Machine.t) (fi : int) : code =
               match it with
               | Ipm_alloc ->
                   let a0 = argk 0 in
-                  fun regs -> Mem.alloc_pm mem (a0 regs)
+                  fun regs -> Mem.alloc_pm bnd.cur_mem (a0 regs)
               | Ipm_base -> fun _ -> Layout.pm_base
               | Ipm_size ->
                   let n = cfg.pm_size in
                   fun _ -> n
               | Imalloc ->
                   let a0 = argk 0 in
-                  fun regs -> Mem.alloc_vol mem (a0 regs)
+                  fun regs -> Mem.alloc_vol bnd.cur_mem (a0 regs)
               | Ifree -> fun _ -> 0
               | Iemit ->
                   let a0 = argk 0 in
                   fun regs ->
-                    t.output_rev <- a0 regs :: t.output_rev;
+                    let m = bnd.cur in
+                    m.output_rev <- a0 regs :: m.output_rev;
                     0
               | Iabort -> fun _ -> raise Aborted
             in
@@ -684,21 +712,22 @@ and compile_func (t : Machine.t) (fi : int) : code =
         | Cfunc callee_fi ->
             let getters = Array.map evc args in
             let nargs = Array.length getters in
-            let callee_fname = t.pfuncs.(callee_fi).fname in
-            let compiled = t.compiled in
+            let callee_fname = pfuncs.(callee_fi).fname in
             let pre_trace : int array -> unit =
               if trace then fun argv -> (
+                let m = bnd.cur in
                 Array.iteri
                   (fun k v ->
-                    Sitestats.observe stats ~site:iid ~arg:k (classify_arg v))
+                    Sitestats.observe bnd.cur_stats ~site:iid ~arg:k
+                      (classify_arg v))
                   argv;
-                let seq = next_seq t in
-                push_event t
+                let seq = next_seq m in
+                push_event m
                   (Trace.Call
                      {
                        iid;
                        loc;
-                       stack = t.frames;
+                       stack = m.frames;
                        callee = callee_fname;
                        arg_classes = Array.to_list (Array.map classify_arg argv);
                        seq;
@@ -722,15 +751,16 @@ and compile_func (t : Machine.t) (fi : int) : code =
                     Array.unsafe_set argv k ((Array.unsafe_get getters k) regs)
                   done;
                   pre_trace argv;
-                  t.frames <- frame :: t.frames;
+                  let m = bnd.cur in
+                  m.frames <- frame :: m.frames;
                   charge_call ();
                   let f =
                     match Array.unsafe_get compiled callee_fi with
                     | Some f -> f
-                    | None -> get_fn t callee_fi
+                    | None -> get_fn m callee_fi
                   in
                   let r = f argv in
-                  t.frames <- List.tl t.frames;
+                  m.frames <- List.tl m.frames;
                   Array.unsafe_set regs dst r;
                   next regs
               else
@@ -740,16 +770,17 @@ and compile_func (t : Machine.t) (fi : int) : code =
                     Array.unsafe_set argv k ((Array.unsafe_get getters k) regs)
                   done;
                   pre_trace argv;
-                  t.frames <- frame :: t.frames;
+                  let m = bnd.cur in
+                  m.frames <- frame :: m.frames;
                   charge_call ();
                   let f =
                     match Array.unsafe_get compiled callee_fi with
                     | Some f -> f
-                    | None -> get_fn t callee_fi
+                    | None -> get_fn m callee_fi
                   in
                   let r = f argv in
                   ignore r;
-                  t.frames <- List.tl t.frames;
+                  m.frames <- List.tl m.frames;
                   next regs
             in
             with_mark body)
@@ -779,6 +810,7 @@ and compile_func (t : Machine.t) (fi : int) : code =
             | None, Some c ->
                 let ns = c.op_ns in
                 fun regs ->
+                  let acc = bnd.cur_acc in
                   acc.fv <- acc.fv +. ns;
                   (Array.unsafe_get blocks
                      (if Array.unsafe_get regs x <> 0 then ts else fs))
@@ -786,6 +818,7 @@ and compile_func (t : Machine.t) (fi : int) : code =
             | Some cv, Some c ->
                 let ns = c.op_ns in
                 fun regs ->
+                  let acc = bnd.cur_acc in
                   if Array.unsafe_get regs x <> 0 then begin
                     Coverage.mark cv edge_true;
                     acc.fv <- acc.fv +. ns;
@@ -805,7 +838,7 @@ and compile_func (t : Machine.t) (fi : int) : code =
         let siid = Some i.iid and loc = i.loc in
         let body : code =
          fun regs ->
-          record_crash_point t ~iid:siid ~loc;
+          record_crash_point bnd.cur ~iid:siid ~loc;
           next regs
         in
         match cov with
@@ -817,8 +850,9 @@ and compile_func (t : Machine.t) (fi : int) : code =
   in
   let counted (body : code) : code =
    fun regs ->
-    t.steps <- t.steps + 1;
-    if t.steps > fuel then raise Out_of_fuel;
+    let m = bnd.cur in
+    m.steps <- m.steps + 1;
+    if m.steps > fuel then raise Out_of_fuel;
     body regs
   in
   (* Peephole for the fast chain: a comparison immediately followed by
@@ -904,6 +938,7 @@ and compile_func (t : Machine.t) (fi : int) : code =
             | None, Some c ->
                 let ns = c.op_ns in
                 fun regs ->
+                  let acc = bnd.cur_acc in
                   if test regs then begin
                     Array.unsafe_set regs dst 1;
                     acc.fv <- acc.fv +. ns;
@@ -919,6 +954,7 @@ and compile_func (t : Machine.t) (fi : int) : code =
             | Some cv, Some c ->
                 let ns = c.op_ns in
                 fun regs ->
+                  let acc = bnd.cur_acc in
                   if test regs then begin
                     Array.unsafe_set regs dst 1;
                     acc.fv <- acc.fv +. ns;
@@ -980,14 +1016,28 @@ and compile_func (t : Machine.t) (fi : int) : code =
           else counted (compile_instr code.(j) (slow (j + 1)))
         in
         let fastc = fast i in
-        let slowc = slow i in
+        (* Built the first time the segment would run out of fuel: most
+           machines run with fuel to spare and never need it. A plain
+           cell, not [Lazy]: two racing builds are equal, whereas a
+           concurrent [Lazy.force] raises. *)
+        let slowc = ref None in
         fun regs ->
-          let s = t.steps + n in
+          let m = bnd.cur in
+          let s = m.steps + n in
           if s <= fuel then begin
-            t.steps <- s;
+            m.steps <- s;
             fastc regs
           end
-          else slowc regs
+          else
+            let c =
+              match !slowc with
+              | Some c -> c
+              | None ->
+                  let c = slow i in
+                  slowc := Some c;
+                  c
+            in
+            c regs
       end
     in
     blocks.(b) <- build start
@@ -1004,6 +1054,7 @@ and compile_func (t : Machine.t) (fi : int) : code =
     for i = 0 to nparams - 1 do
       Array.unsafe_set regs (Array.unsafe_get pslots i) (Array.unsafe_get args i)
     done;
+    let mem = bnd.cur_mem in
     let mark = Mem.stack_mark mem in
     let r = b0 regs in
     (* No Fun.protect: like the interpreter, an escaping exception leaves
@@ -1011,15 +1062,32 @@ and compile_func (t : Machine.t) (fi : int) : code =
     Mem.stack_release mem mark;
     r
 
+let bind (t : Machine.t) =
+  let bnd = t.binding in
+  if bnd.cur != t then begin
+    bnd.cur <- t;
+    bnd.cur_mem <- t.mem;
+    bnd.cur_ps <- t.ps;
+    bnd.cur_acc <- t.cost_acc;
+    bnd.cur_stats <- t.stats
+  end
+
 (** [call t name args] — the host entry point, mirroring {!Interp.call}
     exactly but executing compiled closures. *)
 let call (t : Machine.t) name args =
   match Hashtbl.find_opt t.fidx name with
   | None -> Mem.trap "call to undefined function @%s" name
   | Some fi ->
+      let prev = t.binding.cur in
+      bind t;
       t.frames <- [ { Trace.func = name; callsite = None; callsite_loc = None } ];
       Fun.protect
-        ~finally:(fun () -> t.frames <- [])
+        ~finally:(fun () ->
+          t.frames <- [];
+          (* A host call into a sibling from inside [prev]'s run hands
+             the binding back. Between runs it stays on [t]: rebinding a
+             finished machine would keep it, and its pool, alive. *)
+          if prev.frames <> [] then bind prev)
         (fun () -> (get_fn t fi) (Array.of_list args))
 
 (** One-shot convenience mirroring {!Interp.run}: run [entry] with [args]

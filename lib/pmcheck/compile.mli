@@ -5,7 +5,10 @@
     shapes, access sizes and the trace/coverage/cost/image hooks are
     specialized when the closure is built, registers live in a
     preallocated [int array], and branch targets are pre-resolved block
-    slots. Functions compile lazily, memoized per machine.
+    slots. Functions compile lazily, once per restart chain: a machine
+    and every machine {!Machine.restart} boots from it share one table
+    of compiled functions, whose closures reach the machine they run on
+    through the chain's {!Machine.binding}.
 
     The contract with {!Interp} is bit-identical observables: trace
     events (including seq numbers), bugs, output, [cost_ns], coverage,
@@ -15,7 +18,9 @@
 
 (** [call t name args] invokes a function from the host through the
     compiled tier. Same exceptions and accumulation semantics as
-    {!Interp.call}. *)
+    {!Interp.call}. It points [t]'s binding at [t] for the run; a call
+    made from inside a sibling's run hands the binding back when it
+    returns. *)
 val call : Machine.t -> string -> int list -> int
 
 (** One-shot convenience mirroring {!Interp.run}: run [entry] with [args]

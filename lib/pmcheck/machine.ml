@@ -62,7 +62,9 @@ type t = {
   cfg : config;
   cov : Coverage.t option;  (** = [cfg.coverage], hoisted for the hot loop *)
   compiled : (int array -> int) option array;
-      (** per-function entry closures, built lazily by {!Compile} *)
+      (** per-function entry closures, built lazily by {!Compile} and
+          shared by every machine of a restart chain *)
+  binding : binding;  (** shared by every machine of a restart chain *)
   cost_acc : fcell;
   mutable seq : int;
   mutable steps : int;
@@ -83,35 +85,64 @@ type t = {
   stats : Sitestats.t;  (** per-site pointer-class observations *)
 }
 
+(* The machine compiled code runs on. Compiled closures read the
+   execution state through this record instead of capturing one machine,
+   so a restart keeps them: {!Compile.call} points the binding at the
+   machine it runs. The [cur_*] fields cache [cur]'s own so that a
+   closure reaches them with one load more than a captured value. *)
+and binding = {
+  mutable cur : t;
+  mutable cur_mem : Mem.t;
+  mutable cur_ps : Pstate.t;
+  mutable cur_acc : fcell;
+  mutable cur_stats : Sitestats.t;
+}
+
 let new_mem ?pm_image ?pm_brk (cfg : config) prog =
   Mem.create ~vol_size:cfg.vol_size ~stack_size:cfg.stack_size
     ~global_size:cfg.global_size ~pm_size:cfg.pm_size ?pm_image ?pm_brk
     ~track_images:cfg.track_images (Program.globals prog)
 
 (* A machine over [mem] running the already-prepared [pfuncs]: every
-   field that execution mutates starts fresh. *)
-let assemble ~prog ~cfg ~pfuncs ~fidx mem =
-  {
-    prog;
-    pfuncs;
-    fidx;
-    mem;
-    ps = Pstate.create ();
-    cfg;
-    cov = cfg.coverage;
-    compiled = Array.make (Array.length pfuncs) None;
-    cost_acc = { fv = 0.0 };
-    seq = 0;
-    steps = 0;
-    trace_rev = [];
-    bugs_rev = [];
-    output_rev = [];
-    crashes_hit = 0;
-    armed_crash = None;
-    crash_hook = None;
-    frames = [];
-    stats = Sitestats.create ();
-  }
+   field that execution mutates starts fresh. Without [binding] the
+   machine starts a chain and is bound to itself. *)
+let assemble ~prog ~cfg ~pfuncs ~fidx ~compiled ?binding mem =
+  let ps = Pstate.create ()
+  and cost_acc = { fv = 0.0 }
+  and stats = Sitestats.create () in
+  let rec t =
+    {
+      prog;
+      pfuncs;
+      fidx;
+      mem;
+      ps;
+      cfg;
+      cov = cfg.coverage;
+      compiled;
+      binding = (match binding with Some b -> b | None -> own);
+      cost_acc;
+      seq = 0;
+      steps = 0;
+      trace_rev = [];
+      bugs_rev = [];
+      output_rev = [];
+      crashes_hit = 0;
+      armed_crash = None;
+      crash_hook = None;
+      frames = [];
+      stats;
+    }
+  and own =
+    {
+      cur = t;
+      cur_mem = mem;
+      cur_ps = ps;
+      cur_acc = cost_acc;
+      cur_stats = stats;
+    }
+  in
+  t
 
 let create ?pm_image (cfg : config) (prog : Program.t) : t =
   let funcs = Program.funcs prog in
@@ -122,14 +153,19 @@ let create ?pm_image (cfg : config) (prog : Program.t) : t =
   let pfuncs =
     Array.of_list (List.map (Prep.prepare_func ~fidx ~global_addr) funcs)
   in
-  assemble ~prog ~cfg ~pfuncs ~fidx mem
+  let compiled = Array.make (Array.length pfuncs) None in
+  assemble ~prog ~cfg ~pfuncs ~fidx ~compiled mem
 
-(* The prepared code is shared: it is read-only, and the global layout it
-   resolved addresses against is a function of the program and config
-   alone. Compiled closures are not, as they capture [mem] and [ps]. *)
+(* The prepared and the compiled code are shared: both are functions of
+   the program and config alone. The global layout the prepared code
+   resolved addresses against depends on nothing else, and compiled
+   closures reach the machine they run on through the shared binding.
+   The machines of one chain therefore run on one domain at a time: a
+   sim scenario is one pool task, and no other caller restarts. *)
 let restart ~pm_image t =
   let mem = new_mem ~pm_image ~pm_brk:(Mem.pm_brk t.mem) t.cfg t.prog in
-  assemble ~prog:t.prog ~cfg:t.cfg ~pfuncs:t.pfuncs ~fidx:t.fidx mem
+  assemble ~prog:t.prog ~cfg:t.cfg ~pfuncs:t.pfuncs ~fidx:t.fidx
+    ~compiled:t.compiled ~binding:t.binding mem
 
 let mem t = t.mem
 let set_crash_hook t f = t.crash_hook <- Some f

@@ -44,7 +44,10 @@ type t = {
   cfg : config;
   cov : Coverage.t option;  (** = [cfg.coverage], hoisted for the hot loop *)
   compiled : (int array -> int) option array;
-      (** per-function entry closures, built lazily by {!Compile} *)
+      (** per-function entry closures, built lazily by {!Compile}. The
+          table is created by {!create} and handed on by {!restart}, so
+          a restart compiles nothing again. *)
+  binding : binding;
   cost_acc : fcell;
   mutable seq : int;
   mutable steps : int;
@@ -58,17 +61,34 @@ type t = {
   stats : Sitestats.t;  (** per-site pointer-class observations *)
 }
 
+(** The machine compiled code runs on, shared by the machines of a
+    restart chain: compiled closures read [cur]'s state through it
+    rather than capturing one machine. {!Compile.call} points it at the
+    machine it runs; the [cur_*] fields are [cur]'s [mem], [ps],
+    [cost_acc] and [stats]. *)
+and binding = {
+  mutable cur : t;
+  mutable cur_mem : Mem.t;
+  mutable cur_ps : Pstate.t;
+  mutable cur_acc : fcell;
+  mutable cur_stats : Sitestats.t;
+}
+
 (** [create ?pm_image cfg prog] prepares [prog] and builds a fresh
     machine over a fresh pool, seeded with [pm_image] if given. *)
 val create : ?pm_image:Bytes.t -> config -> Program.t -> t
 
 (** [restart ~pm_image t] is the machine a crash of [t] reboots into: the
-    same program, config and prepared code, over a pool seeded with
-    [pm_image] whose allocator resumes at [t]'s high-water mark (a real
-    PM allocator persists its heap metadata). Everything execution
+    same program, config, prepared and compiled code, over a pool seeded
+    with [pm_image] whose allocator resumes at [t]'s high-water mark (a
+    real PM allocator persists its heap metadata). Everything execution
     mutates starts fresh — memory, persistency state, cost, steps, crash
     points, trace, bugs and output — and [t] is left untouched.
-    O(bytes of [pm_image]); nothing is re-prepared. *)
+    O(bytes of [pm_image]); nothing is re-prepared or recompiled.
+
+    [t] and the restarted machine form a chain that shares [compiled]
+    and [binding], so the machines of one chain must run on one domain
+    at a time (a sim scenario is one pool task). *)
 val restart : pm_image:Bytes.t -> t -> t
 
 val mem : t -> Mem.t

@@ -241,8 +241,8 @@ let[@inline] load8 t addr =
   Int64.to_int (unsafe_get64 (backing t addr 8) (seg_off addr))
 
 (* The [storeN] variants bypass the image tracker and must only be used
-   when [tracking t] is false (the compiled tier checks once, at closure
-   compile time). *)
+   when image tracking is off (the compiled tier checks the config's
+   [track_images] once, at closure compile time). *)
 
 let[@inline] store1 t addr v =
   Bytes.unsafe_set (backing t addr 1) (seg_off addr)
@@ -313,8 +313,6 @@ let tracker t =
   match t.track with
   | Some tr -> tr
   | None -> trap "image tracking is off (create with ~track_images:true)"
-
-let tracking t = t.track <> None
 
 (** Live fingerprint of the working image. Requires tracking. *)
 let working_digest t = Imghash.digest (tracker t).work_hash

@@ -61,7 +61,7 @@ val store : t -> addr:int -> size:int -> int -> unit
 (** Size-specialized variants for the compiled tier: same bounds checks
     and trap messages as [load]/[store], without the per-access size
     dispatch. The [storeN] variants bypass the image tracker and must only
-    be used when {!tracking} is false. *)
+    be used when image tracking is off. *)
 
 val load1 : t -> int -> int
 val load2 : t -> int -> int
@@ -89,11 +89,8 @@ val crash_image : t -> Bytes.t
     O(bytes touched). *)
 val working_image : t -> Bytes.t
 
-(** Whether image tracking is on. The digest functions below trap when
-    it is not. *)
-val tracking : t -> bool
-
-(** Live fingerprint of the working image, maintained incrementally. *)
+(** Live fingerprint of the working image, maintained incrementally.
+    This and {!durable_digest} trap when image tracking is off. *)
 val working_digest : t -> Imghash.digest
 
 (** Live fingerprint of the durable image, maintained incrementally. *)

@@ -36,6 +36,15 @@ let ret_to_string = function
   | Error `Aborted -> "aborted"
   | Error `Out_of_fuel -> "out_of_fuel"
 
+(* One host call's outcome, traps and stops included. *)
+let call_result call t name args =
+  match call t name args with
+  | r -> Printf.sprintf "ret:%d" r
+  | exception Mem.Trap m -> Printf.sprintf "trap:%s" m
+  | exception Interp.Aborted -> "aborted"
+  | exception Interp.Out_of_fuel -> "out_of_fuel"
+  | exception Machine.Stopped_at_crash -> "stopped_at_crash"
+
 (* The shape of [Interp.run] and [Compile.run]: a test picks its tier by
    passing one of the two. *)
 type run =
@@ -45,6 +54,19 @@ type run =
   entry:string ->
   args:int list ->
   Machine.t * (int, [ `Stopped_at_crash | `Aborted | `Out_of_fuel ]) result
+
+let obs_of ~ret ~cov t =
+  {
+    ret;
+    bugs = List.map Report.bug_to_string (Interp.bugs t);
+    raw_bugs = List.map Report.bug_to_string (Interp.raw_bugs t);
+    output = Interp.output t;
+    trace = List.map Trace.to_line (Interp.trace t);
+    cost_ns = Interp.cost_ns t;
+    steps = Interp.steps t;
+    crash_points = Interp.crash_points_hit t;
+    cov = Coverage.to_list cov;
+  }
 
 let observe (run : run) ~trace ~cost ?(fuel = Machine.default_config.fuel)
     ?stop_at_crash ?(entry = "main") prog =
@@ -60,18 +82,7 @@ let observe (run : run) ~trace ~cost ?(fuel = Machine.default_config.fuel)
     }
   in
   let t, ret = run ~config prog ~entry ~args:[] in
-  ( t,
-    {
-      ret = ret_to_string ret;
-      bugs = List.map Report.bug_to_string (Interp.bugs t);
-      raw_bugs = List.map Report.bug_to_string (Interp.raw_bugs t);
-      output = Interp.output t;
-      trace = List.map Trace.to_line (Interp.trace t);
-      cost_ns = Interp.cost_ns t;
-      steps = Interp.steps t;
-      crash_points = Interp.crash_points_hit t;
-      cov = Coverage.to_list cov;
-    } )
+  (t, obs_of ~ret:(ret_to_string ret) ~cov t)
 
 (* Polymorphic equality is exact here: strings, ints, and a float compared
    bit-for-bit (cost must accumulate in the same order in both tiers). *)
@@ -135,6 +146,51 @@ let prop_parity_crash_images =
       done;
       !ok)
 
+(* A restart chain shares its compiled code: two siblings restarted from
+   one crash image, called in turn (a, b, then a again), must each see
+   only their own memory, cost, steps, trace and output, exactly as the
+   interpreter's siblings do. Compiled code that kept the machine it was
+   built on would run every sibling against that machine's pool. *)
+let prop_parity_restart_chain =
+  QCheck.Test.make ~name:"interp/compiled parity across a restart chain"
+    ~count:40 Gen.arb_crash (fun prog ->
+      let count =
+        let config = { Machine.default_config with trace = false } in
+        let t, _ = Compile.run ~config prog ~entry:"main" ~args:[] in
+        Interp.crash_points_hit t
+      in
+      let chain call k =
+        let cov = Coverage.create () in
+        let config =
+          {
+            Machine.default_config with
+            trace = true;
+            cost = Some Cost.default;
+            coverage = Some cov;
+          }
+        in
+        let t = Interp.create config prog in
+        Machine.arm_crash t ~at:k;
+        let stopped = call_result call t "main" [] in
+        let image = Interp.crash_image t in
+        let a = Machine.restart ~pm_image:image t in
+        let b = Machine.restart ~pm_image:image t in
+        let snap m =
+          ( obs_of ~ret:"" ~cov m,
+            Interp.crash_image m,
+            Mem.working_image (Interp.mem m) )
+        in
+        ( stopped,
+          List.map
+            (fun m ->
+              let ret = call_result call m "main" [] in
+              (ret, snap a, snap b))
+            [ a; b; a ] )
+      in
+      List.for_all
+        (fun k -> chain Interp.call k = chain Compile.call k)
+        (List.init (max 1 count) (fun k -> k + 1)))
+
 (* The real corpus: each PMDK case's workload is one call of its entry.
    Both tiers run every case as written and after repair, with trace,
    cost model and coverage on, and must also leave the same durable
@@ -174,13 +230,6 @@ let build_prog emit =
   let p = Builder.program b in
   Validate.check_exn p;
   p
-
-let call_result call t name args =
-  match call t name args with
-  | r -> Printf.sprintf "ret:%d" r
-  | exception Mem.Trap m -> Printf.sprintf "trap:%s" m
-  | exception Interp.Aborted -> "aborted"
-  | exception Interp.Out_of_fuel -> "out_of_fuel"
 
 let both_tiers prog name args =
   let run call =
@@ -281,6 +330,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_parity_crash_family;
     QCheck_alcotest.to_alcotest prop_parity_out_of_fuel;
     QCheck_alcotest.to_alcotest prop_parity_crash_images;
+    QCheck_alcotest.to_alcotest prop_parity_restart_chain;
     Alcotest.test_case "tier parity over the PMDK corpus" `Quick
       test_corpus_parity;
   ]

@@ -934,27 +934,29 @@ let test_interp_global_values () =
   ignore (Interp.call t "main" []);
   Alcotest.(check (list int)) "global round trip" [ 31 ] (Interp.output t)
 
+let restart_prog () =
+  build_prog (fun b ->
+      let _ =
+        Builder.func b "main" [ "x" ] ~body:(fun fb ->
+            let a = Builder.call fb "pm_alloc" [ i 64 ] in
+            Builder.store fb ~addr:a (v "x");
+            Builder.flush fb a;
+            Builder.fence fb ();
+            (* unflushed: working and durable images differ *)
+            let c = Builder.call fb "pm_alloc" [ i 64 ] in
+            Builder.store fb ~addr:c (Builder.add fb (v "x") (i 1));
+            Builder.crash fb;
+            Builder.call_void fb "emit" [ v "x" ];
+            Builder.ret fb a)
+      in
+      ())
+
 (* [Machine.restart] boots the machine a crash reboots into: the prepared
-   program and the PM allocator mark carry over, every counter and
-   accumulator starts fresh, and the crashed machine is left alone. *)
+   and compiled program and the PM allocator mark carry over, every
+   counter and accumulator starts fresh, and the crashed machine is left
+   alone. *)
 let test_machine_restart () =
-  let p =
-    build_prog (fun b ->
-        let _ =
-          Builder.func b "main" [ "x" ] ~body:(fun fb ->
-              let a = Builder.call fb "pm_alloc" [ i 64 ] in
-              Builder.store fb ~addr:a (v "x");
-              Builder.flush fb a;
-              Builder.fence fb ();
-              (* unflushed: working and durable images differ *)
-              let c = Builder.call fb "pm_alloc" [ i 64 ] in
-              Builder.store fb ~addr:c (Builder.add fb (v "x") (i 1));
-              Builder.crash fb;
-              Builder.call_void fb "emit" [ v "x" ];
-              Builder.ret fb a)
-        in
-        ())
-  in
+  let p = restart_prog () in
   let cfg = { Interp.default_config with cost = Some Cost.default } in
   let t = Interp.create cfg p in
   ignore (Compile.call t "main" [ 7 ]);
@@ -966,6 +968,8 @@ let test_machine_restart () =
   let t' = Machine.restart ~pm_image:image t in
   Alcotest.(check bool) "prepared code is shared" true
     (t'.Machine.pfuncs == t.Machine.pfuncs);
+  Alcotest.(check bool) "compiled code is shared" true
+    (t'.Machine.compiled == t.Machine.compiled);
   Alcotest.(check int) "steps" 0 (Interp.steps t');
   Alcotest.(check (float 0.)) "cost" 0. (Interp.cost_ns t');
   Alcotest.(check int) "crash points" 0 (Interp.crash_points_hit t');
@@ -985,7 +989,69 @@ let test_machine_restart () =
   Alcotest.(check int) "old steps" steps (Interp.steps t);
   Alcotest.(check (float 0.)) "old cost" cost (Interp.cost_ns t);
   Alcotest.(check bytes) "old crash image" image (Interp.crash_image t);
-  Alcotest.(check (list int)) "old output" [ 7 ] (Interp.output t)
+  Alcotest.(check (list int)) "old output" [ 7 ] (Interp.output t);
+  (* The two machines share their compiled code but nothing they run
+     on: calling the old one again compiles nothing and moves only its
+     own output, steps, cost and images, and so does calling the new one
+     after it. *)
+  let filled () =
+    Array.fold_left
+      (fun n c -> if Option.is_some c then n + 1 else n)
+      0 t.Machine.compiled
+  in
+  let compiled = filled () in
+  let images m = (Interp.crash_image m, Mem.working_image (Interp.mem m)) in
+  let steps' = Interp.steps t' and cost' = Interp.cost_ns t' in
+  let images' = images t' in
+  ignore (Compile.call t "main" [ 11 ]);
+  Alcotest.(check int) "calling the old machine compiles nothing" compiled
+    (filled ());
+  Alcotest.(check (list int)) "old output grows" [ 7; 11 ] (Interp.output t);
+  Alcotest.(check int) "old steps grow by one run" (2 * steps)
+    (Interp.steps t);
+  Alcotest.(check bool) "old cost grows" true (Interp.cost_ns t > cost);
+  Alcotest.(check bool) "old crash image moves" false
+    (Bytes.equal image (Interp.crash_image t));
+  Alcotest.(check (list int)) "new output kept" [ 9 ] (Interp.output t');
+  Alcotest.(check int) "new steps kept" steps' (Interp.steps t');
+  Alcotest.(check (float 0.)) "new cost kept" cost' (Interp.cost_ns t');
+  Alcotest.(check (pair bytes bytes)) "new images kept" images' (images t');
+  let steps = Interp.steps t and cost = Interp.cost_ns t in
+  let images_old = images t in
+  ignore (Compile.call t' "main" [ 13 ]);
+  Alcotest.(check (list int)) "new output grows" [ 9; 13 ] (Interp.output t');
+  Alcotest.(check int) "new steps grow by one run" (2 * steps')
+    (Interp.steps t');
+  Alcotest.(check bool) "new cost grows" true (Interp.cost_ns t' > cost');
+  Alcotest.(check (list int)) "old output kept" [ 7; 11 ] (Interp.output t);
+  Alcotest.(check int) "old steps kept" steps (Interp.steps t);
+  Alcotest.(check (float 0.)) "old cost kept" cost (Interp.cost_ns t);
+  Alcotest.(check (pair bytes bytes)) "old images kept" images_old (images t);
+  Alcotest.(check int) "still nothing new compiled" compiled (filled ())
+
+(* A host call into a sibling from inside a run, here from the crash
+   hook, borrows the binding the chain's compiled code runs through and
+   hands it back: the interrupted run finishes on its own machine, and
+   both machines end exactly as under the interpreter. *)
+let test_machine_nested_sibling_call () =
+  let p = restart_prog () in
+  let cfg = { Interp.default_config with cost = Some Cost.default } in
+  let run call =
+    let t = Interp.create cfg p in
+    ignore (call t "main" [ 7 ]);
+    let t' = Machine.restart ~pm_image:(Interp.crash_image t) t in
+    Machine.set_crash_hook t (fun () -> ignore (call t' "main" [ 9 ]));
+    ignore (call t "main" [ 11 ]);
+    List.map
+      (fun m ->
+        ( (Interp.output m, Interp.steps m, Interp.cost_ns m),
+          (Interp.crash_image m, Mem.working_image (Interp.mem m)) ))
+      [ t; t' ]
+  in
+  let interp = run Interp.call and compiled = run Compile.call in
+  Alcotest.(check (list (list int))) "outputs" [ [ 7; 11 ]; [ 9 ] ]
+    (List.map (fun ((o, _, _), _) -> o) compiled);
+  Alcotest.(check bool) "tiers agree" true (interp = compiled)
 
 (* ------------------------------------------------------------------ *)
 (* Trace serialization *)
@@ -1163,6 +1229,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_lazy_matches_eager;
     ("machine allocation guard", `Quick, test_machine_allocation_guard);
     ("machine restart", `Quick, test_machine_restart);
+    ("machine nested sibling call", `Quick, test_machine_nested_sibling_call);
     ("pstate store/flush/fence", `Quick, test_pstate_store_flush_fence);
     ("pstate clflush immediate", `Quick, test_pstate_clflush_immediate);
     ( "pstate clflush drains pending",
