@@ -380,8 +380,7 @@ module SAdapter = Hippo_staticcheck.Adapter
 let dynamic_bugs_of (case : Case.t) =
   let prog = Lazy.force case.Case.program in
   let t = Interp.create { Interp.default_config with Interp.trace = true } prog in
-  (try case.Case.workload t with Interp.Stopped_at_crash -> ());
-  Interp.exit_check t;
+  Machine.run_workload t case.Case.workload;
   (prog, Interp.bugs t)
 
 let table_static () =

@@ -69,7 +69,7 @@ let () =
     (Printer.to_string prog);
   (* run the bug finder *)
   let t = Interp.create Interp.default_config prog in
-  ignore (Interp.call t "foo" []);
+  ignore (Compile.call t "foo" []);
   Interp.exit_check t;
   let bug = List.hd (Interp.bugs t) in
   Fmt.pr "bug under repair: %a@." Report.pp_bug bug;
@@ -81,7 +81,7 @@ let () =
   (* the resulting repair, as a patch *)
   let r =
     Driver.repair ~name:"listing6"
-      ~workload:(fun t -> ignore (Interp.call t "foo" []))
+      ~workload:(fun t -> ignore (Compile.call t "foo" []))
       prog
   in
   Fmt.pr "@.resulting patch:@.%s@."

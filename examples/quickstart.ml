@@ -41,7 +41,7 @@ let () =
   let prog = listing5 () in
   Validate.check_exn prog;
   Fmt.pr "=== Original program ===@.%s@." (Printer.to_string prog);
-  let workload t = ignore (Interp.call t "foo" []) in
+  let workload t = ignore (Compile.call t "foo" []) in
   let result = Driver.repair ~name:"listing5" ~workload prog in
   Fmt.pr "=== Bugs found ===@.";
   List.iter (fun b -> Fmt.pr "  %a@." Report.pp_bug b) result.Driver.bugs;

@@ -68,8 +68,7 @@ let residual_bugs prog =
   let t =
     Interp.create { Interp.default_config with Interp.trace = false } prog
   in
-  repair_workload t;
-  Interp.exit_check t;
+  Machine.run_workload t repair_workload;
   Interp.bugs t
 
 (* ------------------------------------------------------------------ *)

@@ -10,7 +10,7 @@
 
     {[
       let result = Driver.repair ~name:"myapp"
-          ~workload:(fun t -> ignore (Interp.call t "main" [])) prog in
+          ~workload:(fun t -> ignore (Compile.call t "main" [])) prog in
       assert (Verify.effective result.verification);
       Printer.to_string result.repaired
     ]} *)

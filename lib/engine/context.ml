@@ -130,8 +130,7 @@ let oracle ctx =
                 match ctx.workload with
                 | Some workload ->
                     let t = Interp.create ctx.config (program ctx) in
-                    (try workload t with Interp.Stopped_at_crash -> ());
-                    Interp.exit_check t;
+                    Machine.run_workload t workload;
                     Hippo_alias.Oracle.trace_aa (Interp.site_stats t)
                 | None ->
                     invalid_arg

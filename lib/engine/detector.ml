@@ -33,8 +33,7 @@ let dynamic =
         | Some workload ->
             let cfg = { config with Interp.trace = true } in
             let t = Interp.create cfg (Cache.program view) in
-            (try workload t with Interp.Stopped_at_crash -> ());
-            Interp.exit_check t;
+            Machine.run_workload t workload;
             {
               bugs = Interp.bugs t;
               site_stats = Some (Interp.site_stats t);

@@ -23,10 +23,9 @@ val effective : outcome -> bool
 (** [check ~jobs ~workload ~config ~original ~repaired] replays the
     workload on both programs and compares. [jobs > 1] runs the two
     executions on separate domains (they are independent interpreter
-    instances); the outcome is identical to the serial run. A workload
-    that stops at a crash point ({!Interp.Stopped_at_crash}) skips the
-    implicit at-exit check: the run never exited, so at-exit reports
-    would be phantom residual bugs. *)
+    instances); the outcome is identical to the serial run. Each run
+    goes through {!Machine.run_workload}, so a workload that stops at a
+    crash point gets no at-exit check. *)
 val check :
   jobs:int ->
   workload:(Interp.t -> unit) ->

@@ -6,8 +6,12 @@
     when the closure is built, branch targets are pre-resolved to block
     slots, and the trace/coverage/cost/image hooks are baked in at compile
     time — a disabled hook costs nothing, not a branch per instruction.
-    Control transfers are tail calls between block closures, so loops run
-    in constant OCaml stack.
+    A binop has a closure of its own only in the two shapes programs run,
+    register-register and register-immediate; its other shapes share one
+    generic closure. Each closure is built as [fun regs -> ...] directly:
+    one returned by a partial application would go through OCaml's
+    currying trampoline on every run. Control transfers are tail calls
+    between block closures, so loops run in constant OCaml stack.
 
     Fuel is pre-charged per segment (a maximal run of instructions that
     cannot start a nested call or raise [Stopped_at_crash]): when the
@@ -116,275 +120,202 @@ and compile_func (t : Machine.t) (fi : int) : code =
     match i.op with
     | PBinop { dst; op; lhs; rhs } -> (
         let fin = fin_pure next in
-        let mk frr fri fir fii : code =
-          match (lhs, rhs) with
-          | PReg x, PReg y -> frr x y
-          | PReg x, PImm n -> fri x n
-          | PImm n, PReg y -> fir n y
-          | PImm a, PImm b -> fii a b
-        in
-        let const r : code =
-         fun regs ->
-          Array.unsafe_set regs dst r;
-          fin regs
-        in
-        match op with
-        | Instr.Add ->
-            mk
-              (fun x y regs ->
-                Array.unsafe_set regs dst
-                  (Array.unsafe_get regs x + Array.unsafe_get regs y);
-                fin regs)
-              (fun x n regs ->
-                Array.unsafe_set regs dst (Array.unsafe_get regs x + n);
-                fin regs)
-              (fun n y regs ->
-                Array.unsafe_set regs dst (n + Array.unsafe_get regs y);
-                fin regs)
-              (fun a b -> const (a + b))
-        | Instr.Sub ->
-            mk
-              (fun x y regs ->
-                Array.unsafe_set regs dst
-                  (Array.unsafe_get regs x - Array.unsafe_get regs y);
-                fin regs)
-              (fun x n regs ->
-                Array.unsafe_set regs dst (Array.unsafe_get regs x - n);
-                fin regs)
-              (fun n y regs ->
-                Array.unsafe_set regs dst (n - Array.unsafe_get regs y);
-                fin regs)
-              (fun a b -> const (a - b))
-        | Instr.Mul ->
-            mk
-              (fun x y regs ->
-                Array.unsafe_set regs dst
-                  (Array.unsafe_get regs x * Array.unsafe_get regs y);
-                fin regs)
-              (fun x n regs ->
-                Array.unsafe_set regs dst (Array.unsafe_get regs x * n);
-                fin regs)
-              (fun n y regs ->
-                Array.unsafe_set regs dst (n * Array.unsafe_get regs y);
-                fin regs)
-              (fun a b -> const (a * b))
-        | Instr.Div ->
-            mk
-              (fun x y regs ->
-                let b = Array.unsafe_get regs y in
-                if b = 0 then Mem.trap "division by zero"
-                else begin
-                  Array.unsafe_set regs dst (Array.unsafe_get regs x / b);
-                  fin regs
-                end)
-              (fun x n ->
-                if n = 0 then fun _ -> Mem.trap "division by zero"
-                else
-                  fun regs ->
-                    Array.unsafe_set regs dst (Array.unsafe_get regs x / n);
-                    fin regs)
-              (fun n y regs ->
-                let b = Array.unsafe_get regs y in
-                if b = 0 then Mem.trap "division by zero"
-                else begin
-                  Array.unsafe_set regs dst (n / b);
-                  fin regs
-                end)
-              (fun a b ->
-                if b = 0 then fun _ -> Mem.trap "division by zero"
-                else const (a / b))
-        | Instr.Rem ->
-            mk
-              (fun x y regs ->
-                let b = Array.unsafe_get regs y in
-                if b = 0 then Mem.trap "remainder by zero"
-                else begin
-                  Array.unsafe_set regs dst (Array.unsafe_get regs x mod b);
-                  fin regs
-                end)
-              (fun x n ->
-                if n = 0 then fun _ -> Mem.trap "remainder by zero"
-                else
-                  fun regs ->
-                    Array.unsafe_set regs dst (Array.unsafe_get regs x mod n);
-                    fin regs)
-              (fun n y regs ->
-                let b = Array.unsafe_get regs y in
-                if b = 0 then Mem.trap "remainder by zero"
-                else begin
-                  Array.unsafe_set regs dst (n mod b);
-                  fin regs
-                end)
-              (fun a b ->
-                if b = 0 then fun _ -> Mem.trap "remainder by zero"
-                else const (a mod b))
-        | Instr.And ->
-            mk
-              (fun x y regs ->
-                Array.unsafe_set regs dst
-                  (Array.unsafe_get regs x land Array.unsafe_get regs y);
-                fin regs)
-              (fun x n regs ->
-                Array.unsafe_set regs dst (Array.unsafe_get regs x land n);
-                fin regs)
-              (fun n y regs ->
-                Array.unsafe_set regs dst (n land Array.unsafe_get regs y);
-                fin regs)
-              (fun a b -> const (a land b))
-        | Instr.Or ->
-            mk
-              (fun x y regs ->
-                Array.unsafe_set regs dst
-                  (Array.unsafe_get regs x lor Array.unsafe_get regs y);
-                fin regs)
-              (fun x n regs ->
-                Array.unsafe_set regs dst (Array.unsafe_get regs x lor n);
-                fin regs)
-              (fun n y regs ->
-                Array.unsafe_set regs dst (n lor Array.unsafe_get regs y);
-                fin regs)
-              (fun a b -> const (a lor b))
-        | Instr.Xor ->
-            mk
-              (fun x y regs ->
-                Array.unsafe_set regs dst
-                  (Array.unsafe_get regs x lxor Array.unsafe_get regs y);
-                fin regs)
-              (fun x n regs ->
-                Array.unsafe_set regs dst (Array.unsafe_get regs x lxor n);
-                fin regs)
-              (fun n y regs ->
-                Array.unsafe_set regs dst (n lxor Array.unsafe_get regs y);
-                fin regs)
-              (fun a b -> const (a lxor b))
-        | Instr.Shl ->
-            mk
-              (fun x y regs ->
-                Array.unsafe_set regs dst
-                  (Array.unsafe_get regs x lsl (Array.unsafe_get regs y land 62));
-                fin regs)
-              (fun x n ->
-                let sh = n land 62 in
-                fun regs ->
-                  Array.unsafe_set regs dst (Array.unsafe_get regs x lsl sh);
-                  fin regs)
-              (fun n y regs ->
-                Array.unsafe_set regs dst
-                  (n lsl (Array.unsafe_get regs y land 62));
-                fin regs)
-              (fun a b -> const (a lsl (b land 62)))
-        | Instr.Lshr ->
-            mk
-              (fun x y regs ->
-                Array.unsafe_set regs dst
-                  (Array.unsafe_get regs x lsr (Array.unsafe_get regs y land 62));
-                fin regs)
-              (fun x n ->
-                let sh = n land 62 in
-                fun regs ->
-                  Array.unsafe_set regs dst (Array.unsafe_get regs x lsr sh);
-                  fin regs)
-              (fun n y regs ->
-                Array.unsafe_set regs dst
-                  (n lsr (Array.unsafe_get regs y land 62));
-                fin regs)
-              (fun a b -> const (a lsr (b land 62)))
-        | Instr.Eq ->
-            mk
-              (fun x y regs ->
-                Array.unsafe_set regs dst
-                  (if Array.unsafe_get regs x = Array.unsafe_get regs y then 1
-                   else 0);
-                fin regs)
-              (fun x n regs ->
-                Array.unsafe_set regs dst
-                  (if Array.unsafe_get regs x = n then 1 else 0);
-                fin regs)
-              (fun n y regs ->
-                Array.unsafe_set regs dst
-                  (if n = Array.unsafe_get regs y then 1 else 0);
-                fin regs)
-              (fun a b -> const (if a = b then 1 else 0))
-        | Instr.Ne ->
-            mk
-              (fun x y regs ->
-                Array.unsafe_set regs dst
-                  (if Array.unsafe_get regs x <> Array.unsafe_get regs y then 1
-                   else 0);
-                fin regs)
-              (fun x n regs ->
-                Array.unsafe_set regs dst
-                  (if Array.unsafe_get regs x <> n then 1 else 0);
-                fin regs)
-              (fun n y regs ->
-                Array.unsafe_set regs dst
-                  (if n <> Array.unsafe_get regs y then 1 else 0);
-                fin regs)
-              (fun a b -> const (if a <> b then 1 else 0))
-        | Instr.Lt ->
-            mk
-              (fun x y regs ->
-                Array.unsafe_set regs dst
-                  (if Array.unsafe_get regs x < Array.unsafe_get regs y then 1
-                   else 0);
-                fin regs)
-              (fun x n regs ->
-                Array.unsafe_set regs dst
-                  (if Array.unsafe_get regs x < n then 1 else 0);
-                fin regs)
-              (fun n y regs ->
-                Array.unsafe_set regs dst
-                  (if n < Array.unsafe_get regs y then 1 else 0);
-                fin regs)
-              (fun a b -> const (if a < b then 1 else 0))
-        | Instr.Le ->
-            mk
-              (fun x y regs ->
-                Array.unsafe_set regs dst
-                  (if Array.unsafe_get regs x <= Array.unsafe_get regs y then 1
-                   else 0);
-                fin regs)
-              (fun x n regs ->
-                Array.unsafe_set regs dst
-                  (if Array.unsafe_get regs x <= n then 1 else 0);
-                fin regs)
-              (fun n y regs ->
-                Array.unsafe_set regs dst
-                  (if n <= Array.unsafe_get regs y then 1 else 0);
-                fin regs)
-              (fun a b -> const (if a <= b then 1 else 0))
-        | Instr.Gt ->
-            mk
-              (fun x y regs ->
-                Array.unsafe_set regs dst
-                  (if Array.unsafe_get regs x > Array.unsafe_get regs y then 1
-                   else 0);
-                fin regs)
-              (fun x n regs ->
-                Array.unsafe_set regs dst
-                  (if Array.unsafe_get regs x > n then 1 else 0);
-                fin regs)
-              (fun n y regs ->
-                Array.unsafe_set regs dst
-                  (if n > Array.unsafe_get regs y then 1 else 0);
-                fin regs)
-              (fun a b -> const (if a > b then 1 else 0))
-        | Instr.Ge ->
-            mk
-              (fun x y regs ->
-                Array.unsafe_set regs dst
-                  (if Array.unsafe_get regs x >= Array.unsafe_get regs y then 1
-                   else 0);
-                fin regs)
-              (fun x n regs ->
-                Array.unsafe_set regs dst
-                  (if Array.unsafe_get regs x >= n then 1 else 0);
-                fin regs)
-              (fun n y regs ->
-                Array.unsafe_set regs dst
-                  (if n >= Array.unsafe_get regs y then 1 else 0);
-                fin regs)
-              (fun a b -> const (if a >= b then 1 else 0)))
+        (* Programs run register-register and register-immediate binops
+           (170 of the 172 sites in the Redis and P-CLHT builds): those
+           get a closure each. Every other shape reads its operands
+           through [evc]. *)
+        match (lhs, rhs, op) with
+        | PReg x, PReg y, Instr.Add ->
+            fun regs ->
+              Array.unsafe_set regs dst
+                (Array.unsafe_get regs x + Array.unsafe_get regs y);
+              fin regs
+        | PReg x, PImm n, Instr.Add ->
+            fun regs ->
+              Array.unsafe_set regs dst (Array.unsafe_get regs x + n);
+              fin regs
+        | PReg x, PReg y, Instr.Sub ->
+            fun regs ->
+              Array.unsafe_set regs dst
+                (Array.unsafe_get regs x - Array.unsafe_get regs y);
+              fin regs
+        | PReg x, PImm n, Instr.Sub ->
+            fun regs ->
+              Array.unsafe_set regs dst (Array.unsafe_get regs x - n);
+              fin regs
+        | PReg x, PReg y, Instr.Mul ->
+            fun regs ->
+              Array.unsafe_set regs dst
+                (Array.unsafe_get regs x * Array.unsafe_get regs y);
+              fin regs
+        | PReg x, PImm n, Instr.Mul ->
+            fun regs ->
+              Array.unsafe_set regs dst (Array.unsafe_get regs x * n);
+              fin regs
+        | PReg x, PReg y, Instr.Div ->
+            fun regs ->
+              let b = Array.unsafe_get regs y in
+              if b = 0 then Mem.trap "division by zero";
+              Array.unsafe_set regs dst (Array.unsafe_get regs x / b);
+              fin regs
+        | PReg x, PImm n, Instr.Div when n <> 0 ->
+            fun regs ->
+              Array.unsafe_set regs dst (Array.unsafe_get regs x / n);
+              fin regs
+        | PReg x, PReg y, Instr.Rem ->
+            fun regs ->
+              let b = Array.unsafe_get regs y in
+              if b = 0 then Mem.trap "remainder by zero";
+              Array.unsafe_set regs dst (Array.unsafe_get regs x mod b);
+              fin regs
+        | PReg x, PImm n, Instr.Rem when n <> 0 ->
+            fun regs ->
+              Array.unsafe_set regs dst (Array.unsafe_get regs x mod n);
+              fin regs
+        | PReg x, PReg y, Instr.And ->
+            fun regs ->
+              Array.unsafe_set regs dst
+                (Array.unsafe_get regs x land Array.unsafe_get regs y);
+              fin regs
+        | PReg x, PImm n, Instr.And ->
+            fun regs ->
+              Array.unsafe_set regs dst (Array.unsafe_get regs x land n);
+              fin regs
+        | PReg x, PReg y, Instr.Or ->
+            fun regs ->
+              Array.unsafe_set regs dst
+                (Array.unsafe_get regs x lor Array.unsafe_get regs y);
+              fin regs
+        | PReg x, PImm n, Instr.Or ->
+            fun regs ->
+              Array.unsafe_set regs dst (Array.unsafe_get regs x lor n);
+              fin regs
+        | PReg x, PReg y, Instr.Xor ->
+            fun regs ->
+              Array.unsafe_set regs dst
+                (Array.unsafe_get regs x lxor Array.unsafe_get regs y);
+              fin regs
+        | PReg x, PImm n, Instr.Xor ->
+            fun regs ->
+              Array.unsafe_set regs dst (Array.unsafe_get regs x lxor n);
+              fin regs
+        | PReg x, PReg y, Instr.Shl ->
+            fun regs ->
+              Array.unsafe_set regs dst
+                (Array.unsafe_get regs x lsl (Array.unsafe_get regs y land 62));
+              fin regs
+        | PReg x, PImm n, Instr.Shl ->
+            let sh = n land 62 in
+            fun regs ->
+              Array.unsafe_set regs dst (Array.unsafe_get regs x lsl sh);
+              fin regs
+        | PReg x, PReg y, Instr.Lshr ->
+            fun regs ->
+              Array.unsafe_set regs dst
+                (Array.unsafe_get regs x lsr (Array.unsafe_get regs y land 62));
+              fin regs
+        | PReg x, PImm n, Instr.Lshr ->
+            let sh = n land 62 in
+            fun regs ->
+              Array.unsafe_set regs dst (Array.unsafe_get regs x lsr sh);
+              fin regs
+        | PReg x, PReg y, Instr.Eq ->
+            fun regs ->
+              Array.unsafe_set regs dst
+                (if Array.unsafe_get regs x = Array.unsafe_get regs y then 1
+                 else 0);
+              fin regs
+        | PReg x, PImm n, Instr.Eq ->
+            fun regs ->
+              Array.unsafe_set regs dst
+                (if Array.unsafe_get regs x = n then 1 else 0);
+              fin regs
+        | PReg x, PReg y, Instr.Ne ->
+            fun regs ->
+              Array.unsafe_set regs dst
+                (if Array.unsafe_get regs x <> Array.unsafe_get regs y then 1
+                 else 0);
+              fin regs
+        | PReg x, PImm n, Instr.Ne ->
+            fun regs ->
+              Array.unsafe_set regs dst
+                (if Array.unsafe_get regs x <> n then 1 else 0);
+              fin regs
+        | PReg x, PReg y, Instr.Lt ->
+            fun regs ->
+              Array.unsafe_set regs dst
+                (if Array.unsafe_get regs x < Array.unsafe_get regs y then 1
+                 else 0);
+              fin regs
+        | PReg x, PImm n, Instr.Lt ->
+            fun regs ->
+              Array.unsafe_set regs dst
+                (if Array.unsafe_get regs x < n then 1 else 0);
+              fin regs
+        | PReg x, PReg y, Instr.Le ->
+            fun regs ->
+              Array.unsafe_set regs dst
+                (if Array.unsafe_get regs x <= Array.unsafe_get regs y then 1
+                 else 0);
+              fin regs
+        | PReg x, PImm n, Instr.Le ->
+            fun regs ->
+              Array.unsafe_set regs dst
+                (if Array.unsafe_get regs x <= n then 1 else 0);
+              fin regs
+        | PReg x, PReg y, Instr.Gt ->
+            fun regs ->
+              Array.unsafe_set regs dst
+                (if Array.unsafe_get regs x > Array.unsafe_get regs y then 1
+                 else 0);
+              fin regs
+        | PReg x, PImm n, Instr.Gt ->
+            fun regs ->
+              Array.unsafe_set regs dst
+                (if Array.unsafe_get regs x > n then 1 else 0);
+              fin regs
+        | PReg x, PReg y, Instr.Ge ->
+            fun regs ->
+              Array.unsafe_set regs dst
+                (if Array.unsafe_get regs x >= Array.unsafe_get regs y then 1
+                 else 0);
+              fin regs
+        | PReg x, PImm n, Instr.Ge ->
+            fun regs ->
+              Array.unsafe_set regs dst
+                (if Array.unsafe_get regs x >= n then 1 else 0);
+              fin regs
+        | _ ->
+            (* An immediate left operand, two immediates or a zero
+               immediate divisor: as in {!Interp}, a trap comes before
+               [dst] is written and before the op is charged. *)
+            let f : int -> int -> int =
+              match op with
+              | Instr.Add -> ( + )
+              | Instr.Sub -> ( - )
+              | Instr.Mul -> ( * )
+              | Instr.Div ->
+                  fun a b ->
+                    if b = 0 then Mem.trap "division by zero" else a / b
+              | Instr.Rem ->
+                  fun a b ->
+                    if b = 0 then Mem.trap "remainder by zero" else a mod b
+              | Instr.And -> ( land )
+              | Instr.Or -> ( lor )
+              | Instr.Xor -> ( lxor )
+              | Instr.Shl -> fun a b -> a lsl (b land 62)
+              | Instr.Lshr -> fun a b -> a lsr (b land 62)
+              | Instr.Eq -> fun a b -> if a = b then 1 else 0
+              | Instr.Ne -> fun a b -> if a <> b then 1 else 0
+              | Instr.Lt -> fun a b -> if a < b then 1 else 0
+              | Instr.Le -> fun a b -> if a <= b then 1 else 0
+              | Instr.Gt -> fun a b -> if a > b then 1 else 0
+              | Instr.Ge -> fun a b -> if a >= b then 1 else 0
+            in
+            let a = evc lhs and b = evc rhs in
+            fun regs ->
+              Array.unsafe_set regs dst (f (a regs) (b regs));
+              fin regs)
     | PMov { dst; src } -> (
         let fin = fin_pure next in
         match src with
@@ -699,16 +630,11 @@ and compile_func (t : Machine.t) (fi : int) : code =
                     0
               | Iabort -> fun _ -> raise Aborted
             in
-            with_mark
-              (if dst >= 0 then fun regs ->
-                 Array.unsafe_set regs dst (compute regs);
-                 charge_call ();
-                 next regs
-               else
-                 fun regs ->
-                   ignore (compute regs);
-                   charge_call ();
-                   next regs)
+            with_mark (fun regs ->
+                let r = compute regs in
+                if dst >= 0 then Array.unsafe_set regs dst r;
+                charge_call ();
+                next regs)
         | Cfunc callee_fi ->
             let getters = Array.map evc args in
             let nargs = Array.length getters in
@@ -743,47 +669,24 @@ and compile_func (t : Machine.t) (fi : int) : code =
                 callsite_loc = Some loc;
               }
             in
-            let body : code =
-              if dst >= 0 then
-                fun regs ->
-                  let argv = Array.make nargs 0 in
-                  for k = 0 to nargs - 1 do
-                    Array.unsafe_set argv k ((Array.unsafe_get getters k) regs)
-                  done;
-                  pre_trace argv;
-                  let m = bnd.cur in
-                  m.frames <- frame :: m.frames;
-                  charge_call ();
-                  let f =
-                    match Array.unsafe_get compiled callee_fi with
-                    | Some f -> f
-                    | None -> get_fn m callee_fi
-                  in
-                  let r = f argv in
-                  m.frames <- List.tl m.frames;
-                  Array.unsafe_set regs dst r;
-                  next regs
-              else
-                fun regs ->
-                  let argv = Array.make nargs 0 in
-                  for k = 0 to nargs - 1 do
-                    Array.unsafe_set argv k ((Array.unsafe_get getters k) regs)
-                  done;
-                  pre_trace argv;
-                  let m = bnd.cur in
-                  m.frames <- frame :: m.frames;
-                  charge_call ();
-                  let f =
-                    match Array.unsafe_get compiled callee_fi with
-                    | Some f -> f
-                    | None -> get_fn m callee_fi
-                  in
-                  let r = f argv in
-                  ignore r;
-                  m.frames <- List.tl m.frames;
-                  next regs
-            in
-            with_mark body)
+            with_mark (fun regs ->
+                let argv = Array.make nargs 0 in
+                for k = 0 to nargs - 1 do
+                  Array.unsafe_set argv k ((Array.unsafe_get getters k) regs)
+                done;
+                pre_trace argv;
+                let m = bnd.cur in
+                m.frames <- frame :: m.frames;
+                charge_call ();
+                let f =
+                  match Array.unsafe_get compiled callee_fi with
+                  | Some f -> f
+                  | None -> get_fn m callee_fi
+                in
+                let r = f argv in
+                m.frames <- List.tl m.frames;
+                if dst >= 0 then Array.unsafe_set regs dst r;
+                next regs))
     | PJmp { target; edge } -> jump edge (slot_of target)
     | PCondbr { cond; if_true; if_false; edge_true; edge_false } -> (
         let ts = slot_of if_true and fs = slot_of if_false in
@@ -855,123 +758,6 @@ and compile_func (t : Machine.t) (fi : int) : code =
     if m.steps > fuel then raise Out_of_fuel;
     body regs
   in
-  (* Peephole for the fast chain: a comparison immediately followed by
-     the conditional branch on its result — the back edge of almost
-     every loop the frontends emit. One closure evaluates the predicate,
-     still writes [dst] (a later block may read the flag), and transfers
-     directly, saving a closure hop per iteration. The two op_ns charges
-     stay separate adds in instruction order, so [cost_ns] is
-     bit-identical with the unfused chain and the interpreter; only the
-     segment-pre-charged fast chain fuses, so [Out_of_fuel] points are
-     untouched. *)
-  let fuse_cmp_br (a : pinstr) (b : pinstr) : code option =
-    match (a.op, b.op) with
-    | ( PBinop { dst; op; lhs; rhs },
-        PCondbr { cond = PReg cx; if_true; if_false; edge_true; edge_false } )
-      when cx = dst ->
-        let test : (int array -> bool) option =
-          match (op, lhs, rhs) with
-          | Instr.Eq, PReg x, PReg y ->
-              Some
-                (fun regs ->
-                  Array.unsafe_get regs x = Array.unsafe_get regs y)
-          | Instr.Eq, PReg x, PImm n ->
-              Some (fun regs -> Array.unsafe_get regs x = n)
-          | Instr.Ne, PReg x, PReg y ->
-              Some
-                (fun regs ->
-                  Array.unsafe_get regs x <> Array.unsafe_get regs y)
-          | Instr.Ne, PReg x, PImm n ->
-              Some (fun regs -> Array.unsafe_get regs x <> n)
-          | Instr.Lt, PReg x, PReg y ->
-              Some
-                (fun regs ->
-                  Array.unsafe_get regs x < Array.unsafe_get regs y)
-          | Instr.Lt, PReg x, PImm n ->
-              Some (fun regs -> Array.unsafe_get regs x < n)
-          | Instr.Le, PReg x, PReg y ->
-              Some
-                (fun regs ->
-                  Array.unsafe_get regs x <= Array.unsafe_get regs y)
-          | Instr.Le, PReg x, PImm n ->
-              Some (fun regs -> Array.unsafe_get regs x <= n)
-          | Instr.Gt, PReg x, PReg y ->
-              Some
-                (fun regs ->
-                  Array.unsafe_get regs x > Array.unsafe_get regs y)
-          | Instr.Gt, PReg x, PImm n ->
-              Some (fun regs -> Array.unsafe_get regs x > n)
-          | Instr.Ge, PReg x, PReg y ->
-              Some
-                (fun regs ->
-                  Array.unsafe_get regs x >= Array.unsafe_get regs y)
-          | Instr.Ge, PReg x, PImm n ->
-              Some (fun regs -> Array.unsafe_get regs x >= n)
-          | _ -> None
-        in
-        Option.map
-          (fun test ->
-            let ts = slot_of if_true and fs = slot_of if_false in
-            match (cov, cost) with
-            | None, None ->
-                fun regs ->
-                  if test regs then begin
-                    Array.unsafe_set regs dst 1;
-                    (Array.unsafe_get blocks ts) regs
-                  end
-                  else begin
-                    Array.unsafe_set regs dst 0;
-                    (Array.unsafe_get blocks fs) regs
-                  end
-            | Some cv, None ->
-                fun regs ->
-                  if test regs then begin
-                    Array.unsafe_set regs dst 1;
-                    Coverage.mark cv edge_true;
-                    (Array.unsafe_get blocks ts) regs
-                  end
-                  else begin
-                    Array.unsafe_set regs dst 0;
-                    Coverage.mark cv edge_false;
-                    (Array.unsafe_get blocks fs) regs
-                  end
-            | None, Some c ->
-                let ns = c.op_ns in
-                fun regs ->
-                  let acc = bnd.cur_acc in
-                  if test regs then begin
-                    Array.unsafe_set regs dst 1;
-                    acc.fv <- acc.fv +. ns;
-                    acc.fv <- acc.fv +. ns;
-                    (Array.unsafe_get blocks ts) regs
-                  end
-                  else begin
-                    Array.unsafe_set regs dst 0;
-                    acc.fv <- acc.fv +. ns;
-                    acc.fv <- acc.fv +. ns;
-                    (Array.unsafe_get blocks fs) regs
-                  end
-            | Some cv, Some c ->
-                let ns = c.op_ns in
-                fun regs ->
-                  let acc = bnd.cur_acc in
-                  if test regs then begin
-                    Array.unsafe_set regs dst 1;
-                    acc.fv <- acc.fv +. ns;
-                    Coverage.mark cv edge_true;
-                    acc.fv <- acc.fv +. ns;
-                    (Array.unsafe_get blocks ts) regs
-                  end
-                  else begin
-                    Array.unsafe_set regs dst 0;
-                    acc.fv <- acc.fv +. ns;
-                    Coverage.mark cv edge_false;
-                    acc.fv <- acc.fv +. ns;
-                    (Array.unsafe_get blocks fs) regs
-                  end)
-          test
-    | _ -> None
-  in
   for b = 0 to nblocks - 1 do
     let start = leaders.(b) in
     let stop = if b + 1 < nblocks then leaders.(b + 1) else ncode in
@@ -1003,19 +789,11 @@ and compile_func (t : Machine.t) (fi : int) : code =
         let e = seg_end i in
         let n = e - i in
         let next_seg = build e in
-        let rec fast j =
+        let rec chain wrap j =
           if j >= e then next_seg
-          else if j + 1 < e then
-            match fuse_cmp_br code.(j) code.(j + 1) with
-            | Some fused -> fused
-            | None -> compile_instr code.(j) (fast (j + 1))
-          else compile_instr code.(j) (fast (j + 1))
+          else wrap (compile_instr code.(j) (chain wrap (j + 1)))
         in
-        let rec slow j =
-          if j >= e then next_seg
-          else counted (compile_instr code.(j) (slow (j + 1)))
-        in
-        let fastc = fast i in
+        let fastc = chain Fun.id i in
         (* Built the first time the segment would run out of fuel: most
            machines run with fuel to spare and never need it. A plain
            cell, not [Lazy]: two racing builds are equal, whereas a
@@ -1033,7 +811,7 @@ and compile_func (t : Machine.t) (fi : int) : code =
               match !slowc with
               | Some c -> c
               | None ->
-                  let c = slow i in
+                  let c = chain counted i in
                   slowc := Some c;
                   c
             in
@@ -1096,7 +874,6 @@ let run ?pm_image ?(config = Machine.default_config) prog ~entry ~args =
   let t = Machine.create ?pm_image config prog in
   let ret =
     try Ok (call t entry args) with
-    | Machine.Stopped_at_crash -> Error `Stopped_at_crash
     | Machine.Aborted -> Error `Aborted
     | Machine.Out_of_fuel -> Error `Out_of_fuel
   in

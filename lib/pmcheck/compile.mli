@@ -3,9 +3,10 @@
 
     Prepared basic blocks become chains of OCaml closures — operand
     shapes, access sizes and the trace/coverage/cost/image hooks are
-    specialized when the closure is built, registers live in a
-    preallocated [int array], and branch targets are pre-resolved block
-    slots. Functions compile lazily, once per restart chain: a machine
+    specialized when the closure is built (binops in their two common
+    shapes, register-register and register-immediate; every other binop
+    shape shares one generic closure), registers live in a preallocated
+    [int array], and branch targets are pre-resolved block slots. Functions compile lazily, once per restart chain: a machine
     and every machine {!Machine.restart} boots from it share one table
     of compiled functions, whose closures reach the machine they run on
     through the chain's {!Machine.binding}.
@@ -31,4 +32,4 @@ val run :
   Hippo_pmir.Program.t ->
   entry:string ->
   args:int list ->
-  Machine.t * (int, [ `Stopped_at_crash | `Aborted | `Out_of_fuel ]) result
+  Machine.t * (int, [ `Aborted | `Out_of_fuel ]) result

@@ -23,7 +23,6 @@ type config = Machine.config = {
   trace : bool;
   fuel : int;
   cost : Cost.t option;
-  stop_at_crash : int option;
   track_images : bool;
   coverage : Coverage.t option;
   vol_size : int;
@@ -280,7 +279,6 @@ let run ?pm_image ?(config = default_config) prog ~entry ~args =
   let t = create ?pm_image config prog in
   let ret =
     try Ok (call t entry args) with
-    | Stopped_at_crash -> Error `Stopped_at_crash
     | Aborted -> Error `Aborted
     | Out_of_fuel -> Error `Out_of_fuel
   in

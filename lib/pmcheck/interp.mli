@@ -29,14 +29,13 @@ exception Aborted  (** the program called the [abort] intrinsic *)
 exception Out_of_fuel
 
 exception Stopped_at_crash
-(** raised when [stop_at_crash] is reached; the durable image is then the
-    crash state under study *)
+(** raised at the crash point armed with {!Machine.arm_crash}; the
+    durable image is then the crash state under study *)
 
 type config = Machine.config = {
   trace : bool;  (** record the PM operation trace and site statistics *)
   fuel : int;  (** maximum interpreted instructions *)
   cost : Cost.t option;  (** account simulated latency *)
-  stop_at_crash : int option;  (** halt at the n-th crash point (1-based) *)
   track_images : bool;
       (** maintain incremental {!Imghash} fingerprints of both PM images
           (the single-pass crash sweep's capture mode; default false) *)
@@ -64,7 +63,7 @@ val create : ?pm_image:Bytes.t -> config -> Program.t -> t
 val mem : t -> Mem.t
 
 (** [set_crash_hook t f] fires [f] at every explicit crash point, after
-    bug collection and before any [stop_at_crash] stop — the single-pass
+    bug collection and before an armed stop — the single-pass
     sweep's image-capture callback. *)
 val set_crash_hook : t -> (unit -> unit) -> unit
 
@@ -115,4 +114,4 @@ val run :
   Program.t ->
   entry:string ->
   args:int list ->
-  t * (int, [ `Stopped_at_crash | `Aborted | `Out_of_fuel ]) result
+  t * (int, [ `Aborted | `Out_of_fuel ]) result

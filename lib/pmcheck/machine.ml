@@ -16,7 +16,6 @@ type config = {
   trace : bool;  (** record the PM operation trace *)
   fuel : int;  (** maximum interpreted instructions *)
   cost : Cost.t option;  (** account simulated latency *)
-  stop_at_crash : int option;  (** halt at the n-th crash point (1-based) *)
   track_images : bool;  (** fingerprint both PM images incrementally *)
   coverage : Coverage.t option;
       (** mark executed control edges in this map (the fuzzer's signal);
@@ -38,7 +37,6 @@ let default_config =
     trace = true;
     fuel = 200_000_000;
     cost = None;
-    stop_at_crash = None;
     track_images = false;
     coverage = None;
     vol_size = 1 lsl 24;
@@ -73,11 +71,10 @@ type t = {
   mutable output_rev : int list;
   mutable crashes_hit : int;
   mutable armed_crash : int option;
-      (** dynamic fault injection: stop when [crashes_hit] reaches this
-          absolute count, like [cfg.stop_at_crash] but re-armable on a
-          live machine (the simulation harness injects crashes mid-run
-          without rebuilding the session; tier-uniform because both
-          dispatch loops share {!record_crash_point}) *)
+      (** stop when [crashes_hit] reaches this absolute count; re-armable
+          on a live machine (the simulation harness injects crashes
+          mid-run without rebuilding the session; tier-uniform because
+          both dispatch loops share {!record_crash_point}) *)
   mutable crash_hook : (unit -> unit) option;
       (** fired at every explicit crash point (the single-pass sweep's
           image-capture callback) *)
@@ -172,10 +169,10 @@ let set_crash_hook t f = t.crash_hook <- Some f
 
 (** [arm_crash t ~at] schedules a {!Stopped_at_crash} at the [at]-th
     explicit crash point (absolute, 1-based, compared against
-    {!crash_points_hit}); [disarm_crash] cancels it. Unlike
-    [cfg.stop_at_crash] this is mutable on a live machine, so a fault
-    injector can arm crash [k] for one workload call and disarm (or
-    re-arm) for the next — identically in both tiers. *)
+    {!crash_points_hit}); [disarm_crash] cancels it. It is the one way
+    to stop a run at a crash point, and it is mutable on a live machine,
+    so a fault injector can arm crash [k] for one workload call and
+    disarm (or re-arm) for the next — identically in both tiers. *)
 let arm_crash t ~at = t.armed_crash <- Some at
 let disarm_crash t = t.armed_crash <- None
 
@@ -210,10 +207,7 @@ let record_crash_point t ~iid ~loc =
   let bugs = Pstate.unpersisted_bugs t.ps ~crash in
   t.bugs_rev <- List.rev_append bugs t.bugs_rev;
   (match t.crash_hook with Some f -> f () | None -> ());
-  (match t.armed_crash with
-  | Some n when t.crashes_hit >= n -> raise Stopped_at_crash
-  | _ -> ());
-  match t.cfg.stop_at_crash with
+  match t.armed_crash with
   | Some n when t.crashes_hit >= n -> raise Stopped_at_crash
   | _ -> ()
 
@@ -233,6 +227,14 @@ let exit_check t =
   if t.cfg.trace then
     push_event t
       (Trace.Crash_point { iid = None; loc = crash.crash_loc; stack = []; seq })
+
+(* A run stopped at a crash point never reaches program exit: the
+   program may be mid-transaction, and an exit check would report stores
+   it had no chance to persist yet. *)
+let run_workload t workload =
+  match workload t with
+  | () -> exit_check t
+  | exception Stopped_at_crash -> ()
 
 let trace t = List.rev t.trace_rev
 let site_stats t = t.stats

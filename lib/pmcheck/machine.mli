@@ -19,7 +19,6 @@ type config = {
   trace : bool;  (** record the PM operation trace *)
   fuel : int;  (** maximum interpreted instructions *)
   cost : Cost.t option;  (** account simulated latency *)
-  stop_at_crash : int option;  (** halt at the n-th crash point (1-based) *)
   track_images : bool;  (** fingerprint both PM images incrementally *)
   coverage : Coverage.t option;
       (** mark executed control edges in this map (the fuzzer's signal);
@@ -96,11 +95,11 @@ val set_crash_hook : t -> (unit -> unit) -> unit
 
 (** [arm_crash t ~at] schedules {!Stopped_at_crash} for the [at]-th
     explicit crash point (absolute, 1-based, against
-    {!crash_points_hit}). Unlike [cfg.stop_at_crash] it is mutable on a
-    live machine: the simulation harness arms a crash for one workload
-    call and disarms for the next, without rebuilding the session.
-    Honoured identically by both tiers (the check lives in
-    {!record_crash_point}). *)
+    {!crash_points_hit}). It is the one way to stop a run at a crash
+    point, and it is mutable on a live machine: the simulation harness
+    arms a crash for one workload call and disarms for the next, without
+    rebuilding the session. Honoured identically by both tiers (the
+    check lives in {!record_crash_point}). *)
 val arm_crash : t -> at:int -> unit
 
 val disarm_crash : t -> unit
@@ -111,11 +110,18 @@ val classify_arg : int -> Trace.arg_class
 
 (** [record_crash_point t ~iid ~loc] advances the crash-point counter,
     records the trace event, collects unpersisted-store bugs, fires the
-    crash hook and honours [stop_at_crash] — identically in both tiers. *)
+    crash hook and honours {!arm_crash} — identically in both tiers. *)
 val record_crash_point : t -> iid:Iid.t option -> loc:Loc.t -> unit
 
 (** The implicit crash point at program exit. *)
 val exit_check : t -> unit
+
+(** [run_workload t workload] runs [workload t], then {!exit_check} if
+    the workload returned. A workload stopped at a crash point
+    ({!Stopped_at_crash}) never reaches program exit, so it gets no exit
+    check: its at-exit reports would be phantom bugs. Every detector
+    and verifier run goes through this. *)
+val run_workload : t -> (t -> unit) -> unit
 
 val trace : t -> Trace.event list
 val site_stats : t -> Sitestats.t

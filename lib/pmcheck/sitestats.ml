@@ -22,7 +22,9 @@ end)
 
 type t = obs KTbl.t
 
-let create () : t = KTbl.create 256
+(* Every machine makes one, but only trace-on runs observe a site, and
+   the table grows as they do: start small. *)
+let create () : t = KTbl.create 16
 
 let observe (t : t) ~site ~arg (cls : Trace.arg_class) =
   match cls with

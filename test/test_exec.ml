@@ -32,7 +32,6 @@ type obs = {
 
 let ret_to_string = function
   | Ok n -> Printf.sprintf "ok:%d" n
-  | Error `Stopped_at_crash -> "stopped_at_crash"
   | Error `Aborted -> "aborted"
   | Error `Out_of_fuel -> "out_of_fuel"
 
@@ -53,7 +52,7 @@ type run =
   Program.t ->
   entry:string ->
   args:int list ->
-  Machine.t * (int, [ `Stopped_at_crash | `Aborted | `Out_of_fuel ]) result
+  Machine.t * (int, [ `Aborted | `Out_of_fuel ]) result
 
 let obs_of ~ret ~cov t =
   {
@@ -69,25 +68,18 @@ let obs_of ~ret ~cov t =
   }
 
 let observe (run : run) ~trace ~cost ?(fuel = Machine.default_config.fuel)
-    ?stop_at_crash ?(entry = "main") prog =
+    ?(entry = "main") prog =
   let cov = Coverage.create () in
   let config =
-    {
-      Machine.default_config with
-      trace;
-      cost;
-      fuel;
-      stop_at_crash;
-      coverage = Some cov;
-    }
+    { Machine.default_config with trace; cost; fuel; coverage = Some cov }
   in
   let t, ret = run ~config prog ~entry ~args:[] in
   (t, obs_of ~ret:(ret_to_string ret) ~cov t)
 
 (* Polymorphic equality is exact here: strings, ints, and a float compared
    bit-for-bit (cost must accumulate in the same order in both tiers). *)
-let parity ~trace ~cost ?fuel ?stop_at_crash prog =
-  let obs run = snd (observe run ~trace ~cost ?fuel ?stop_at_crash prog) in
+let parity ~trace ~cost ?fuel prog =
+  let obs run = snd (observe run ~trace ~cost ?fuel prog) in
   obs Interp.run = obs Compile.run
 
 (* ------------------------------------------------------------------ *)
@@ -129,18 +121,18 @@ let prop_parity_crash_images =
         let t, _ = Compile.run ~config prog ~entry:"main" ~args:[] in
         Interp.crash_points_hit t
       in
-      let snap (run : run) k =
-        let config =
-          { Machine.default_config with trace = false; stop_at_crash = Some k }
+      let snap call k =
+        let t =
+          Interp.create { Machine.default_config with trace = false } prog
         in
-        let t, ret = run ~config prog ~entry:"main" ~args:[] in
-        (ret_to_string ret, Interp.crash_image t,
-         Mem.working_image (Interp.mem t))
+        Machine.arm_crash t ~at:k;
+        let ret = call_result call t "main" [] in
+        (ret, Interp.crash_image t, Mem.working_image (Interp.mem t))
       in
       let ok = ref true in
       for k = 1 to count do
-        let r1, p1, w1 = snap Interp.run k
-        and r2, p2, w2 = snap Compile.run k in
+        let r1, p1, w1 = snap Interp.call k
+        and r2, p2, w2 = snap Compile.call k in
         if not (r1 = r2 && Bytes.equal p1 p2 && Bytes.equal w1 w2) then
           ok := false
       done;
@@ -231,13 +223,21 @@ let build_prog emit =
   Validate.check_exn p;
   p
 
+(* The steps a call took, unless it trapped: a trap ends the run
+   mid-segment, after the compiled tier has charged the whole segment
+   (see compile.mli). *)
+let steps_unless_trap r ~before t =
+  if String.starts_with ~prefix:"trap:" r then None
+  else Some (Interp.steps t - before)
+
 let both_tiers prog name args =
   let run call =
     let t = Interp.create Machine.default_config prog in
-    (call_result call t name args, Interp.output t, Interp.steps t)
+    let r = call_result call t name args in
+    (r, Interp.output t, steps_unless_trap r ~before:0 t)
   in
   let a = run Interp.call and b = run Compile.call in
-  Alcotest.(check (triple string (list int) int)) "tier parity" a b;
+  Alcotest.(check (triple string (list int) (option int))) "tier parity" a b;
   a
 
 let test_trap_messages () =
@@ -264,6 +264,84 @@ let test_trap_messages () =
     r;
   let r, _, _ = both_tiers p "sh" [ 3; 62 ] in
   Alcotest.(check string) "shift 62" (Printf.sprintf "ret:%d" (3 lsl 62)) r
+
+(* Every binop in every operand shape — register-register,
+   register-immediate, immediate-register, immediate-immediate — over
+   operands at the edges: zero divisors, shift amounts on both sides of
+   the [land 62] mask, overflow. Generated programs never put an
+   immediate on the left, so only this table runs those shapes.
+   One machine per op, tier and cost model takes every call in turn:
+   each call's result or trap message, the steps it took if it
+   returned, and the cost_ns accumulated so far must agree between the
+   tiers. *)
+let test_binop_shapes () =
+  let xs = [| 0; 1; -1; 7; 62; 63; 65; max_int; min_int |] in
+  let n = Array.length xs in
+  let binops =
+    Instr.
+      [
+        Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Lshr; Eq; Ne; Lt; Le; Gt; Ge;
+      ]
+  in
+  List.iter
+    (fun op ->
+      let prog =
+        build_prog (fun b ->
+            let fn name params lhs rhs =
+              ignore
+                (Builder.func b name params ~body:(fun fb ->
+                     Builder.ret fb (Builder.binop fb op lhs rhs)))
+            in
+            fn "rr" [ "x"; "y" ] (v "x") (v "y");
+            Array.iteri
+              (fun k c ->
+                fn (Printf.sprintf "ri%d" k) [ "x" ] (v "x") (i c);
+                fn (Printf.sprintf "ir%d" k) [ "y" ] (i c) (v "y");
+                Array.iteri
+                  (fun k' c' ->
+                    fn (Printf.sprintf "ii%d_%d" k k') [] (i c) (i c'))
+                  xs)
+              xs)
+      in
+      let calls =
+        List.concat
+          (List.init (n * n) (fun k ->
+               let ka = k / n and kb = k mod n in
+               let a = xs.(ka) and b = xs.(kb) in
+               [
+                 ("rr", [ a; b ]);
+                 (Printf.sprintf "ri%d" kb, [ a ]);
+                 (Printf.sprintf "ir%d" ka, [ b ]);
+                 (Printf.sprintf "ii%d_%d" ka kb, []);
+               ]))
+      in
+      List.iter
+        (fun cost ->
+          let run call =
+            let t =
+              Interp.create
+                { Machine.default_config with trace = false; cost }
+                prog
+            in
+            List.map
+              (fun (f, args) ->
+                let before = Interp.steps t in
+                let r = call_result call t f args in
+                Printf.sprintf "%s(%s) %s steps=%s cost=%h" f
+                  (String.concat "," (List.map string_of_int args))
+                  r
+                  (match steps_unless_trap r ~before t with
+                  | Some n -> string_of_int n
+                  | None -> "-")
+                  (Interp.cost_ns t))
+              calls
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "binop %s, cost %b" (Instr.binop_to_string op)
+               (cost <> None))
+            (run Interp.call) (run Compile.call))
+        [ None; Some Cost.default ])
+    binops
 
 let test_arity_and_undefined () =
   let p =
@@ -320,6 +398,8 @@ let test_accumulation_across_calls () =
 let suite =
   [
     Alcotest.test_case "trap message parity" `Quick test_trap_messages;
+    Alcotest.test_case "binop parity in every operand shape" `Quick
+      test_binop_shapes;
     Alcotest.test_case "arity/undefined parity" `Quick test_arity_and_undefined;
     Alcotest.test_case "abort/wild/null parity" `Quick
       test_abort_and_wild_access;

@@ -239,9 +239,14 @@ let crash_mid_transaction_prog () =
 
 let test_verify_crash_stop_skips_exit_check () =
   let p = crash_mid_transaction_prog () in
-  let config = { Interp.default_config with Interp.stop_at_crash = Some 1 } in
-  let workload t = ignore (Interp.call t "main" []) in
-  let o = Verify.check ~jobs:1 ~workload ~config ~original:p ~repaired:p in
+  let workload t =
+    Machine.arm_crash t ~at:1;
+    ignore (Interp.call t "main" [])
+  in
+  let o =
+    Verify.check ~jobs:1 ~workload ~config:Interp.default_config ~original:p
+      ~repaired:p
+  in
   (* the store is legitimately unpersisted at the crash point the run
      stopped at — but the run never exited, so the implicit at-exit crash
      point must not also fire *)
@@ -252,6 +257,22 @@ let test_verify_crash_stop_skips_exit_check () =
        (fun (b : Report.bug) -> b.Report.crash.Report.crash_iid <> None)
        o.Verify.residual_bugs);
   Alcotest.(check bool) "state comparison still runs" true (Verify.harm_free o)
+
+(* The locate pass keeps the same rule: a detector run stopped at a crash
+   point reports the store unpersisted there, and nothing at <exit>. *)
+let test_detector_crash_stop_skips_exit_check () =
+  let p = crash_mid_transaction_prog () in
+  let workload t =
+    Machine.arm_crash t ~at:1;
+    ignore (Interp.call t "main" [])
+  in
+  let r = Driver.repair ~name:"crash-stop" ~workload p in
+  Alcotest.(check int) "one bug, at the crash point" 1
+    (List.length r.Driver.bugs);
+  Alcotest.(check bool) "no at-exit report" true
+    (List.for_all
+       (fun (b : Report.bug) -> b.Report.crash.Report.crash_iid <> None)
+       r.Driver.bugs)
 
 let suite =
   [
@@ -269,4 +290,6 @@ let suite =
     ("crashsim sweep jobs identical", `Quick, test_crashsim_sweep_jobs_identical);
     ("verify skips exit check after crash stop", `Quick,
      test_verify_crash_stop_skips_exit_check);
+    ("detector skips exit check after crash stop", `Quick,
+     test_detector_crash_stop_skips_exit_check);
   ]

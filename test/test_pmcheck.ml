@@ -884,8 +884,8 @@ let test_interp_stop_at_crash () =
         in
         ())
   in
-  let cfg = { Interp.default_config with stop_at_crash = Some 1 } in
-  let t = Interp.create cfg p in
+  let t = Interp.create Interp.default_config p in
+  Machine.arm_crash t ~at:1;
   (match Interp.call t "main" [] with
   | exception Interp.Stopped_at_crash -> ()
   | _ -> Alcotest.fail "expected stop");
