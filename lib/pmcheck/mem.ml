@@ -5,13 +5,18 @@
     state machine ({!Pstate}) copies ranges into the persisted image when
     they become durable (flush + fence, or [clflush]).
 
-    Every segment is lazily backed: its buffer holds a prefix of the
-    segment and every byte past the buffer's end is zero. An in-bounds
-    access past the buffer grows it on an out-of-line slow path, so
-    building a machine, taking an image and restarting from one cost
-    O(bytes touched), not O(segment size). Segment sizes, bounds checks
-    and trap messages are those of an eagerly zeroed segment. PM images
-    are trimmed: the bytes up to the last nonzero one.
+    Every segment is lazily backed, so building a machine, taking an image
+    and restarting from one cost O(bytes touched), not O(segment size).
+    Both PM images are paged, as a DAX-mapped pool is: 4 KB pages in a
+    page table, each allocated zero-filled the first time an access needs
+    it, so an image costs the pages the program touched and no PM buffer
+    is ever grown or copied whole. The volatile heap, stack and globals
+    are each one buffer holding a prefix of the segment, doubled from 4 KB
+    on an out-of-line slow path: what a program touches there does not
+    grow with the records it stores, and a page-table load on every
+    volatile access would buy nothing. Segment sizes, bounds checks and
+    trap messages are those of an eagerly zeroed segment. PM images are
+    trimmed: the bytes up to the last nonzero one.
 
     With [~track_images:true] the memory additionally maintains, at O(bytes
     changed) per operation, a live {!Imghash} fingerprint of both images —
@@ -23,18 +28,15 @@ exception Trap of string
 let trap fmt = Fmt.kstr (fun m -> raise (Trap m)) fmt
 
 (** Image-fingerprint state, allocated only when tracking is on. *)
-type tracker = {
-  work_hash : Imghash.t;
-  dur_hash : Imghash.t;
-  old_buf : int array;  (** scratch for a store's pre-image (<= 8 bytes) *)
-}
+type tracker = { work_hash : Imghash.t; dur_hash : Imghash.t }
 
 type t = {
   mutable vol : Bytes.t;
   mutable stack : Bytes.t;
   mutable globals : Bytes.t;
-  mutable pm : Bytes.t;  (** working image: CPU-cache view of PM *)
-  mutable pm_persisted : Bytes.t;  (** durable image: what a crash preserves *)
+  mutable pm : Bytes.t array;  (** working image pages: CPU-cache view of PM *)
+  mutable pm_persisted : Bytes.t array;
+      (** durable image pages: what a crash preserves *)
   vol_size : int;
   stack_size : int;
   global_size : int;
@@ -48,7 +50,11 @@ type t = {
 
 let align8 n = (n + 7) land lnot 7
 
-(* Lazy backing ------------------------------------------------------------ *)
+(* The region base is always the address's top nibble, so the offset into
+   a segment is a mask away. *)
+let[@inline] seg_off addr = addr land 0x0FFF_FFFF
+
+(* Volatile buffers ------------------------------------------------------- *)
 
 (* A buffer's first allocation; each growth doubles it, up to the segment
    size. *)
@@ -68,30 +74,111 @@ let covering buf ~need ~cap =
     b
   end
 
-(* A PM image in the form images are handed out: the bytes of [buf] up
-   to its last nonzero one. Bytes past a buffer are zero, so two trimmed
-   images are equal iff the full images are. *)
-let trimmed buf =
-  let n = ref (Bytes.length buf) in
-  while !n >= 8 && Bytes.get_int64_ne buf (!n - 8) = 0L do
-    n := !n - 8
+(* PM pages --------------------------------------------------------------- *)
+
+(* A PM image is a table of pages, indexed by [seg_off addr lsr page_bits].
+   A page's buffer holds a prefix of the page and every byte past it is
+   zero: [Bytes.empty] until an access needs the page, then the whole page,
+   whose length for the segment's last page ends where the segment ends.
+   Only a seed image's last chunk is shorter ({!create} copies each chunk
+   at its own length). So a page's length bounds every access, as the
+   segment's size would. The table grows to the highest page touched. *)
+let page_bits = 12
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
+let page_count t = (t.pm_size + page_mask) lsr page_bits
+let page_len t i = min page_size (t.pm_size - (i lsl page_bits))
+
+let[@inline] page_of tbl i =
+  if i < Array.length tbl then Array.unsafe_get tbl i else Bytes.empty
+
+(* [tbl], grown if need be, with page [i] (below [page_count t]) backed at
+   its full length. *)
+let[@inline never] backed t tbl i =
+  let tbl =
+    if i < Array.length tbl then tbl
+    else begin
+      let grown =
+        Array.make
+          (min (page_count t) (max (i + 1) (2 * Array.length tbl)))
+          Bytes.empty
+      in
+      Array.blit tbl 0 grown 0 (Array.length tbl);
+      grown
+    end
+  in
+  let p = tbl.(i) in
+  if Bytes.length p < page_len t i then begin
+    let full = Bytes.make (page_len t i) '\000' in
+    Bytes.blit p 0 full 0 (Bytes.length p);
+    tbl.(i) <- full
+  end;
+  tbl
+
+(* The working page holding PM offset [off], backed up to [off + len];
+   [off, off + len) lies inside one page of the segment. *)
+let working_at t off len =
+  let i = off lsr page_bits in
+  let p = page_of t.pm i in
+  if (off land page_mask) + len <= Bytes.length p then p
+  else begin
+    t.pm <- backed t t.pm i;
+    Array.unsafe_get t.pm i
+  end
+
+(* The same, in the durable image. *)
+let durable_at t off len =
+  let i = off lsr page_bits in
+  let p = page_of t.pm_persisted i in
+  if (off land page_mask) + len <= Bytes.length p then p
+  else begin
+    t.pm_persisted <- backed t t.pm_persisted i;
+    Array.unsafe_get t.pm_persisted i
+  end
+
+(* A seed image as a page table: one copy per chunk, at the chunk's own
+   length. *)
+let pages_of img =
+  let len = Bytes.length img in
+  Array.init
+    ((len + page_mask) lsr page_bits)
+    (fun i ->
+      let base = i lsl page_bits in
+      Bytes.sub img base (min page_size (len - base)))
+
+(* The image a page table holds, in the form images are handed out: its
+   bytes up to the last nonzero one. Bytes past a page's buffer are zero,
+   so two trimmed images are equal iff the full images are. *)
+let trimmed tbl =
+  let len = ref 0 and i = ref (Array.length tbl - 1) in
+  while !len = 0 && !i >= 0 do
+    let p = tbl.(!i) in
+    let n = ref (Bytes.length p) in
+    while !n >= 8 && Bytes.get_int64_ne p (!n - 8) = 0L do
+      n := !n - 8
+    done;
+    while !n > 0 && Bytes.get p (!n - 1) = '\000' do
+      decr n
+    done;
+    if !n > 0 then len := (!i lsl page_bits) + !n;
+    decr i
   done;
-  while !n > 0 && Bytes.get buf (!n - 1) = '\000' do
-    decr n
+  let img = Bytes.create !len in
+  for i = 0 to ((!len + page_mask) lsr page_bits) - 1 do
+    let base = i lsl page_bits in
+    let n = min page_size (!len - base) in
+    let backed = min n (Bytes.length tbl.(i)) in
+    Bytes.blit tbl.(i) 0 img base backed;
+    Bytes.fill img (base + backed) (n - backed) '\000'
   done;
-  Bytes.sub buf 0 !n
+  img
 
 let create ?(vol_size = 1 lsl 24) ?(stack_size = 1 lsl 22)
     ?(global_size = 1 lsl 20) ?(pm_size = 1 lsl 24) ?pm_image ?(pm_brk = 0)
     ?(track_images = false) (globals : (string * int) list) =
-  let pm =
-    match pm_image with
-    | Some img ->
-        if Bytes.length img > pm_size then
-          invalid_arg "Mem.create: pm_image longer than the PM segment";
-        Bytes.copy img
-    | None -> Bytes.empty
-  in
+  let img = Option.value pm_image ~default:Bytes.empty in
+  if Bytes.length img > pm_size then
+    invalid_arg "Mem.create: pm_image longer than the PM segment";
   let global_addrs, _ =
     List.fold_left
       (fun (acc, off) (name, size) ->
@@ -105,17 +192,18 @@ let create ?(vol_size = 1 lsl 24) ?(stack_size = 1 lsl 22)
       (* Both images start equal to the seed, so one scratch fingerprint
          seeds both lanes; an unseeded (all-zero) image costs nothing. *)
       let h =
-        match pm_image with None -> Imghash.create () | Some _ -> Imghash.of_bytes pm
+        match pm_image with
+        | None -> Imghash.create ()
+        | Some _ -> Imghash.of_bytes img
       in
-      Some
-        { work_hash = h; dur_hash = Imghash.copy h; old_buf = Array.make 8 0 }
+      Some { work_hash = h; dur_hash = Imghash.copy h }
   in
   {
     vol = Bytes.empty;
     stack = Bytes.empty;
     globals = Bytes.empty;
-    pm;
-    pm_persisted = Bytes.copy pm;
+    pm = pages_of img;
+    pm_persisted = pages_of img;
     vol_size;
     stack_size;
     global_size;
@@ -134,24 +222,11 @@ let global_addr t name =
 
 let pm_brk t = t.pm_brk
 
-(* Region resolution ------------------------------------------------------- *)
+(* Slow path ---------------------------------------------------------------- *)
 
-(* The region base is always the address's top nibble, so the offset into
-   a segment (and its buffer) is a mask away. *)
-let[@inline] seg_off addr = addr land 0x0FFF_FFFF
-
-let[@inline] buf_for t addr =
-  match Layout.region_of_addr addr with
-  | Layout.Vol_heap -> t.vol
-  | Layout.Stack -> t.stack
-  | Layout.Globals -> t.globals
-  | Layout.Pm -> t.pm
-  | Layout.Null_page -> trap "null-page access at 0x%x" addr
-  | Layout.Wild -> trap "wild access at 0x%x" addr
-
-(* The slow path of every access: [addr, addr + size) lies past its
-   segment's buffer. Traps if it also lies past the segment, exactly as an
-   eagerly backed segment would; otherwise grows the buffer to cover it. *)
+(* The slow path's first step: traps if [addr, addr + size) lies outside
+   its segment, exactly as an eagerly backed segment would; otherwise backs
+   all of it. *)
 let[@inline never] cover t addr size =
   let need = seg_off addr + size in
   let grown buf cap =
@@ -159,68 +234,83 @@ let[@inline never] cover t addr size =
     covering buf ~need ~cap
   in
   match Layout.region_of_addr addr with
-  | Layout.Vol_heap ->
-      t.vol <- grown t.vol t.vol_size;
-      t.vol
-  | Layout.Stack ->
-      t.stack <- grown t.stack t.stack_size;
-      t.stack
-  | Layout.Globals ->
-      t.globals <- grown t.globals t.global_size;
-      t.globals
+  | Layout.Vol_heap -> t.vol <- grown t.vol t.vol_size
+  | Layout.Stack -> t.stack <- grown t.stack t.stack_size
+  | Layout.Globals -> t.globals <- grown t.globals t.global_size
   | Layout.Pm ->
-      t.pm <- grown t.pm t.pm_size;
-      t.pm
+      if need > t.pm_size then
+        trap "out-of-bounds access at 0x%x (size %d)" addr size;
+      for i = seg_off addr lsr page_bits to (need - 1) asr page_bits do
+        ignore (working_at t (i lsl page_bits) (page_len t i))
+      done
   | Layout.Null_page -> trap "null-page access at 0x%x" addr
   | Layout.Wild -> trap "wild access at 0x%x" addr
 
-(* The buffer backing [addr, addr + size), at offset [seg_off addr]. *)
-let[@inline] backing t addr size =
-  let buf = buf_for t addr in
-  if seg_off addr + size > Bytes.length buf then cover t addr size else buf
+(* The fast paths dispatch on an address's top nibble, its region in
+   {!Layout}'s map (1 volatile heap, 2 stack, 3 globals, 4 PM), without
+   calling into [Layout]: dune's default profile compiles modules
+   opaquely, so that would be a function call on every access. The null
+   page and wild addresses reach the slow path, which classifies them
+   with [Layout.region_of_addr]. *)
+let[@inline] is_pm addr = addr lsr 28 = 4
 
-let load t ~addr ~size =
-  let buf = backing t addr size and off = seg_off addr in
-  match size with
-  | 1 -> Bytes.get_uint8 buf off
-  | 2 -> Bytes.get_uint16_le buf off
-  | 4 -> Int32.to_int (Bytes.get_int32_le buf off) land 0xFFFFFFFF
-  | 8 -> Int64.to_int (Bytes.get_int64_le buf off)
-  | _ -> trap "bad load size %d" size
+(* The volatile segment's buffer holding [addr] at [seg_off addr], or
+   [Bytes.empty] for any other address, whose access takes the slow
+   path. *)
+let[@inline] vol_buf t addr =
+  match addr lsr 28 with
+  | 1 -> t.vol
+  | 2 -> t.stack
+  | 3 -> t.globals
+  | _ -> Bytes.empty
 
-let write_value buf off size v =
-  match size with
-  | 1 -> Bytes.set_uint8 buf off (v land 0xFF)
-  | 2 -> Bytes.set_uint16_le buf off (v land 0xFFFF)
-  | 4 -> Bytes.set_int32_le buf off (Int32.of_int v)
-  | 8 ->
-      (* PMIR is a 63-bit machine (OCaml ints). Mask the sign extension so
-         byte 7 of a stored word round-trips through byte-wise loads. *)
-      Bytes.set_int64_le buf off
-        (Int64.logand (Int64.of_int v) 0x7FFF_FFFF_FFFF_FFFFL)
-  | _ -> trap "bad store size %d" size
+(* The working page holding PM [addr] at [addr land page_mask], or
+   [Bytes.empty] if it is not backed yet. *)
+let[@inline] pm_page t addr = page_of t.pm (seg_off addr lsr page_bits)
 
-let store t ~addr ~size v =
-  let buf = backing t addr size and off = seg_off addr in
-  match t.track with
-  | Some tr when Layout.is_pm addr ->
-      for k = 0 to size - 1 do
-        tr.old_buf.(k) <- Bytes.get_uint8 buf (off + k)
-      done;
-      write_value buf off size v;
-      for k = 0 to size - 1 do
-        Imghash.update tr.work_hash ~off:(off + k) ~old_byte:tr.old_buf.(k)
-          ~new_byte:(Bytes.get_uint8 buf (off + k))
-      done
-  | _ -> write_value buf off size v
+(* Byte [a] of an access [cover] has backed. *)
+let get_byte t a =
+  if is_pm a then
+    Bytes.get_uint8 (working_at t (seg_off a) 1) (a land page_mask)
+  else Bytes.get_uint8 (vol_buf t a) (seg_off a)
 
-(* Size-specialized accessors for the compiled execution tier: access size
-   (and, for stores, whether image tracking is on) is fixed when a closure
-   is compiled, so the per-access size dispatch disappears. Bounds checks
-   and trap messages are identical to [load]/[store]; the fast path is one
-   compare against the buffer length, then the access with the unsafe
-   primitives. [@inline] matters: without flambda these are only inlined
-   into the compiled tier's closures when explicitly requested. *)
+let set_byte t a b =
+  if is_pm a then
+    Bytes.set_uint8 (working_at t (seg_off a) 1) (a land page_mask) b
+  else Bytes.set_uint8 (vol_buf t a) (seg_off a) b
+
+let valid_size = function 1 | 2 | 4 | 8 -> true | _ -> false
+
+(* Slow paths of the sized accessors: a trap, a first touch, or an access
+   crossing a page boundary. They go byte by byte, little-endian; an
+   8-byte value's byte 7 loses the sign extension, as the fast path's
+   mask does. *)
+let[@inline never] load_slow t addr size =
+  cover t addr size;
+  if not (valid_size size) then trap "bad load size %d" size;
+  let v = ref 0 in
+  for k = size - 1 downto 0 do
+    v := (!v lsl 8) lor get_byte t (addr + k)
+  done;
+  !v
+
+let[@inline never] store_slow t addr size v =
+  cover t addr size;
+  if not (valid_size size) then trap "bad store size %d" size;
+  for k = 0 to size - 1 do
+    set_byte t (addr + k) ((v lsr (8 * k)) land 0xFF)
+  done
+
+(* Sized accessors --------------------------------------------------------- *)
+
+(* The compiled tier fixes an access's size (and, for stores, whether image
+   tracking is on) when it compiles a closure, so there is no per-access
+   size dispatch. A PM access loads its page from the table and compares
+   once against the page's length; a volatile access dispatches on its
+   region and compares once against its buffer's length. Everything else
+   takes the slow path. [@inline] folds the helpers into each accessor;
+   it inlines the accessors into the compiled tier's closures only in
+   builds that do not compile modules opaquely. *)
 
 external unsafe_get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
 external unsafe_get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
@@ -229,46 +319,122 @@ external unsafe_set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
 external unsafe_set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 external unsafe_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let[@inline] load1 t addr =
-  Char.code (Bytes.unsafe_get (backing t addr 1) (seg_off addr))
+let[@inline] get1 t buf off addr =
+  if off < Bytes.length buf then Char.code (Bytes.unsafe_get buf off)
+  else load_slow t addr 1
 
-let[@inline] load2 t addr = unsafe_get16 (backing t addr 2) (seg_off addr)
+let[@inline] get2 t buf off addr =
+  if off + 2 <= Bytes.length buf then unsafe_get16 buf off
+  else load_slow t addr 2
+
+let[@inline] get4 t buf off addr =
+  if off + 4 <= Bytes.length buf then
+    Int32.to_int (unsafe_get32 buf off) land 0xFFFFFFFF
+  else load_slow t addr 4
+
+let[@inline] get8 t buf off addr =
+  if off + 8 <= Bytes.length buf then Int64.to_int (unsafe_get64 buf off)
+  else load_slow t addr 8
+
+let[@inline] load1 t addr =
+  if is_pm addr then get1 t (pm_page t addr) (addr land page_mask) addr
+  else get1 t (vol_buf t addr) (seg_off addr) addr
+
+let[@inline] load2 t addr =
+  if is_pm addr then get2 t (pm_page t addr) (addr land page_mask) addr
+  else get2 t (vol_buf t addr) (seg_off addr) addr
 
 let[@inline] load4 t addr =
-  Int32.to_int (unsafe_get32 (backing t addr 4) (seg_off addr)) land 0xFFFFFFFF
+  if is_pm addr then get4 t (pm_page t addr) (addr land page_mask) addr
+  else get4 t (vol_buf t addr) (seg_off addr) addr
 
 let[@inline] load8 t addr =
-  Int64.to_int (unsafe_get64 (backing t addr 8) (seg_off addr))
+  if is_pm addr then get8 t (pm_page t addr) (addr land page_mask) addr
+  else get8 t (vol_buf t addr) (seg_off addr) addr
 
 (* The [storeN] variants bypass the image tracker and must only be used
    when image tracking is off (the compiled tier checks the config's
    [track_images] once, at closure compile time). *)
 
+let[@inline] set1 t buf off addr v =
+  if off < Bytes.length buf then
+    Bytes.unsafe_set buf off (Char.unsafe_chr (v land 0xFF))
+  else store_slow t addr 1 v
+
+let[@inline] set2 t buf off addr v =
+  if off + 2 <= Bytes.length buf then unsafe_set16 buf off (v land 0xFFFF)
+  else store_slow t addr 2 v
+
+let[@inline] set4 t buf off addr v =
+  if off + 4 <= Bytes.length buf then unsafe_set32 buf off (Int32.of_int v)
+  else store_slow t addr 4 v
+
+(* PMIR is a 63-bit machine (OCaml ints). Mask the sign extension so byte 7
+   of a stored word round-trips through byte-wise loads. *)
+let[@inline] set8 t buf off addr v =
+  if off + 8 <= Bytes.length buf then
+    unsafe_set64 buf off (Int64.logand (Int64.of_int v) 0x7FFF_FFFF_FFFF_FFFFL)
+  else store_slow t addr 8 v
+
 let[@inline] store1 t addr v =
-  Bytes.unsafe_set (backing t addr 1) (seg_off addr)
-    (Char.unsafe_chr (v land 0xFF))
+  if is_pm addr then set1 t (pm_page t addr) (addr land page_mask) addr v
+  else set1 t (vol_buf t addr) (seg_off addr) addr v
 
 let[@inline] store2 t addr v =
-  unsafe_set16 (backing t addr 2) (seg_off addr) (v land 0xFFFF)
+  if is_pm addr then set2 t (pm_page t addr) (addr land page_mask) addr v
+  else set2 t (vol_buf t addr) (seg_off addr) addr v
 
 let[@inline] store4 t addr v =
-  unsafe_set32 (backing t addr 4) (seg_off addr) (Int32.of_int v)
+  if is_pm addr then set4 t (pm_page t addr) (addr land page_mask) addr v
+  else set4 t (vol_buf t addr) (seg_off addr) addr v
 
 let[@inline] store8 t addr v =
-  unsafe_set64 (backing t addr 8) (seg_off addr)
-    (Int64.logand (Int64.of_int v) 0x7FFF_FFFF_FFFF_FFFFL)
+  if is_pm addr then set8 t (pm_page t addr) (addr land page_mask) addr v
+  else set8 t (vol_buf t addr) (seg_off addr) addr v
 
-(* Copy [len] working/snapshot bytes into the persisted image at [off],
-   keeping the durable fingerprint current byte by byte. *)
-let persist_tracked tr dst ~off ~len ~byte_at =
-  for k = off to off + len - 1 do
-    let old_byte = Bytes.get_uint8 dst k in
+let load t ~addr ~size =
+  match size with
+  | 1 -> load1 t addr
+  | 2 -> load2 t addr
+  | 4 -> load4 t addr
+  | 8 -> load8 t addr
+  | _ -> load_slow t addr size
+
+let store t ~addr ~size v =
+  match t.track with
+  | Some tr when is_pm addr ->
+      cover t addr size;
+      if not (valid_size size) then trap "bad store size %d" size;
+      for k = 0 to size - 1 do
+        let a = addr + k in
+        let old_byte = get_byte t a and new_byte = (v lsr (8 * k)) land 0xFF in
+        set_byte t a new_byte;
+        Imghash.update tr.work_hash ~off:(seg_off a) ~old_byte ~new_byte
+      done
+  | _ -> (
+      match size with
+      | 1 -> store1 t addr v
+      | 2 -> store2 t addr v
+      | 4 -> store4 t addr v
+      | 8 -> store8 t addr v
+      | _ -> store_slow t addr size v)
+
+(* Persistence ------------------------------------------------------------- *)
+
+(* Copy [len] bytes into durable page [dst] at page offset [po] (PM offset
+   [off]), keeping the durable fingerprint current byte by byte. *)
+let persist_tracked tr dst ~po ~off ~len ~byte_at =
+  for k = 0 to len - 1 do
+    let old_byte = Bytes.get_uint8 dst (po + k) in
     let new_byte = byte_at k in
     if old_byte <> new_byte then begin
-      Imghash.update tr.dur_hash ~off:k ~old_byte ~new_byte;
-      Bytes.set_uint8 dst k new_byte
+      Imghash.update tr.dur_hash ~off:(off + k) ~old_byte ~new_byte;
+      Bytes.set_uint8 dst (po + k) new_byte
     end
   done
+
+(* Each loop below walks the pages of a PM range [off, stop): page [i]
+   holds its bytes [lo, lo + n), at page offset [lo land page_mask]. *)
 
 (** [persist_range t ~addr ~size] copies working PM content into the
     persisted image (called by {!Pstate} when a range becomes durable). *)
@@ -276,14 +442,17 @@ let persist_range t ~addr ~size =
   let off = addr - Layout.pm_base in
   if off < 0 || off + size > t.pm_size then
     trap "persist_range outside PM at 0x%x" addr;
-  let need = off + size and cap = t.pm_size in
-  t.pm <- covering t.pm ~need ~cap;
-  t.pm_persisted <- covering t.pm_persisted ~need ~cap;
-  match t.track with
-  | Some tr ->
-      persist_tracked tr t.pm_persisted ~off ~len:size ~byte_at:(fun k ->
-          Bytes.get_uint8 t.pm k)
-  | None -> Bytes.blit t.pm off t.pm_persisted off size
+  let stop = off + size in
+  for i = off lsr page_bits to (stop - 1) asr page_bits do
+    let lo = max off (i lsl page_bits) in
+    let n = min stop ((i + 1) lsl page_bits) - lo and po = lo land page_mask in
+    let src = working_at t lo n and dst = durable_at t lo n in
+    match t.track with
+    | Some tr ->
+        persist_tracked tr dst ~po ~off:lo ~len:n ~byte_at:(fun k ->
+            Bytes.get_uint8 src (po + k))
+    | None -> Bytes.blit src po dst po n
+  done
 
 (** [persist_string t ~addr s] makes a flush-time snapshot durable: the
     snapshot bytes (not the current working bytes) are what the flush
@@ -291,15 +460,19 @@ let persist_range t ~addr ~size =
     queue. *)
 let persist_string t ~addr s =
   let off = addr - Layout.pm_base in
-  let len = String.length s in
-  if off < 0 || off + len > t.pm_size then
+  let stop = off + String.length s in
+  if off < 0 || stop > t.pm_size then
     trap "persist_string outside PM at 0x%x" addr;
-  t.pm_persisted <- covering t.pm_persisted ~need:(off + len) ~cap:t.pm_size;
-  match t.track with
-  | Some tr ->
-      persist_tracked tr t.pm_persisted ~off ~len ~byte_at:(fun k ->
-          Char.code (String.unsafe_get s (k - off)))
-  | None -> Bytes.blit_string s 0 t.pm_persisted off len
+  for i = off lsr page_bits to (stop - 1) asr page_bits do
+    let lo = max off (i lsl page_bits) in
+    let n = min stop ((i + 1) lsl page_bits) - lo and po = lo land page_mask in
+    let dst = durable_at t lo n in
+    match t.track with
+    | Some tr ->
+        persist_tracked tr dst ~po ~off:lo ~len:n ~byte_at:(fun k ->
+            Char.code (String.unsafe_get s (lo - off + k)))
+    | None -> Bytes.blit_string s (lo - off) dst po n
+  done
 
 (** The durable image, trimmed: the post-crash PM contents. *)
 let crash_image t = trimmed t.pm_persisted
@@ -364,27 +537,44 @@ let in_one_segment t addr len =
   in
   len > 0 && seg_off addr + len <= min seg 0x1000_0000
 
+(* The volatile buffer holding [addr, addr + len), inside one segment. *)
+let vol_backing t addr len =
+  if seg_off addr + len > Bytes.length (vol_buf t addr) then cover t addr len;
+  vol_buf t addr
+
 (* A range that leaves its segment goes byte by byte, so it writes the same
-   prefix and traps with the same message as [len] single-byte stores. *)
+   prefix and traps with the same message as [len] single-byte stores; a
+   range in a tracked PM image goes byte by byte through the tracker. *)
 let write_string t ~addr s =
   let len = String.length s in
-  if not (in_one_segment t addr len) then
+  if
+    (not (in_one_segment t addr len))
+    || (is_pm addr && Option.is_some t.track)
+  then
     String.iteri (fun i c -> store t ~addr:(addr + i) ~size:1 (Char.code c)) s
-  else
-    let buf = backing t addr len and off = seg_off addr in
-    match t.track with
-    | Some tr when Layout.is_pm addr ->
-        for k = 0 to len - 1 do
-          let old_byte = Bytes.get_uint8 buf (off + k) in
-          let new_byte = Char.code (String.unsafe_get s k) in
-          Imghash.update tr.work_hash ~off:(off + k) ~old_byte ~new_byte;
-          Bytes.set_uint8 buf (off + k) new_byte
-        done
-    | _ -> Bytes.blit_string s 0 buf off len
+  else if is_pm addr then begin
+    let off = seg_off addr in
+    let stop = off + len in
+    for i = off lsr page_bits to (stop - 1) asr page_bits do
+      let lo = max off (i lsl page_bits) in
+      let n = min stop ((i + 1) lsl page_bits) - lo in
+      Bytes.blit_string s (lo - off) (working_at t lo n) (lo land page_mask) n
+    done
+  end
+  else Bytes.blit_string s 0 (vol_backing t addr len) (seg_off addr) len
 
 let read_string t ~addr ~len =
-  if in_one_segment t addr len then
-    Bytes.sub_string (backing t addr len) (seg_off addr) len
-  else
+  if not (in_one_segment t addr len) then
     String.init len (fun i ->
         Char.chr (load t ~addr:(addr + i) ~size:1 land 0xFF))
+  else if is_pm addr then begin
+    let off = seg_off addr in
+    let stop = off + len and s = Bytes.create len in
+    for i = off lsr page_bits to (stop - 1) asr page_bits do
+      let lo = max off (i lsl page_bits) in
+      let n = min stop ((i + 1) lsl page_bits) - lo in
+      Bytes.blit (working_at t lo n) (lo land page_mask) s (lo - off) n
+    done;
+    Bytes.unsafe_to_string s
+  end
+  else Bytes.sub_string (vol_backing t addr len) (seg_off addr) len

@@ -9,11 +9,14 @@
     extension so byte 7 round-trips through byte-wise loads.
 
     Segments are lazily backed: a machine, an image and a restart cost
-    O(bytes touched), not O(segment size). No program can tell — segment
-    sizes, bounds checks, trap messages and allocator exhaustion points
-    are those of eagerly zeroed segments. PM images are trimmed: an image
-    is its bytes up to the last nonzero one, so [Bytes.equal] is image
-    equality and every byte past an image's end is zero.
+    O(bytes touched), not O(segment size). Both PM images are held in
+    4 KB pages, each allocated the first time an access needs it, so a
+    PM image costs the pages the program touched; the volatile segments
+    are buffers that double as they are touched. No program can tell —
+    segment sizes, bounds checks, trap messages and allocator exhaustion
+    points are those of eagerly zeroed segments. PM images are trimmed:
+    an image is its bytes up to the last nonzero one, so [Bytes.equal] is
+    image equality and every byte past an image's end is zero.
 
     With [~track_images:true] the memory additionally maintains, at
     O(bytes changed) per operation, a live {!Imghash} fingerprint of both
@@ -30,7 +33,8 @@ type t
 
 (** [create globals] builds a fresh memory; [?pm_image] seeds both PM
     images (a restart from a previous durable image: any image no longer
-    than [pm_size], trimmed or not, of which only its length is copied);
+    than [pm_size], trimmed or not, of which only its length is copied,
+    one page-sized chunk at a time);
     [?pm_brk] restores the PM allocator's high-water mark alongside the
     image — a real PM allocator persists its heap metadata, so a
     restarted program must not re-issue addresses that are already in

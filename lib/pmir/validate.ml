@@ -12,68 +12,77 @@ let pp_error ppf e = Fmt.pf ppf "%s: %s" e.where e.what
 
 let valid_sizes = [ 1; 2; 4; 8 ]
 
-let check_func (prog : Program.t) (f : Func.t) : error list =
+(* A set of names, for O(1) membership. *)
+let set_of names =
+  let t = Hashtbl.create 64 in
+  List.iter (fun n -> Hashtbl.replace t n ()) names;
+  t
+
+(* Every occurrence of a name that occurs more than once, in order. *)
+let duplicates names =
+  let seen = Hashtbl.create 64 and dup = Hashtbl.create 8 in
+  List.iter
+    (fun n ->
+      if Hashtbl.mem seen n then Hashtbl.replace dup n ()
+      else Hashtbl.add seen n ())
+    names;
+  List.filter (Hashtbl.mem dup) names
+
+let check_func (prog : Program.t) ~globals (f : Func.t) : error list =
   let errors = ref [] in
   let add e = errors := e :: !errors in
   let fname = Func.name f in
   let blocks = Func.blocks f in
   (if blocks = [] then add (err fname "function has no blocks"));
   let labels = List.map (fun (b : Func.block) -> b.label) blocks in
-  let dup =
-    List.filter
-      (fun l -> List.length (List.filter (String.equal l) labels) > 1)
-      labels
-  in
-  (match dup with
+  (match duplicates labels with
   | [] -> ()
   | l :: _ -> add (err fname "duplicate block label %S" l));
-  let has_label l = List.mem l labels in
-  let defined = Func.defined_regs f in
-  let known r = List.mem r defined in
-  let check_value where (v : Value.t) =
-    match v with
-    | Value.Reg r when not (known r) ->
-        add (err where "use of undefined register %%%s" r)
-    | _ -> ()
-  in
+  let labels = set_of labels and defined = set_of (Func.defined_regs f) in
+  let has_label l = Hashtbl.mem labels l in
+  let known r = Hashtbl.mem defined r in
   let check_instr ~is_last (i : Instr.t) =
-    let where = Fmt.str "%s at %a" fname Loc.pp (Instr.loc i) in
-    List.iter (fun r -> if not (known r) then
-        add (err where "use of undefined register %%%s" r))
+    (* the location is formatted only for an instruction with an error *)
+    let add_at fmt =
+      Fmt.kstr
+        (fun what ->
+          add { where = Fmt.str "%s at %a" fname Loc.pp (Instr.loc i); what })
+        fmt
+    in
+    List.iter
+      (fun r -> if not (known r) then add_at "use of undefined register %%%s" r)
       (Instr.uses i);
     List.iter
       (function
-        | Value.Global g when not (List.mem_assoc g (Program.globals prog)) ->
-            add (err where "reference to undefined global @%s" g)
+        | Value.Global g when not (Hashtbl.mem globals g) ->
+            add_at "reference to undefined global @%s" g
         | _ -> ())
       (Instr.operands i);
     (match Instr.op i with
     | Store { size; _ } | Load { size; _ } ->
         if not (List.mem size valid_sizes) then
-          add (err where "invalid access size %d" size)
+          add_at "invalid access size %d" size
     | Alloca { size; _ } ->
-        if size <= 0 then add (err where "non-positive alloca size %d" size)
+        if size <= 0 then add_at "non-positive alloca size %d" size
     | Call { callee; args; _ } ->
         if (not (Program.mem prog callee)) && not (Program.is_intrinsic callee)
-        then add (err where "call to undefined function @%s" callee)
+        then add_at "call to undefined function @%s" callee
         else if Program.mem prog callee then (
           let arity = List.length (Func.params (Program.find_exn prog callee)) in
           if List.length args <> arity then
-            add
-              (err where "call to @%s with %d arguments (expects %d)" callee
-                 (List.length args) arity))
+            add_at "call to @%s with %d arguments (expects %d)" callee
+              (List.length args) arity)
     | Br { target } ->
         if not (has_label target) then
-          add (err where "branch to undefined label %S" target)
+          add_at "branch to undefined label %S" target
     | Condbr { if_true; if_false; _ } ->
         List.iter
           (fun l ->
-            if not (has_label l) then
-              add (err where "branch to undefined label %S" l))
+            if not (has_label l) then add_at "branch to undefined label %S" l)
           [ if_true; if_false ]
     | _ -> ());
     if Instr.is_terminator i && not is_last then
-      add (err where "terminator is not the last instruction of its block")
+      add_at "terminator is not the last instruction of its block"
   in
   List.iter
     (fun (b : Func.block) ->
@@ -85,19 +94,14 @@ let check_func (prog : Program.t) (f : Func.t) : error list =
       let n = List.length b.instrs in
       List.iteri (fun k i -> check_instr ~is_last:(k = n - 1) i) b.instrs)
     blocks;
-  ignore check_value;
   List.rev !errors
 
 (** [check prog] returns all well-formedness errors, empty when valid. *)
 let check (prog : Program.t) : error list =
-  let dups =
-    let names = Program.func_names prog in
-    List.filter
-      (fun n -> List.length (List.filter (String.equal n) names) > 1)
-      names
-  in
   let dup_errors =
-    List.map (fun n -> err "program" "duplicate function @%s" n) dups
+    List.map
+      (fun n -> err "program" "duplicate function @%s" n)
+      (duplicates (Program.func_names prog))
   in
   (* Duplicate instruction identities would silently corrupt fix keying. *)
   let seen = Iid.Tbl.create 1024 in
@@ -114,8 +118,9 @@ let check (prog : Program.t) : error list =
           else Iid.Tbl.add seen id ())
         (Func.instrs f))
     (Program.funcs prog);
+  let globals = set_of (List.map fst (Program.globals prog)) in
   dup_errors @ List.rev !iid_errors
-  @ List.concat_map (check_func prog) (Program.funcs prog)
+  @ List.concat_map (check_func prog ~globals) (Program.funcs prog)
 
 let is_valid prog = check prog = []
 

@@ -21,7 +21,9 @@ let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
 (** Size the interpreter for a service holding [final_records] entries:
     trace off (a million-op trace would be gigabytes), effectively
     unlimited fuel, the default cost model (simulated-latency
-    histograms), and a PM arena sized to the record count. *)
+    histograms), and a PM arena sized to the record count. The size only
+    bounds addresses: PM is paged, so memory follows the pages the
+    records touch. *)
 let serve_config ~final_records () : Hippo_pmcheck.Interp.config =
   let pm_size =
     pow2_at_least

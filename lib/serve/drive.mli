@@ -9,8 +9,9 @@
 open Hippo_ycsb
 
 (** Interpreter config for a service holding [final_records] entries:
-    trace off, unlimited fuel, the default cost model, PM sized to the
-    record count. *)
+    trace off, unlimited fuel, the default cost model, a PM segment
+    sized to the record count (it bounds addresses; memory follows the
+    pages touched). *)
 val serve_config :
   final_records:int ->
   unit ->

@@ -94,10 +94,27 @@ let seq (spec : spec) ~seed : op Seq.t =
     sequence element for element. *)
 let ops (spec : spec) ~seed : op list = List.of_seq (seq spec ~seed)
 
-(** YCSB-style keys: zero-padded decimal with a fixed prefix, 16 bytes. *)
-let key_bytes k = Fmt.str "user%012d" k
+(** YCSB-style keys: zero-padded decimal with a fixed prefix, 16 bytes
+    ([Printf]'s ["user%012d"]: wider for keys of 10^12 and above, and for
+    negative ones). *)
+let key_bytes k =
+  if k < 0 || k >= 1_000_000_000_000 then Printf.sprintf "user%012d" k
+  else begin
+    let b = Bytes.create 16 in
+    Bytes.blit_string "user" 0 b 0 4;
+    let k = ref k in
+    for i = 15 downto 4 do
+      Bytes.unsafe_set b i (Char.unsafe_chr (Char.code '0' + (!k mod 10)));
+      k := !k / 10
+    done;
+    Bytes.unsafe_to_string b
+  end
+
+(* A value's bytes depend only on its seed modulo 64: the 64 values. *)
+let values =
+  Array.init 64 (fun seed ->
+      String.init 96 (fun idx ->
+          Char.chr (((seed + (idx * 7)) land 0x3F) + 0x20)))
 
 (** Deterministic 96-byte values derived from the key and a version. *)
-let value_bytes ~k ~version =
-  let seed = (k * 31) + version in
-  String.init 96 (fun idx -> Char.chr (((seed + (idx * 7)) land 0x3F) + 0x20))
+let value_bytes ~k ~version = values.(((k * 31) + version) land 0x3F)

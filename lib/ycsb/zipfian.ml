@@ -4,11 +4,11 @@
 
 type t = {
   items : int;
-  theta : float;
   zetan : float;
   zeta2 : float;
   alpha : float;
   eta : float;
+  half_pow_theta : float;  (** [0.5 ** theta] *)
 }
 
 let zeta n theta =
@@ -24,20 +24,20 @@ let create ?(theta = 0.99) items =
   let zeta2 = zeta 2 theta in
   {
     items;
-    theta;
     zetan;
     zeta2;
     alpha = 1.0 /. (1.0 -. theta);
     eta =
       (1.0 -. Float.pow (2.0 /. float_of_int items) (1.0 -. theta))
       /. (1.0 -. (zeta2 /. zetan));
+    half_pow_theta = Float.pow 0.5 theta;
   }
 
 let next t rng =
   let u = Rng.float rng in
   let uz = u *. t.zetan in
   if uz < 1.0 then 0
-  else if uz < 1.0 +. Float.pow 0.5 t.theta then 1
+  else if uz < 1.0 +. t.half_pow_theta then 1
   else
     let v =
       float_of_int t.items

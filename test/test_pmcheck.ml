@@ -427,7 +427,7 @@ let run_mem ~track c =
 
 let prop_lazy_matches_eager =
   QCheck.Test.make ~name:"lazily backed Mem matches an eager model" ~count:400
-    arb_mcase (fun c ->
+    ~long_factor:25 arb_mcase (fun c ->
       let want, segs, dur = run_model c in
       let pm_size = c.sizes.(pm_seg) in
       let trimmed img =
@@ -478,6 +478,30 @@ let prop_lazy_matches_eager =
           && (segments_agree () || fail "segments differ")
           && (images_agree () || fail "images differ once fully backed"))
         [ false; true ])
+
+(* Guard: a PM image costs the pages the program touched. One word stored
+   and persisted every 2 MB of a 32 MB segment backs 16 pages of each
+   image and a page table for each, where a buffer holding a prefix of
+   the segment backs 30 MB of both. *)
+let test_pm_pages_cost_what_is_touched () =
+  let m = Mem.create ~pm_size:(1 lsl 25) [] in
+  let addrs = List.init 16 (fun k -> Layout.pm_base + (k lsl 21)) in
+  Gc.compact ();
+  let before = (Gc.stat ()).live_words in
+  List.iteri
+    (fun k addr ->
+      Mem.store m ~addr ~size:8 (k + 1);
+      Mem.persist_range m ~addr ~size:8)
+    addrs;
+  Gc.compact ();
+  let grown = (Gc.stat ()).live_words - before in
+  let page_words = (4096 / 8) + 2 and table_words = (1 lsl 25) / 4096 in
+  List.iteri
+    (fun k addr ->
+      Alcotest.(check int) "word reads back" (k + 1) (Mem.load8 m addr))
+    addrs;
+  if grown > (40 * page_words) + (2 * table_words) then
+    Alcotest.failf "live heap grew by %d words for 16 words stored" grown
 
 (* Allocation guard: building a machine, and running a small workload on
    it, costs what the program touches, not the segments' 54 MB. OCaml
@@ -667,7 +691,7 @@ let test_pstate_fence_counts_start_lines () =
     (Pstate.fence ps m ~seq:!seq)
 
 (* Guard: durable lines leave the index. With both images already backed
-   to the last line, 100 000 store/clwb/fence cycles on distinct lines
+   under every line, 100 000 store/clwb/fence cycles on distinct lines
    leave the live heap where it was. *)
 let test_pstate_index_holds_only_live_lines () =
   let ps = Pstate.create () in
@@ -675,8 +699,11 @@ let test_pstate_index_holds_only_live_lines () =
   let lines = 100_000 in
   let base = Mem.alloc_pm m (lines * 64) in
   let last = base + ((lines - 1) * 64) in
-  Mem.store m ~addr:last ~size:8 1;
-  Mem.persist_range m ~addr:last ~size:8;
+  for k = 0 to lines - 1 do
+    let addr = base + (k * 64) in
+    Mem.store m ~addr ~size:8 1;
+    Mem.persist_range m ~addr ~size:8
+  done;
   let iid = dummy_iid () in
   Gc.compact ();
   let before = (Gc.stat ()).live_words in
@@ -1029,6 +1056,44 @@ let test_machine_restart () =
   Alcotest.(check (pair bytes bytes)) "old images kept" images_old (images t);
   Alcotest.(check int) "still nothing new compiled" compiled (filled ())
 
+(* A crash image spanning four pages, with a word straddling each page
+   boundary, survives a restart: the restarted machine reads back every
+   word, both its images equal the seed, and with image tracking on both
+   live digests match the images. *)
+let test_machine_restart_paged_image () =
+  let words = List.init 1538 (fun k -> Layout.pm_base + 4 + (8 * k)) in
+  let value a = ((a - Layout.pm_base) * 0x0101_0101) + 1 in
+  List.iter
+    (fun track_images ->
+      let cfg = { Interp.default_config with track_images } in
+      let t = Interp.create cfg (restart_prog ()) in
+      let m = Interp.mem t in
+      List.iter
+        (fun a ->
+          Mem.store m ~addr:a ~size:8 (value a);
+          Mem.persist_range m ~addr:a ~size:8)
+        words;
+      let image = Interp.crash_image t in
+      Alcotest.(check bool) "image spans four pages" true
+        (Bytes.length image > 3 * 4096);
+      let t' = Machine.restart ~pm_image:image t in
+      let m' = Interp.mem t' in
+      List.iter
+        (fun a ->
+          Alcotest.(check int) "load8" (value a) (Mem.load8 m' a);
+          Alcotest.(check int) "load" (value a) (Mem.load m' ~addr:a ~size:8))
+        words;
+      Alcotest.(check bytes) "durable image" image (Interp.crash_image t');
+      Alcotest.(check bytes) "working image" image (Mem.working_image m');
+      if track_images then begin
+        let digest = Imghash.digest (Imghash.of_bytes image) in
+        Alcotest.(check bool) "working digest" true
+          (Imghash.equal_digest digest (Mem.working_digest m'));
+        Alcotest.(check bool) "durable digest" true
+          (Imghash.equal_digest digest (Mem.durable_digest m'))
+      end)
+    [ false; true ]
+
 (* A host call into a sibling from inside a run, here from the crash
    hook, borrows the binding the chain's compiled code runs through and
    hands it back: the interrupted run finishes on its own machine, and
@@ -1227,8 +1292,14 @@ let suite =
     ("mem string roundtrip", `Quick, test_mem_string_roundtrip);
     ("mem lazy segment boundaries", `Quick, test_lazy_segment_boundaries);
     QCheck_alcotest.to_alcotest prop_lazy_matches_eager;
+    ( "mem pm pages cost what is touched",
+      `Quick,
+      test_pm_pages_cost_what_is_touched );
     ("machine allocation guard", `Quick, test_machine_allocation_guard);
     ("machine restart", `Quick, test_machine_restart);
+    ( "machine restart from a paged image",
+      `Quick,
+      test_machine_restart_paged_image );
     ("machine nested sibling call", `Quick, test_machine_nested_sibling_call);
     ("pstate store/flush/fence", `Quick, test_pstate_store_flush_fence);
     ("pstate clflush immediate", `Quick, test_pstate_clflush_immediate);

@@ -260,6 +260,95 @@ let test_validator_rejects_duplicate_iids () =
   Alcotest.(check bool) "duplicate iids rejected" false
     (Validate.is_valid (Program.of_funcs [ f ]))
 
+(* One message of every kind the validator reports, byte for byte, in
+   report order. *)
+let test_validator_messages () =
+  let at line op =
+    Instr.make ~iid:(Iid.fresh ~func:"f") ~loc:(Loc.make ~file:"v.c" ~line) op
+  in
+  let store line ~addr ~size =
+    at line (Instr.Store { addr; value = i 1; size; nontemporal = false })
+  in
+  let f =
+    mk_func "f"
+      [
+        {
+          Func.label = "entry";
+          instrs =
+            [
+              store 1 ~addr:(v "ghost") ~size:8;
+              store 2 ~addr:(Value.global "nog") ~size:8;
+              store 3 ~addr:(i 100) ~size:3;
+              at 4 (Instr.Alloca { dst = "a"; size = 0 });
+              at 5 (Instr.Call { dst = None; callee = "nope"; args = [] });
+              at 6 (Instr.Call { dst = None; callee = "h"; args = [ i 1 ] });
+              at 7 (Instr.Br { target = "nowhere" });
+              at 8 (Instr.Ret None);
+            ];
+        };
+        { Func.label = "entry"; instrs = [ at 9 (Instr.Ret None) ] };
+        { Func.label = "empty"; instrs = [] };
+        {
+          Func.label = "open";
+          instrs = [ at 10 (Instr.Fence { kind = Instr.Sfence }) ];
+        };
+      ]
+  in
+  let g = mk_func "g" [] in
+  let id = Iid.fresh ~func:"h" in
+  let h =
+    mk_func "h"
+      [
+        {
+          Func.label = "entry";
+          instrs =
+            [
+              Instr.make ~iid:id ~loc:Loc.none
+                (Instr.Fence { kind = Instr.Sfence });
+              Instr.make ~iid:id ~loc:Loc.none (Instr.Ret None);
+            ];
+        };
+      ]
+  in
+  let messages =
+    List.map (Fmt.str "%a" Validate.pp_error)
+      (Validate.check (Program.of_funcs [ f; g; h ]))
+  in
+  Alcotest.(check (list string)) "messages"
+    [
+      Printf.sprintf "h: duplicate instruction identity h#%d" (Iid.serial id);
+      {|f: duplicate block label "entry"|};
+      "f at v.c:1: use of undefined register %ghost";
+      "f at v.c:2: reference to undefined global @nog";
+      "f at v.c:3: invalid access size 3";
+      "f at v.c:4: non-positive alloca size 0";
+      "f at v.c:5: call to undefined function @nope";
+      "f at v.c:6: call to @h with 1 arguments (expects 0)";
+      {|f at v.c:7: branch to undefined label "nowhere"|};
+      "f at v.c:7: terminator is not the last instruction of its block";
+      {|f: block "empty" is empty (needs a terminator)|};
+      {|f: block "open" does not end in a terminator|};
+      "g: function has no blocks";
+    ]
+    messages
+
+(* Allocation guard: validating flush-free Redis costs walking its
+   instructions, not a formatted location per instruction (about 420
+   minor words each when every location was formatted). *)
+let test_validator_allocation_guard () =
+  let prog = Hippo_apps.Redis_mini.build Hippo_apps.Redis_mini.Flush_free in
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  let errors = Validate.check prog in
+  Gc.minor ();
+  let per_instr =
+    (Gc.minor_words () -. before) /. float_of_int (Program.size prog)
+  in
+  Alcotest.(check int) "valid" 0 (List.length errors);
+  if per_instr >= 150. then
+    Alcotest.failf "Validate.check allocated %.1f minor words per instruction"
+      per_instr
+
 let test_validator_accepts_builder_output () =
   Alcotest.(check (list Alcotest.reject)) "sample ok" [] (Validate.check (sample_program ()))
 
@@ -490,6 +579,8 @@ let suite =
     ("validator: bad callee/arity", `Quick, test_validator_rejects_bad_callee_and_arity);
     ("validator: bad size/global", `Quick, test_validator_rejects_bad_size_and_global);
     ("validator: duplicate iids", `Quick, test_validator_rejects_duplicate_iids);
+    ("validator: messages", `Quick, test_validator_messages);
+    ("validator: allocation guard", `Quick, test_validator_allocation_guard);
     ("validator: accepts builder output", `Quick, test_validator_accepts_builder_output);
     ("roundtrip sample", `Quick, test_roundtrip_sample);
     ("parser locations", `Quick, test_parser_locations);

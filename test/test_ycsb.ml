@@ -153,6 +153,30 @@ let test_key_value_encoding () =
       Alcotest.(check bool) "printable" true (Char.code c >= 0x20 && Char.code c < 0x80))
     v0
 
+(* The direct key writer and the value table match the [Printf] and
+   [String.init] definitions, on both sides of 10^12 and for negative
+   keys and versions. *)
+let prop_key_value_definitions =
+  let big = 1_000_000_000_000 in
+  QCheck.Test.make ~name:"key and value bytes match their definitions"
+    ~count:1000
+    QCheck.(
+      pair
+        (oneof
+           [
+             int;
+             int_range (-1000) 1000;
+             int_range (big - 1000) (big + 1000);
+             int_range 0 big;
+           ])
+        (oneof [ int; int_range (-100) 100 ]))
+    (fun (k, version) ->
+      let seed = (k * 31) + version in
+      Workload.key_bytes k = Printf.sprintf "user%012d" k
+      && Workload.value_bytes ~k ~version
+         = String.init 96 (fun idx ->
+               Char.chr (((seed + (idx * 7)) land 0x3F) + 0x20)))
+
 let prop_zipfian_in_range =
   QCheck.Test.make ~name:"zipfian stays in range" ~count:200
     QCheck.(pair (int_range 1 500) small_int)
@@ -179,5 +203,6 @@ let suite =
     ("seq equals ops", `Quick, test_seq_equals_ops);
     ("seq replayable and lazy", `Quick, test_seq_replayable_and_lazy);
     ("key/value encoding", `Quick, test_key_value_encoding);
+    QCheck_alcotest.to_alcotest prop_key_value_definitions;
     QCheck_alcotest.to_alcotest prop_zipfian_in_range;
   ]
