@@ -379,9 +379,9 @@ module SAdapter = Hippo_staticcheck.Adapter
 
 let dynamic_bugs_of (case : Case.t) =
   let prog = Lazy.force case.Case.program in
-  let t = Interp.create { Interp.default_config with Interp.trace = true } prog in
+  let t = Machine.create { Machine.default_config with Machine.trace = true } prog in
   Machine.run_workload t case.Case.workload;
-  (prog, Interp.bugs t)
+  (prog, Machine.bugs t)
 
 let table_static () =
   section
@@ -471,16 +471,16 @@ let table_opt () =
   let module Timed = Hippo_perfmodel.Timed in
   let sim_cost prog workload =
     let t =
-      Interp.create
+      Machine.create
         {
-          Interp.default_config with
-          Interp.trace = false;
+          Machine.default_config with
+          Machine.trace = false;
           cost = Some Cost.default;
         }
         prog
     in
     workload t;
-    Interp.cost_ns t
+    Machine.cost_ns t
   in
   (* one row per subject: the optimizer runs over the given (already
      repaired or manual) program; cost is the perfmodel's simulated ns

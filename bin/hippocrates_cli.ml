@@ -50,15 +50,25 @@ let require_entry prog entry =
   if Program.mem prog entry then Ok ()
   else Error (Fmt.str "no function @%s in the program" entry)
 
+(* A program that traps, aborts or runs out of fuel stops execution:
+   [Error cause], never an exception. *)
+let stopping f =
+  try Ok (f ()) with
+  | Mem.Trap m -> Error (Fmt.str "trap: %s" m)
+  | Machine.Aborted -> Error "abort() called"
+  | Machine.Out_of_fuel -> Error "out of fuel"
+
+(* A repair or a crash sweep that executes [entry] fails when the program
+   stops, naming the entry function and the cause. *)
+let executing ~entry f =
+  Result.map_error (Fmt.str "%s() stopped: %s" entry) (stopping f)
+
 let run_workload prog ~trace ~entry ~args =
-  let t = Interp.create { Interp.default_config with Interp.trace } prog in
-  let ret =
-    try Ok (Compile.call t entry args) with
-    | Mem.Trap m -> Error (Fmt.str "trap: %s" m)
-    | Interp.Aborted -> Error "abort() called"
-    | Interp.Out_of_fuel -> Error "out of fuel"
+  let t =
+    Machine.create { Machine.default_config with Machine.trace } prog
   in
-  Interp.exit_check t;
+  let ret = stopping (fun () -> Compile.call t entry args) in
+  Machine.exit_check t;
   (t, ret)
 
 (* ------------------------------------------------------------------ *)
@@ -207,15 +217,16 @@ let check_cmd =
       | Some checker when not (Program.mem prog checker) ->
           Error (Fmt.str "--crash-sweep: no function %S in the program" checker)
       | Some checker ->
-          let verdicts, stats =
-            if crash_sample > 0 then
-              sampled_sweep prog ~setup:[ (entry, args) ] ~checker
-            else
-              let v, s =
-                Crashsim.sweep_with_stats ~jobs prog ~setup:[ (entry, args) ]
-                  ~checker ~checker_args:[]
-              in
-              (v, Some s)
+          let* verdicts, stats =
+            executing ~entry (fun () ->
+                if crash_sample > 0 then
+                  sampled_sweep prog ~setup:[ (entry, args) ] ~checker
+                else
+                  let v, s =
+                    Crashsim.sweep_with_stats ~jobs prog
+                      ~setup:[ (entry, args) ] ~checker ~checker_args:[]
+                  in
+                  (v, Some s))
           in
           List.iter
             (fun (v : Crashsim.verdict) ->
@@ -284,8 +295,8 @@ let check_cmd =
     (match ret with
     | Ok r -> Fmt.pr "%s(%a) returned %d@." entry Fmt.(list ~sep:comma int) args r
     | Error e -> Fmt.pr "execution stopped: %s@." e);
-    let bugs = Interp.bugs t in
-    let ps = Interp.pstate t in
+    let bugs = Machine.bugs t in
+    let ps = Machine.pstate t in
     Fmt.pr "PM stores: %d, flushes: %d, fences: %d@." (Pstate.stores ps)
       (Pstate.flushes ps) (Pstate.fences ps);
     Fmt.pr "durability bugs: %d@." (List.length bugs);
@@ -296,9 +307,9 @@ let check_cmd =
           let* () =
             write_trace path
               {
-                Tracefile.events = Interp.trace t;
-                stats = Interp.site_stats t;
-                bugs = Interp.raw_bugs t;
+                Tracefile.events = Machine.trace t;
+                stats = Machine.site_stats t;
+                bugs = Machine.raw_bugs t;
               }
           in
           Fmt.pr "trace written to %s@." path;
@@ -473,10 +484,11 @@ let fix_cmd =
       | None ->
           let* () = require_entry prog entry in
           let workload t = ignore (Compile.call t entry args) in
-          let r =
-            Driver.repair ~options ~detector ~trace
-              ?static_entries:(static_entries prog ~entry)
-              ~name:prog_path ~workload prog
+          let* r =
+            executing ~entry (fun () ->
+                Driver.repair ~options ~detector ~trace
+                  ?static_entries:(static_entries prog ~entry)
+                  ~name:prog_path ~workload prog)
           in
           if not (Verify.effective r.Driver.verification) then
             Error "verification failed: residual bugs after repair"
@@ -596,10 +608,10 @@ let run_cmd =
     (match ret with
     | Ok r -> Fmt.pr "returned %d@." r
     | Error e -> Fmt.pr "execution stopped: %s@." e);
-    (match Interp.output t with
+    (match Machine.output t with
     | [] -> ()
     | out -> Fmt.pr "output: %a@." Fmt.(list ~sep:comma int) out);
-    Ok 0
+    Ok (match ret with Ok _ -> 0 | Error _ -> 1)
   in
   command
     (Cmd.info "run" ~exits ~doc:"Execute a PMIR program.")
@@ -754,6 +766,15 @@ let port_arg =
     value & opt (some int) None
     & info [ "port" ] ~docv:"PORT" ~doc:"TCP port on 127.0.0.1.")
 
+(* A socket that cannot be bound or reached is outside input like a file:
+   [Error "<path or 127.0.0.1:PORT>: <message>"], never an exception. *)
+let on_socket where f =
+  try Ok (f ())
+  with Unix.Unix_error (e, _, _) ->
+    Error (Fmt.str "%s: %s" where (Unix.error_message e))
+
+let tcp_name port = Fmt.str "127.0.0.1:%d" port
+
 let serve_cmd =
   let inproc_flag =
     Arg.(
@@ -824,8 +845,11 @@ let serve_cmd =
     else
       let* listen =
         match (unix_path, port) with
-        | Some path, None -> Ok (Hippo_serve.Listener.listen_unix ~path)
-        | None, Some port -> Ok (Hippo_serve.Listener.listen_tcp ~port)
+        | Some path, None ->
+            on_socket path (fun () -> Hippo_serve.Listener.listen_unix ~path)
+        | None, Some port ->
+            on_socket (tcp_name port) (fun () ->
+                Hippo_serve.Listener.listen_tcp ~port)
         | None, None -> Error "serve: need --unix, --port or --inproc"
         | Some _, Some _ -> Error "serve: --unix and --port are exclusive"
       in
@@ -865,20 +889,23 @@ let loadgen_cmd =
           ~doc:"Skip the load phase (the server is already populated).")
   in
   let run workload records ops workers unix_path port skip_load seed jobs =
-    let* connect =
+    let* where, connect =
       match (unix_path, port) with
       | _ when records < workers -> Error (too_few_records ~records ~workers)
       | Some path, None ->
-          Ok (fun () -> Hippo_serve.Listener.Client.connect_unix ~path)
+          Ok (path, fun () -> Hippo_serve.Listener.Client.connect_unix ~path)
       | None, Some port ->
-          Ok (fun () -> Hippo_serve.Listener.Client.connect_tcp ~port)
+          Ok
+            ( tcp_name port,
+              fun () -> Hippo_serve.Listener.Client.connect_tcp ~port )
       | None, None -> Error "loadgen: need --unix or --port"
       | Some _, Some _ -> Error "loadgen: --unix and --port are exclusive"
     in
-    let r =
-      Hippo_parallel.Pool.run ~domains:jobs (fun pool ->
-          Hippo_serve.Loadgen.run_sockets ~connect ~pool ~kind:workload
-            ~records ~ops ~workers ~seed ~skip_load ())
+    let* r =
+      on_socket where (fun () ->
+          Hippo_parallel.Pool.run ~domains:jobs (fun pool ->
+              Hippo_serve.Loadgen.run_sockets ~connect ~pool ~kind:workload
+                ~records ~ops ~workers ~seed ~skip_load ()))
     in
     Fmt.pr "load: %d reqs (%a)@." r.Hippo_serve.Loadgen.load_reqs
       Hippo_serve.Loadgen.pp_verdicts r.Hippo_serve.Loadgen.load_verdicts;

@@ -68,14 +68,14 @@ let () =
   Fmt.pr "Listing 6 (the paper's scoring example):@.%s@."
     (Printer.to_string prog);
   (* run the bug finder *)
-  let t = Interp.create Interp.default_config prog in
+  let t = Machine.create Machine.default_config prog in
   ignore (Compile.call t "foo" []);
-  Interp.exit_check t;
-  let bug = List.hd (Interp.bugs t) in
+  Machine.exit_check t;
+  let bug = List.hd (Machine.bugs t) in
   Fmt.pr "bug under repair: %a@." Report.pp_bug bug;
   (* candidates and scores under both oracles *)
   let full = Hippo_alias.Oracle.of_program prog in
-  let trace = Hippo_alias.Oracle.trace_aa (Interp.site_stats t) in
+  let trace = Hippo_alias.Oracle.trace_aa (Machine.site_stats t) in
   show_decision prog "static alias analysis" full bug;
   show_decision prog "dynamic trace observations" trace bug;
   (* the resulting repair, as a patch *)

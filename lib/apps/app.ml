@@ -1,7 +1,7 @@
 (** A uniform key-value adapter over the PM applications, so the serve
     handler and the YCSB load generator are app-agnostic.
 
-    Each adapter wraps one interpreter session of one {e build variant}
+    Each adapter wraps one machine session of one {e build variant}
     of one app:
 
     - {b flush-free}: the Hippocrates repair input (no flushes at all) —
@@ -15,8 +15,8 @@
     Redis stores them natively; P-CLHT is a word store, so strings are
     mapped through FNV-1a onto nonzero machine words — deterministic, so
     two variants fed identical op streams still produce comparable
-    stores. Neither app supports ordered iteration, so [scan] reports
-    unsupported and the caller degrades gracefully. *)
+    stores. Neither app supports ordered iteration, so the adapter has no
+    scan and the serve handler answers a wire [Scan] with [Unsupported]. *)
 
 open Hippo_pmir
 open Hippo_pmcheck
@@ -35,15 +35,13 @@ let variant_to_string = function
   | Optimized -> "optimized"
 
 type read_result = Found of string | Absent
-type scan_result = Scanned of string list | Scan_unsupported
 
 type t = {
   name : string;  (** e.g. ["redis/manual"] *)
-  interp : Interp.t;
+  interp : Machine.t;
   insert : key:string -> value:string -> unit;
   read : key:string -> read_result;
   delete : key:string -> bool;  (** true when a binding was removed *)
-  scan : start:string -> len:int -> scan_result;
   count : unit -> int;
   check : unit -> bool;  (** the app's own recovery invariant *)
   cost_ns : unit -> float;  (** simulated ns accumulated so far *)
@@ -106,7 +104,7 @@ let rec program kind variant : (Program.t, string) result =
 (* Adapters *)
 
 let rec redis_adapter ~name (s : Redis_mini.session) : t =
-  let mem = Interp.mem s.Redis_mini.interp in
+  let mem = Machine.mem s.Redis_mini.machine in
   let put_key key =
     if String.length key = 0 || String.length key > Redis_mini.key_cap then
       invalid_arg
@@ -126,33 +124,32 @@ let rec redis_adapter ~name (s : Redis_mini.session) : t =
   in
   {
     name;
-    interp = s.Redis_mini.interp;
+    interp = s.Redis_mini.machine;
     insert =
       (fun ~key ~value ->
         put_key key;
         put_value value;
-        ignore (Compile.call s.Redis_mini.interp "cmd_set" []));
+        ignore (Compile.call s.Redis_mini.machine "cmd_set" []));
     read =
       (fun ~key ->
         put_key key;
-        let vl = Compile.call s.Redis_mini.interp "cmd_get" [] in
+        let vl = Compile.call s.Redis_mini.machine "cmd_get" [] in
         if vl < 0 then Absent
         else Found (Mem.read_string mem ~addr:s.Redis_mini.reply_buf ~len:vl));
     delete =
       (fun ~key ->
         put_key key;
-        Compile.call s.Redis_mini.interp "cmd_del" [] = 1);
-    scan = (fun ~start:_ ~len:_ -> Scan_unsupported);
-    count = (fun () -> Compile.call s.Redis_mini.interp "cmd_count" []);
-    check = (fun () -> Compile.call s.Redis_mini.interp "cmd_check" [] <> 0);
-    cost_ns = (fun () -> Interp.cost_ns s.Redis_mini.interp);
+        Compile.call s.Redis_mini.machine "cmd_del" [] = 1);
+    count = (fun () -> Compile.call s.Redis_mini.machine "cmd_count" []);
+    check = (fun () -> Compile.call s.Redis_mini.machine "cmd_check" [] <> 0);
+    cost_ns = (fun () -> Machine.cost_ns s.Redis_mini.machine);
     echo = (fun v -> v);
     reopen =
       (fun ~pm_image ->
         Ok
           (redis_adapter ~name
              (Redis_mini.recover_attach
-                (Machine.restart ~pm_image s.Redis_mini.interp))));
+                (Machine.restart ~pm_image s.Redis_mini.machine))));
   }
 
 (* FNV-1a over a string, masked to a positive 62-bit word and forced
@@ -171,10 +168,10 @@ let word_of_string str =
   if !h = 0 then 1 else !h
 
 let rec pclht_adapter ~name (s : Pclht.session) : t =
-  let call f args = Compile.call s.Pclht.interp f args in
+  let call f args = Compile.call s.Pclht.machine f args in
   {
     name;
-    interp = s.Pclht.interp;
+    interp = s.Pclht.machine;
     insert =
       (fun ~key ~value ->
         ignore
@@ -185,23 +182,22 @@ let rec pclht_adapter ~name (s : Pclht.session) : t =
         (* a word store: GET echoes the stored word, not the SET bytes *)
         if v = 0 then Absent else Found (string_of_int v));
     delete = (fun ~key -> call "clht_del" [ word_of_string key ] = 1);
-    scan = (fun ~start:_ ~len:_ -> Scan_unsupported);
     count = (fun () -> Pclht.count s);
     check = (fun () -> Pclht.check s);
-    cost_ns = (fun () -> Interp.cost_ns s.Pclht.interp);
+    cost_ns = (fun () -> Machine.cost_ns s.Pclht.machine);
     echo = (fun v -> string_of_int (word_of_string v));
     reopen =
       (fun ~pm_image ->
         Ok
           (pclht_adapter ~name
              (Pclht.recover_attach
-                (Machine.restart ~pm_image s.Pclht.interp))));
+                (Machine.restart ~pm_image s.Pclht.machine))));
   }
 
 (** [wrap ?config ?nbuckets kind variant prog] wraps a fresh session of an
     already-built program — the simulation harness builds one (possibly
     repaired) program and wraps it once per scenario. *)
-let wrap ?(config = { Interp.default_config with Interp.trace = false })
+let wrap ?(config = { Machine.default_config with Machine.trace = false })
     ?(nbuckets = 1024) kind variant prog : t =
   let name =
     Fmt.str "%s/%s" (kind_to_string kind) (variant_to_string variant)

@@ -6,7 +6,8 @@
     deterministic FNV-1a hash onto nonzero machine words — GET then
     echoes the stored word, not the original bytes, but two variants fed
     identical op streams still produce comparable stores. Neither app
-    supports ordered iteration, so [scan] reports unsupported. *)
+    supports ordered iteration, so the adapter has no scan: the serve
+    handler answers a wire [Scan] with [Unsupported]. *)
 
 open Hippo_pmir
 open Hippo_pmcheck
@@ -29,17 +30,17 @@ type variant = Flush_free | Manual | Repaired | Optimized
 val variant_to_string : variant -> string
 
 type read_result = Found of string | Absent
-type scan_result = Scanned of string list | Scan_unsupported
 
 type t = {
   name : string;  (** e.g. ["redis/manual"] *)
-  interp : Interp.t;
+  interp : Machine.t;
+      (** the session's machine; named [interp] because perfsuite/
+          compiles against it *)
   insert : key:string -> value:string -> unit;
       (** Raises [Invalid_argument] on empty or over-capacity keys or
           values (Redis enforces its wire-buffer capacities). *)
   read : key:string -> read_result;
   delete : key:string -> bool;  (** true when a binding was removed *)
-  scan : start:string -> len:int -> scan_result;
   count : unit -> int;
   check : unit -> bool;  (** the app's own recovery invariant *)
   cost_ns : unit -> float;  (** simulated ns accumulated so far *)
@@ -68,13 +69,13 @@ val program : kind -> variant -> (Program.t, string) result
 (** Wrap a fresh session of an already-built program (see {!program}) —
     callers that open many sessions of one variant build it once. *)
 val wrap :
-  ?config:Interp.config -> ?nbuckets:int -> kind -> variant ->
+  ?config:Machine.config -> ?nbuckets:int -> kind -> variant ->
   Hippo_pmir.Program.t -> t
 
 (** [make ?config ?nbuckets kind variant] builds the variant program and
-    wraps a fresh interpreter session. The default config suits small
+    wraps a fresh machine session. The default config suits small
     smoke runs; million-key services should size [pm_size] and
     [nbuckets] to the expected record count and set a cost model for
     simulated-latency histograms. *)
 val make :
-  ?config:Interp.config -> ?nbuckets:int -> kind -> variant -> (t, string) result
+  ?config:Machine.config -> ?nbuckets:int -> kind -> variant -> (t, string) result

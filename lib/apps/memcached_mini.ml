@@ -307,7 +307,7 @@ let build () : Program.t =
 (* ---------------------------------------------------------------------- *)
 
 type session = {
-  interp : Interp.t;
+  machine : Machine.t;
   key_buf : int;
   val_buf : int;
   g_klen : int;
@@ -315,12 +315,12 @@ type session = {
   g_flags : int;
 }
 
-let attach ?(nbuckets = 64) interp : session =
-  ignore (Compile.call interp "mc_init" [ nbuckets ]);
-  let mem = Interp.mem interp in
-  let g name = Interp.global_addr interp name in
+let attach ?(nbuckets = 64) machine : session =
+  ignore (Compile.call machine "mc_init" [ nbuckets ]);
+  let mem = Machine.mem machine in
+  let g name = Machine.global_addr machine name in
   {
-    interp;
+    machine;
     key_buf = Mem.load mem ~addr:(g "g_key") ~size:8;
     val_buf = Mem.load mem ~addr:(g "g_val") ~size:8;
     g_klen = g "g_klen";
@@ -329,29 +329,29 @@ let attach ?(nbuckets = 64) interp : session =
   }
 
 let set_key s key =
-  let mem = Interp.mem s.interp in
+  let mem = Machine.mem s.machine in
   Mem.write_string mem ~addr:s.key_buf key;
   Mem.store mem ~addr:s.g_klen ~size:8 (String.length key)
 
 let op_set s ~key ~value ~flags =
   set_key s key;
-  let mem = Interp.mem s.interp in
+  let mem = Machine.mem s.machine in
   Mem.write_string mem ~addr:s.val_buf value;
   Mem.store mem ~addr:s.g_vlen ~size:8 (String.length value);
   Mem.store mem ~addr:s.g_flags ~size:8 flags;
-  ignore (Compile.call s.interp "cmd_set" [])
+  ignore (Compile.call s.machine "cmd_set" [])
 
 let op_get s ~key =
   set_key s key;
-  Compile.call s.interp "cmd_get" []
+  Compile.call s.machine "cmd_get" []
 
 let op_del s ~key =
   set_key s key;
-  Compile.call s.interp "cmd_del" []
+  Compile.call s.machine "cmd_del" []
 
 (** The repair/bug-finding workload: sets (fresh and replacing), gets,
     touches and deletes. *)
-let workload (t : Interp.t) =
+let workload (t : Machine.t) =
   let s = attach ~nbuckets:16 t in
   for k = 0 to 29 do
     op_set s

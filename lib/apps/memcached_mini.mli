@@ -15,7 +15,7 @@ open Hippo_pmcheck
 val build : unit -> Program.t
 
 type session = {
-  interp : Interp.t;
+  machine : Machine.t;
   key_buf : int;
   val_buf : int;
   g_klen : int;
@@ -23,7 +23,7 @@ type session = {
   g_flags : int;
 }
 
-val attach : ?nbuckets:int -> Interp.t -> session
+val attach : ?nbuckets:int -> Machine.t -> session
 val set_key : session -> string -> unit
 val op_set : session -> key:string -> value:string -> flags:int -> unit
 
@@ -34,7 +34,7 @@ val op_del : session -> key:string -> int
 
 (** The repair/bug-finding workload: sets (fresh and replacing), gets,
     touches and deletes, ending with a burst of sets. *)
-val workload : Interp.t -> unit
+val workload : Machine.t -> unit
 
 (** The ten injected omissions as corpus ground truth (all share the
     program). *)

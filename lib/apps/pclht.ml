@@ -196,46 +196,46 @@ let build () : Program.t =
   p
 
 (* ---------------------------------------------------------------------- *)
-(* Host-side session: an interpreter with an initialized table. The
+(* Host-side session: a machine with an initialized table. The
    {!App} adapter drives it with string keys mapped onto nonzero words. *)
 
-type session = { interp : Interp.t; hdr_addr : int }
+type session = { machine : Machine.t; hdr_addr : int }
 
-let attach ?(nbuckets = 1024) interp : session =
-  let hdr = Compile.call interp "clht_init" [ nbuckets ] in
-  { interp; hdr_addr = hdr }
+let attach ?(nbuckets = 1024) machine : session =
+  let hdr = Compile.call machine "clht_init" [ nbuckets ] in
+  { machine; hdr_addr = hdr }
 
 (* Sessions are hot paths (the load generator drives millions of ops):
    no trace by default. *)
-let start ?(config = { Interp.default_config with Interp.trace = false })
+let start ?(config = { Machine.default_config with Machine.trace = false })
     ?nbuckets prog : session =
-  attach ?nbuckets (Interp.create config prog)
+  attach ?nbuckets (Machine.create config prog)
 
-(** [recover_attach interp] rebinds the table root on an interpreter
+(** [recover_attach machine] rebinds the table root on a machine
     restarted over a crash image: [clht_recover_check] re-derives the
     header from [pm_base] (the pool's first allocation) and validates
     it; the verdict is discarded here — callers judge consistency with
     {!check}. *)
-let recover_attach interp : session =
-  ignore (Compile.call interp "clht_recover_check" []);
+let recover_attach machine : session =
+  ignore (Compile.call machine "clht_recover_check" []);
   let hdr =
-    Mem.load (Interp.mem interp)
-      ~addr:(Interp.global_addr interp "g_clht")
+    Mem.load (Machine.mem machine)
+      ~addr:(Machine.global_addr machine "g_clht")
       ~size:8
   in
-  { interp; hdr_addr = hdr }
+  { machine; hdr_addr = hdr }
 
 (** The table's size field (header offset 24), read host-side: CLHT has
     no size query function. *)
 let count s =
-  Mem.load (Interp.mem s.interp) ~addr:(s.hdr_addr + 24) ~size:8
+  Mem.load (Machine.mem s.machine) ~addr:(s.hdr_addr + 24) ~size:8
 
-let check s = Compile.call s.interp "clht_check" [] <> 0
+let check s = Compile.call s.machine "clht_check" [] <> 0
 
 (** The example workload from RECIPE's evaluation: standard insertion,
     update, lookup and deletion traffic. 60 keys into 16 three-slot
     buckets force overflow chains, exercising the buggy link path. *)
-let workload (t : Interp.t) =
+let workload (t : Machine.t) =
   ignore (Compile.call t "clht_init" [ 16 ]);
   for k = 1 to 60 do
     ignore (Compile.call t "clht_put" [ k; k * 100 ])

@@ -18,19 +18,19 @@ open Hippo_pmcheck
 
 val build : unit -> Program.t
 
-(** An interpreter with an initialized table; the {!App} adapter drives
+(** A machine with an initialized table; the {!App} adapter drives
     it with string keys mapped onto CLHT's nonzero-word domain. *)
-type session = { interp : Interp.t; hdr_addr : int }
+type session = { machine : Machine.t; hdr_addr : int }
 
-(** Initialize the table on an existing interpreter. *)
-val attach : ?nbuckets:int -> Interp.t -> session
+(** Initialize the table on an existing machine. *)
+val attach : ?nbuckets:int -> Machine.t -> session
 
-val start : ?config:Interp.config -> ?nbuckets:int -> Program.t -> session
+val start : ?config:Machine.config -> ?nbuckets:int -> Program.t -> session
 
-(** Rebind the table root on an interpreter restarted over a crash image
+(** Rebind the table root on a machine restarted over a crash image
     ([Machine.restart ~pm_image]; [clht_recover_check] re-derives the
     header from [pm_base]). *)
-val recover_attach : Interp.t -> session
+val recover_attach : Machine.t -> session
 
 (** The table's size field, read host-side (CLHT has no size query). *)
 val count : session -> int
@@ -40,7 +40,7 @@ val check : session -> bool
 
 (** The example workload from RECIPE's evaluation: insertion, update,
     lookup and deletion traffic, with chains forced through overflow. *)
-val workload : Interp.t -> unit
+val workload : Machine.t -> unit
 
 (** Injected-bug ground truth for the corpus harness (both cases share the
     program). *)

@@ -18,7 +18,7 @@ open Hippo_core
     in-place update, delete at chain head and mid-chain) plus the volatile
     paths (reply echoes, GET copies) that teach the heuristic which helpers
     are dual-use. Few buckets force collision chains. *)
-let repair_workload (t : Interp.t) =
+let repair_workload (t : Machine.t) =
   let s = Redis_mini.attach ~nbuckets:8 t in
   for k = 0 to 19 do
     Redis_mini.op_insert s ~k ~version:0
@@ -66,10 +66,10 @@ let repair_variants () : variants =
 let residual_bugs prog =
   (* bug collection does not need the event trace *)
   let t =
-    Interp.create { Interp.default_config with Interp.trace = false } prog
+    Machine.create { Machine.default_config with Machine.trace = false } prog
   in
   Machine.run_workload t repair_workload;
-  Interp.bugs t
+  Machine.bugs t
 
 (* ------------------------------------------------------------------ *)
 

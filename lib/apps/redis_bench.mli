@@ -9,7 +9,7 @@ open Hippo_core
 
 (** The repair workload: exercises every PM-mutating path plus the
     volatile paths that teach the heuristic which helpers are dual-use. *)
-val repair_workload : Interp.t -> unit
+val repair_workload : Machine.t -> unit
 
 type variants = {
   h_intra : Program.t;  (** repaired with Phase 3 disabled *)

@@ -324,7 +324,7 @@ let build (variant : variant) : Program.t =
    buffers and issues commands. *)
 
 type session = {
-  interp : Interp.t;
+  machine : Machine.t;
   key_buf : int;
   val_buf : int;
   reply_buf : int;
@@ -335,16 +335,16 @@ type session = {
 let key_cap = 24
 let val_cap = 96
 
-(** [attach interp ~nbuckets] initializes the server and locates the
-    connection buffers (used when the interpreter is owned by a repair or
+(** [attach machine ~nbuckets] initializes the server and locates the
+    connection buffers (used when the machine is owned by a repair or
     measurement harness). *)
-let attach ?(nbuckets = 1024) interp : session =
-  ignore (Compile.call interp "server_init" [ nbuckets ]);
-  let mem = Interp.mem interp in
-  let g name = Interp.global_addr interp name in
+let attach ?(nbuckets = 1024) machine : session =
+  ignore (Compile.call machine "server_init" [ nbuckets ]);
+  let mem = Machine.mem machine in
+  let g name = Machine.global_addr machine name in
   let deref name = Mem.load mem ~addr:(g name) ~size:8 in
   {
-    interp;
+    machine;
     key_buf = deref "g_key";
     val_buf = deref "g_val";
     reply_buf = deref "g_reply";
@@ -354,11 +354,11 @@ let attach ?(nbuckets = 1024) interp : session =
 
 (* Sessions are hot paths (the load generator drives millions of ops):
    no trace by default. *)
-let start ?(config = { Interp.default_config with Interp.trace = false })
+let start ?(config = { Machine.default_config with Machine.trace = false })
     ?nbuckets prog : session =
-  attach ?nbuckets (Interp.create config prog)
+  attach ?nbuckets (Machine.create config prog)
 
-(** [recover_attach interp] rebinds the server roots on an interpreter
+(** [recover_attach machine] rebinds the server roots on a machine
     that was restarted over a crash image ([Machine.restart ~pm_image]).
     Redis recovery is pure root recomputation — the dict header is the
     pool's first (cache-line-aligned) allocation and the bucket array
@@ -369,9 +369,9 @@ let start ?(config = { Interp.default_config with Interp.trace = false })
     are reallocated fresh; nothing durable is written, so the image
     under recovery is exactly what the crash preserved. Consistency is
     judged by the caller ({!session} commands, e.g. [cmd_check]). *)
-let recover_attach interp : session =
-  let mem = Interp.mem interp in
-  let g name = Interp.global_addr interp name in
+let recover_attach machine : session =
+  let mem = Machine.mem machine in
+  let g name = Machine.global_addr machine name in
   let put name value = Mem.store mem ~addr:(g name) ~size:8 value in
   let hdr = Layout.pm_base in
   put "g_hdr" hdr;
@@ -388,32 +388,32 @@ let recover_attach interp : session =
      [g_txlog], so the unconditional store is harmless there. *)
   let nb = Mem.load mem ~addr:(hdr + hdr_nbuckets) ~size:8 in
   put "g_txlog" (hdr + 64 + (((nb * 8) + 63) land lnot 63));
-  { interp; key_buf; val_buf; reply_buf; g_klen = g "g_klen"; g_vlen = g "g_vlen" }
+  { machine; key_buf; val_buf; reply_buf; g_klen = g "g_klen"; g_vlen = g "g_vlen" }
 
 let set_key s k =
   let key = Hippo_ycsb.Workload.key_bytes k in
-  let mem = Interp.mem s.interp in
+  let mem = Machine.mem s.machine in
   Mem.write_string mem ~addr:s.key_buf key;
   Mem.store mem ~addr:s.g_klen ~size:8 (String.length key)
 
 let set_value s ~k ~version =
   let value = Hippo_ycsb.Workload.value_bytes ~k ~version in
-  let mem = Interp.mem s.interp in
+  let mem = Machine.mem s.machine in
   Mem.write_string mem ~addr:s.val_buf value;
   Mem.store mem ~addr:s.g_vlen ~size:8 (String.length value)
 
 let op_insert s ~k ~version =
   set_key s k;
   set_value s ~k ~version;
-  ignore (Compile.call s.interp "cmd_set" [])
+  ignore (Compile.call s.machine "cmd_set" [])
 
 let op_read s ~k =
   set_key s k;
-  Compile.call s.interp "cmd_get" []
+  Compile.call s.machine "cmd_get" []
 
 let op_delete s ~k =
   set_key s k;
-  Compile.call s.interp "cmd_del" []
+  Compile.call s.machine "cmd_del" []
 
 let run_op s (op : Hippo_ycsb.Workload.op) =
   match op with
@@ -428,4 +428,4 @@ let run_op s (op : Hippo_ycsb.Workload.op) =
       ignore (op_read s ~k);
       op_insert s ~k ~version:2
 
-let count s = Compile.call s.interp "cmd_count" []
+let count s = Compile.call s.machine "cmd_count" []

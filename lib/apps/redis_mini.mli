@@ -23,7 +23,7 @@ val build : variant -> Program.t
 (** A YCSB client session: the host side fills the server's connection
     buffers and issues commands. *)
 type session = {
-  interp : Interp.t;
+  machine : Machine.t;
   key_buf : int;
   val_buf : int;
   reply_buf : int;
@@ -35,18 +35,18 @@ val key_cap : int
 val val_cap : int
 
 (** Initialize the server and locate the connection buffers on an existing
-    interpreter (used when a repair or measurement harness owns it). *)
-val attach : ?nbuckets:int -> Interp.t -> session
+    machine (used when a repair or measurement harness owns it). *)
+val attach : ?nbuckets:int -> Machine.t -> session
 
-val start : ?config:Interp.config -> ?nbuckets:int -> Program.t -> session
+val start : ?config:Machine.config -> ?nbuckets:int -> Program.t -> session
 
-(** Rebind the server roots on an interpreter restarted over a crash
+(** Rebind the server roots on a machine restarted over a crash
     image ([Machine.restart ~pm_image]). Recovery is host-side root
     recomputation (the header is the pool's first allocation) plus fresh
     volatile connection buffers; nothing durable is written and the
     program itself is untouched, so repair analysis sees no extra call
     sites. *)
-val recover_attach : Interp.t -> session
+val recover_attach : Machine.t -> session
 
 val set_key : session -> int -> unit
 val set_value : session -> k:int -> version:int -> unit

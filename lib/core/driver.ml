@@ -59,8 +59,8 @@ let plan ?(options = default_options) ?cache ?trace ~oracle prog
 type detector = E.Detector.choice = Dynamic | Static | Both
 
 let repair ?(options = default_options) ?(detector = Dynamic) ?static_entries
-    ?cache ?trace ~name ~(workload : Interp.t -> unit)
-    ?(config = Interp.default_config) prog : result =
+    ?cache ?trace ~name ~(workload : Machine.t -> unit)
+    ?(config = Machine.default_config) prog : result =
   let started = now () in
   let ctx =
     E.Engine.run ~options ?cache ?trace ?static_entries
@@ -172,11 +172,10 @@ type opt_result = {
   t_events : E.Event.t list;
 }
 
-let optimize ?options ?entries ?cache ?trace ~name prog : opt_result =
+let optimize ?entries ?cache ?trace ~name prog : opt_result =
   let started = now () in
   let ctx =
-    E.Engine.optimize ?options ?cache ?trace ?static_entries:entries ~name
-      prog
+    E.Engine.optimize ?cache ?trace ?static_entries:entries ~name prog
   in
   {
     t_target = name;

@@ -76,11 +76,11 @@ val plan :
     first-class {!Hippo_engine.Detector.t} sources. *)
 type detector = Hippo_engine.Detector.choice = Dynamic | Static | Both
 
-(** The full pipeline. [workload] drives the program through the
-    interpreter; the same workload is replayed on the repaired program for
-    verification. [detector] (default [Dynamic]) selects where the bug
-    reports come from; verification is always dynamic. [static_entries]
-    overrides the static checker's entry points. *)
+(** The full pipeline. [workload] drives the program on a machine; the
+    same workload is replayed on the repaired program for verification.
+    [detector] (default [Dynamic]) selects where the bug reports come
+    from; verification is always dynamic. [static_entries] overrides the
+    static checker's entry points. *)
 val repair :
   ?options:options ->
   ?detector:detector ->
@@ -88,8 +88,8 @@ val repair :
   ?cache:Hippo_engine.Cache.t ->
   ?trace:(Hippo_engine.Event.t -> unit) ->
   name:string ->
-  workload:(Interp.t -> unit) ->
-  ?config:Interp.config ->
+  workload:(Machine.t -> unit) ->
+  ?config:Machine.config ->
   Program.t ->
   result
 
@@ -143,7 +143,6 @@ type opt_result = {
     afterwards. Share [?cache] with {!repair_static} over the same
     program to run Andersen exactly once across repair and optimize. *)
 val optimize :
-  ?options:options ->
   ?entries:string list ->
   ?cache:Hippo_engine.Cache.t ->
   ?trace:(Hippo_engine.Event.t -> unit) ->

@@ -36,8 +36,8 @@ type t = {
   detector : Detector.t;
   static_entries : string list option;
       (** entry-point override for static residual checking *)
-  workload : (Interp.t -> unit) option;
-  config : Interp.config;  (** tracing enabled; shared by detect/verify *)
+  workload : (Machine.t -> unit) option;
+  config : Machine.config;  (** tracing enabled; shared by detect/verify *)
   trace_cb : (Event.t -> unit) option;
       (** streaming event callback, in addition to accumulation *)
   (* ---- filled in by the passes, in order ---- *)
@@ -72,7 +72,7 @@ let create ?(options = default_options) ?(cache = Cache.create ()) ?trace
     detector;
     static_entries;
     workload;
-    config = { config with Interp.trace = true };
+    config = { config with Machine.trace = true };
     trace_cb = trace;
     bugs = [];
     site_stats = None;
@@ -129,9 +129,9 @@ let oracle ctx =
             | None -> (
                 match ctx.workload with
                 | Some workload ->
-                    let t = Interp.create ctx.config (program ctx) in
+                    let t = Machine.create ctx.config (program ctx) in
                     Machine.run_workload t workload;
-                    Hippo_alias.Oracle.trace_aa (Interp.site_stats t)
+                    Hippo_alias.Oracle.trace_aa (Machine.site_stats t)
                 | None ->
                     invalid_arg
                       "engine: the Trace-AA oracle needs a workload trace \

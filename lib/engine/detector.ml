@@ -16,8 +16,8 @@ type t = {
   name : string;
   detect :
     Cache.view ->
-    workload:(Interp.t -> unit) option ->
-    config:Interp.config ->
+    workload:(Machine.t -> unit) option ->
+    config:Machine.config ->
     outcome;
 }
 
@@ -31,13 +31,13 @@ let dynamic =
             invalid_arg
               "Detector.dynamic: the dynamic bug finder needs a workload"
         | Some workload ->
-            let cfg = { config with Interp.trace = true } in
-            let t = Interp.create cfg (Cache.program view) in
+            let cfg = { config with Machine.trace = true } in
+            let t = Machine.create cfg (Cache.program view) in
             Machine.run_workload t workload;
             {
-              bugs = Interp.bugs t;
-              site_stats = Some (Interp.site_stats t);
-              trace_events = List.length (Interp.trace t);
+              bugs = Machine.bugs t;
+              site_stats = Some (Machine.site_stats t);
+              trace_events = List.length (Machine.trace t);
               checker_stats = None;
             });
   }
@@ -72,12 +72,12 @@ let union a b =
         });
   }
 
-let preset ?site_stats bugs =
+let preset bugs =
   {
     name = "preset";
     detect =
       (fun _view ~workload:_ ~config:_ ->
-        { bugs; site_stats; trace_events = 0; checker_stats = None });
+        { bugs; site_stats = None; trace_events = 0; checker_stats = None });
   }
 
 let of_choice ?entries = function

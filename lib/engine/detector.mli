@@ -29,12 +29,12 @@ type t = {
   name : string;
   detect :
     Cache.view ->
-    workload:(Interp.t -> unit) option ->
-    config:Interp.config ->
+    workload:(Machine.t -> unit) option ->
+    config:Machine.config ->
     outcome;
 }
 
-(** Execute the workload under the tracing interpreter.
+(** Execute the workload on a tracing machine.
     Raises [Invalid_argument] when no workload is supplied. *)
 val dynamic : t
 
@@ -47,6 +47,6 @@ val static_ : ?entries:string list -> unit -> t
 val union : t -> t -> t
 
 (** Externally-supplied reports (e.g. parsed from a trace file). *)
-val preset : ?site_stats:Sitestats.t -> Report.bug list -> t
+val preset : Report.bug list -> t
 
 val of_choice : ?entries:string list -> choice -> t

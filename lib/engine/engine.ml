@@ -245,7 +245,7 @@ let opt_passes = [ opt_analyze; opt_apply; opt_verify ]
 (* Entry points *)
 
 let run ?options ?cache ?trace ?static_entries ~detector ?workload
-    ?(config = Interp.default_config) ~name prog =
+    ?(config = Machine.default_config) ~name prog =
   let ctx =
     Context.create ?options ?cache ?trace ?static_entries ~detector ~workload
       ~config ~name prog
@@ -253,19 +253,19 @@ let run ?options ?cache ?trace ?static_entries ~detector ?workload
   Pass.run_all ctx passes;
   ctx
 
-let optimize ?options ?cache ?trace ?static_entries ?(name = "optimize") prog =
+let optimize ?cache ?trace ?static_entries ?(name = "optimize") prog =
   let ctx =
-    Context.create ?options ?cache ?trace ?static_entries
+    Context.create ?cache ?trace ?static_entries
       ~detector:(Detector.preset []) ~workload:None
-      ~config:Interp.default_config ~name prog
+      ~config:Machine.default_config ~name prog
   in
   Pass.run_all ctx opt_passes;
   ctx
 
-let plan ?options ?cache ?trace ?(name = "plan") ~oracle prog bugs =
+let plan ?options ?cache ?trace ~oracle prog bugs =
   let ctx =
     Context.create ?options ?cache ~detector:(Detector.preset bugs)
-      ?trace ~workload:None ~config:Interp.default_config ~name prog
+      ?trace ~workload:None ~config:Machine.default_config ~name:"plan" prog
   in
   Context.set_oracle ctx oracle;
   Pass.run_all ctx [ locate; compute; reduce; hoist ];

@@ -39,8 +39,8 @@ val run :
   ?trace:(Event.t -> unit) ->
   ?static_entries:string list ->
   detector:Detector.t ->
-  ?workload:(Interp.t -> unit) ->
-  ?config:Interp.config ->
+  ?workload:(Machine.t -> unit) ->
+  ?config:Machine.config ->
   name:string ->
   Program.t ->
   Context.t
@@ -65,7 +65,6 @@ val opt_passes : Pass.t list
 (** Run the optimizer pipeline on [prog]; the returned context holds
     {!Context.t.opt_outcome} and the optimized version view. *)
 val optimize :
-  ?options:Context.options ->
   ?cache:Cache.t ->
   ?trace:(Event.t -> unit) ->
   ?static_entries:string list ->
@@ -80,7 +79,6 @@ val plan :
   ?options:Context.options ->
   ?cache:Cache.t ->
   ?trace:(Event.t -> unit) ->
-  ?name:string ->
   oracle:Hippo_alias.Oracle.t ->
   Program.t ->
   Report.bug list ->

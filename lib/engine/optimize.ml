@@ -757,11 +757,9 @@ type outcome = {
 }
 
 (* Do-no-harm check: byte-identical crash-sweep verdict lists. *)
-let crash_verdicts_identical ?config ?jobs ~setup ~checker ~checker_args
-    original optimized =
-  let sweep p =
-    Crashsim.sweep ?config ?jobs p ~setup ~checker ~checker_args
-  in
+let crash_verdicts_identical ?jobs ~setup ~checker ~checker_args original
+    optimized =
+  let sweep p = Crashsim.sweep ?jobs p ~setup ~checker ~checker_args in
   sweep original = sweep optimized
 
 let pp_outcome ppf o =

@@ -101,7 +101,6 @@ type outcome = {
     verdict lists align positionally) and compares the verdict lists
     structurally. The gauntlet's dynamic do-no-harm check. *)
 val crash_verdicts_identical :
-  ?config:Interp.config ->
   ?jobs:int ->
   setup:(string * int list) list ->
   checker:string ->

@@ -24,14 +24,14 @@ let harm_free o = o.outputs_match && o.pm_working_match
 
 let effective o = o.residual_bugs = []
 
-let check ~jobs ~(workload : Interp.t -> unit) ~(config : Interp.config)
+let check ~jobs ~(workload : Machine.t -> unit) ~(config : Machine.config)
     ~(original : Program.t) ~(repaired : Program.t) : outcome =
   (* Everything this check compares — bugs, outputs, working images — is
      identical with tracing off (seq numbers advance either way), so the
      two full workload runs skip event materialization. *)
-  let config = { config with Interp.trace = false } in
+  let config = { config with Machine.trace = false } in
   let run prog =
-    let t = Interp.create config prog in
+    let t = Machine.create config prog in
     Machine.run_workload t workload;
     t
   in
@@ -45,12 +45,12 @@ let check ~jobs ~(workload : Interp.t -> unit) ~(config : Interp.config)
     else (run original, run repaired)
   in
   {
-    residual_bugs = Interp.bugs t1;
-    outputs_match = Interp.output t0 = Interp.output t1;
+    residual_bugs = Machine.bugs t1;
+    outputs_match = Machine.output t0 = Machine.output t1;
     pm_working_match =
       Bytes.equal
-        (Mem.working_image (Interp.mem t0))
-        (Mem.working_image (Interp.mem t1));
+        (Mem.working_image (Machine.mem t0))
+        (Mem.working_image (Machine.mem t1));
   }
 
 let pp ppf o =

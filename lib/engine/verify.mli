@@ -28,8 +28,8 @@ val effective : outcome -> bool
     crash point gets no at-exit check. *)
 val check :
   jobs:int ->
-  workload:(Interp.t -> unit) ->
-  config:Interp.config ->
+  workload:(Machine.t -> unit) ->
+  config:Machine.config ->
   original:Program.t ->
   repaired:Program.t ->
   outcome

@@ -70,7 +70,7 @@ val random_crash : Random.State.t -> Program.t
 val has_checker : Program.t -> bool
 
 (** Run [main] — the workload every generated program is driven by. *)
-val workload : Hippo_pmcheck.Interp.t -> unit
+val workload : Hippo_pmcheck.Machine.t -> unit
 
 (** The host-call list matching {!workload}, for crash sweeps. *)
 val setup : (string * int list) list

@@ -18,9 +18,9 @@ type outcome = {
 (* Generated programs touch at most a few hundred PM bytes. The small
    segments also fix where an overrunning program traps, so fuzz verdicts
    depend on them. *)
-let interp_config =
+let machine_config =
   {
-    Interp.default_config with
+    Machine.default_config with
     fuel = 2_000_000;
     vol_size = 1 lsl 12;
     stack_size = 1 lsl 12;
@@ -85,7 +85,7 @@ let hot_blocks prog edges =
 
 let coverage_edges prog =
   let cov = Coverage.create () in
-  let config = { interp_config with coverage = Some cov; trace = false } in
+  let config = { machine_config with coverage = Some cov; trace = false } in
   let _t, _ret = Compile.run ~config prog ~entry:"main" ~args:[] in
   Coverage.to_list cov
 
@@ -102,9 +102,9 @@ let evaluate_exn prog =
   (* dynamic run: coverage + bug reports. Bug collection does not need the
      event trace (seq numbers advance either way), so leave it off. *)
   let cov = Coverage.create () in
-  let config = { interp_config with coverage = Some cov; trace = false } in
+  let config = { machine_config with coverage = Some cov; trace = false } in
   let t, _ret = Compile.run ~config prog ~entry:"main" ~args:[] in
-  let dynamic = Interp.bugs t in
+  let dynamic = Machine.bugs t in
   let edges = Coverage.to_list cov in
   (* O1: every dynamic site must be covered by a static report *)
   let static_ = (Checker.check ~entries:[ "main" ] prog).Checker.bugs in
@@ -120,7 +120,7 @@ let evaluate_exn prog =
       let r =
         Driver.repair
           ~options:{ Driver.default_options with jobs = 1 }
-          ~name:"fuzz" ~workload:Gen.workload ~config:interp_config prog
+          ~name:"fuzz" ~workload:Gen.workload ~config:machine_config prog
       in
       let v = r.Driver.verification in
       let ok = Verify.effective v && Verify.harm_free v in
@@ -135,14 +135,14 @@ let evaluate_exn prog =
     if not (Gen.has_checker prog) then "-"
     else begin
       let sweep ?memo_sig p =
-        Crashsim.sweep_with_stats ~config:interp_config ~jobs:1 ~memo
+        Crashsim.sweep_with_stats ~config:machine_config ~jobs:1 ~memo
           ?memo_sig p ~setup:Gen.setup ~checker:Gen.checker_name
           ~checker_args:[]
       in
       let verdicts, _stats = sweep prog in
       (* O3a: single-pass and replay sweeps must agree *)
       let replay =
-        Crashsim.replay_sweep ~config:interp_config ~jobs:1 prog
+        Crashsim.replay_sweep ~config:machine_config ~jobs:1 prog
           ~setup:Gen.setup ~checker:Gen.checker_name ~checker_args:[]
       in
       if verdicts <> replay then

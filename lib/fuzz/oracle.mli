@@ -43,11 +43,11 @@ type outcome = {
   memo_misses : int;
 }
 
-(** Interpreter configuration for fuzz executions: small memories (the
+(** Machine configuration for fuzz executions: small memories (the
     generated programs touch a few hundred bytes, and the segment sizes
     fix where an overrunning program traps, so fuzz verdicts depend on
     them). *)
-val interp_config : Hippo_pmcheck.Interp.config
+val machine_config : Hippo_pmcheck.Machine.config
 
 (** Run every applicable oracle on one candidate. *)
 val evaluate : Program.t -> outcome

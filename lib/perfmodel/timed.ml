@@ -12,22 +12,24 @@ type run = {
 let throughput_kops r =
   if r.sim_ns <= 0.0 then 0.0 else float_of_int r.ops /. r.sim_ns *. 1e6
 
-(** [measure ?cost prog ~setup ~drive ~ops] creates an untraced interpreter
+(** [measure ?cost prog ~setup ~drive ~ops] creates an untraced machine
     with the cost model, runs [setup] (not timed — it may build driver
     state such as scratch buffers and return it), then [drive] (timed);
     [ops] is the operation count [drive] performs. *)
-let measure ?(cost = Cost.default) ?(config = Interp.default_config) prog
-    ~(setup : Interp.t -> 'a) ~(drive : Interp.t -> 'a -> unit) ~ops : run =
-  let cfg = { config with Interp.trace = false; cost = Some cost } in
-  let t = Interp.create cfg prog in
+let measure ?(cost = Cost.default) prog ~(setup : Machine.t -> 'a)
+    ~(drive : Machine.t -> 'a -> unit) ~ops : run =
+  let cfg =
+    { Machine.default_config with Machine.trace = false; cost = Some cost }
+  in
+  let t = Machine.create cfg prog in
   let state = setup t in
-  let before = Interp.cost_ns t in
-  let steps_before = Interp.steps t in
+  let before = Machine.cost_ns t in
+  let steps_before = Machine.steps t in
   drive t state;
   {
     ops;
-    sim_ns = Interp.cost_ns t -. before;
-    steps = Interp.steps t - steps_before;
+    sim_ns = Machine.cost_ns t -. before;
+    steps = Machine.steps t - steps_before;
   }
 
 (** [trials n f] runs [f seed] for seeds 1..n and summarizes the

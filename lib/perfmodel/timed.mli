@@ -12,16 +12,15 @@ type run = {
 (** Thousands of operations per simulated second. *)
 val throughput_kops : run -> float
 
-(** [measure prog ~setup ~drive ~ops] creates an untraced interpreter with
+(** [measure prog ~setup ~drive ~ops] creates an untraced machine with
     the cost model, runs [setup] (not timed — it may build driver state
     such as scratch buffers and return it), then [drive] (timed); [ops] is
     the operation count [drive] performs. *)
 val measure :
   ?cost:Cost.t ->
-  ?config:Interp.config ->
   Hippo_pmir.Program.t ->
-  setup:(Interp.t -> 'a) ->
-  drive:(Interp.t -> 'a -> unit) ->
+  setup:(Machine.t -> 'a) ->
+  drive:(Machine.t -> 'a -> unit) ->
   ops:int ->
   run
 

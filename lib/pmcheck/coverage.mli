@@ -14,7 +14,7 @@
     function contributes genuinely new indices. Hash collisions merely
     merge two edges (AFL-style) and cost precision, never soundness.
 
-    Enabled by passing a map in {!Interp.config}[.coverage]; when absent
+    Enabled by passing a map in {!Machine.config}[.coverage]; when absent
     the interpreter's hot loop only tests one immutable field per branch
     (the "zero cost when disabled" contract). Maps are not domain-safe:
     use one per worker and {!merge} the results. *)

@@ -27,7 +27,7 @@
     the single-pass sweep is tested against.
 
     Dedup is sound because recovery is a pure function of the crash
-    image: the recovery interpreter starts from nothing but the image
+    image: the recovery machine starts from nothing but the image
     bytes and the (fixed) program, so byte-identical images must produce
     identical verdicts (DESIGN.md §7b). *)
 
@@ -51,7 +51,7 @@ type stats = {
 (** Memoized recovery verdicts, keyed by (program, checker, checker args,
     image fingerprint) — everything the recovery run depends on. Reusable
     across sweeps (original vs repaired program); reuse assumes the
-    sweeps run under one interpreter config. Sharing is read-only from
+    sweeps run under one machine config. Sharing is read-only from
     worker domains: sweeps consult the table before fanning recovery out
     and write results back serially. *)
 module Memo = struct
@@ -76,30 +76,31 @@ end
 let program_sig prog = Digest.string (Hippo_pmir.Printer.to_string prog)
 
 (* Recovery: restart the program on a crash image and run the checker.
-   Pure in the image — the basis for dedup. *)
+   Pure in the image — the basis for dedup. A checker that traps, aborts
+   or runs out of fuel has not recovered. *)
 let recover ~config prog ~checker ~checker_args image =
-  let cfg = { config with Interp.trace = false; track_images = false } in
-  let t = Interp.create ~pm_image:image cfg prog in
+  let cfg = { config with Machine.trace = false; track_images = false } in
+  let t = Machine.create ~pm_image:image cfg prog in
   match Compile.call t checker checker_args with
   | r -> r <> 0
-  | exception (Mem.Trap _ | Interp.Aborted) -> false
+  | exception (Mem.Trap _ | Machine.Aborted | Machine.Out_of_fuel) -> false
 
 (** [check_crash prog ~setup ~checker ~crash_index] runs [setup] (a list of
     host calls [(func, args)]) stopping at the given crash point, then
     recovers both images with [checker] (a nullary or unary function in the
     program returning nonzero on success). This is the {!replay_sweep}
     primitive: it re-executes the workload from scratch. *)
-let check_crash ?(config = Interp.default_config) prog
+let check_crash ?(config = Machine.default_config) prog
     ~(setup : (string * int list) list) ~(checker : string)
     ~(checker_args : int list) ~crash_index : verdict =
-  let cfg = { config with Interp.trace = false; track_images = false } in
-  let t = Interp.create cfg prog in
+  let cfg = { config with Machine.trace = false; track_images = false } in
+  let t = Machine.create cfg prog in
   Machine.arm_crash t ~at:crash_index;
   let stopped =
     try
       List.iter (fun (f, args) -> ignore (Compile.call t f args)) setup;
       false
-    with Interp.Stopped_at_crash -> true
+    with Machine.Stopped_at_crash -> true
   in
   if not stopped then
     invalid_arg
@@ -108,18 +109,18 @@ let check_crash ?(config = Interp.default_config) prog
   let recover = recover ~config prog ~checker ~checker_args in
   {
     crash_index;
-    pessimistic_ok = recover (Interp.crash_image t);
-    lucky_ok = recover (Mem.working_image (Interp.mem t));
+    pessimistic_ok = recover (Machine.crash_image t);
+    lucky_ok = recover (Mem.working_image (Machine.mem t));
   }
 
-(** Count the crash points a workload passes through — the interpreter's
+(** Count the crash points a workload passes through — the machine's
     crash-point counter, no trace materialized. *)
-let count_crash_points ?(config = Interp.default_config) prog
+let count_crash_points ?(config = Machine.default_config) prog
     ~(setup : (string * int list) list) =
-  let cfg = { config with Interp.trace = false; track_images = false } in
-  let t = Interp.create cfg prog in
+  let cfg = { config with Machine.trace = false; track_images = false } in
+  let t = Machine.create cfg prog in
   List.iter (fun (f, args) -> ignore (Compile.call t f args)) setup;
-  Interp.crash_points_hit t
+  Machine.crash_points_hit t
 
 (** [replay_sweep ~jobs prog ~setup ~checker ~checker_args] is the
     reference sweep: one full replay per crash point, fanned out over the
@@ -140,11 +141,11 @@ let replay_sweep ?config ~jobs prog ~setup ~checker ~checker_args =
    recovery runs once per distinct un-memoized image (fanned out over the
    pool in first-occurrence order, so verdict lists are byte-identical at
    every [jobs]). *)
-let single_pass_sweep ?(config = Interp.default_config) ~jobs ~memo ~prog_sig
+let single_pass_sweep ?(config = Machine.default_config) ~jobs ~memo ~prog_sig
     prog ~setup ~checker ~checker_args =
-  let cfg = { config with Interp.trace = false; track_images = true } in
-  let t = Interp.create cfg prog in
-  let mem = Interp.mem t in
+  let cfg = { config with Machine.trace = false; track_images = true } in
+  let t = Machine.create cfg prog in
+  let mem = Machine.mem t in
   let points = ref [] in
   (* digest -> trimmed image, first occurrence only *)
   let images : (Imghash.digest, Bytes.t) Hashtbl.t = Hashtbl.create 64 in
@@ -155,11 +156,11 @@ let single_pass_sweep ?(config = Interp.default_config) ~jobs ~memo ~prog_sig
       order := digest :: !order
     end
   in
-  Interp.set_crash_hook t (fun () ->
+  Machine.set_crash_hook t (fun () ->
       let dp = Mem.durable_digest mem and dl = Mem.working_digest mem in
       capture dp Mem.crash_image;
       capture dl Mem.working_image;
-      points := (Interp.crash_points_hit t, dp, dl) :: !points);
+      points := (Machine.crash_points_hit t, dp, dl) :: !points);
   List.iter (fun (f, args) -> ignore (Compile.call t f args)) setup;
   let points = List.rev !points in
   let order = List.rev !order in
@@ -222,5 +223,5 @@ let sweep_with_stats ?config ?(jobs = 1) ?memo ?memo_sig prog ~setup ~checker
     ~checker_args
 
 (** [sweep] is {!sweep_with_stats} without the statistics. *)
-let sweep ?config ?jobs ?memo prog ~setup ~checker ~checker_args =
-  fst (sweep_with_stats ?config ?jobs ?memo prog ~setup ~checker ~checker_args)
+let sweep ?jobs prog ~setup ~checker ~checker_args =
+  fst (sweep_with_stats ?jobs prog ~setup ~checker ~checker_args)

@@ -5,7 +5,8 @@
     A scenario runs a workload, stops it at its [n]-th crash point, takes
     the durable PM image, restarts the program on that image and runs a
     recovery checker function (returning nonzero when the recovered state
-    satisfies the application's invariant).
+    satisfies the application's invariant; a checker that traps, aborts
+    or runs out of fuel has not recovered).
 
     Two images are checked per crash point: the pessimistic image (only
     explicitly persisted data survived) and the lucky image (every cached
@@ -47,7 +48,7 @@ type stats = {
     image fingerprint). Pass one table to several single-pass sweeps —
     e.g. the original and repaired program in the fuzz oracle's
     repair-harm check — and repeated durable images cost nothing. Reuse
-    assumes the sweeps share an interpreter config. Not domain-safe:
+    assumes the sweeps share a machine config. Not domain-safe:
     share it within one domain. *)
 module Memo : sig
   type t
@@ -63,7 +64,7 @@ end
     the workload has fewer crash points. This is the {!replay_sweep}
     primitive. *)
 val check_crash :
-  ?config:Interp.config ->
+  ?config:Machine.config ->
   Hippo_pmir.Program.t ->
   setup:(string * int list) list ->
   checker:string ->
@@ -72,9 +73,9 @@ val check_crash :
   verdict
 
 (** Count the crash points a workload passes through — one uninstrumented
-    run reading the interpreter's crash-point counter; no trace is built. *)
+    run reading the machine's crash-point counter; no trace is built. *)
 val count_crash_points :
-  ?config:Interp.config ->
+  ?config:Machine.config ->
   Hippo_pmir.Program.t ->
   setup:(string * int list) list ->
   int
@@ -87,7 +88,7 @@ val program_sig : Hippo_pmir.Program.t -> string
     domain pool. O(n²) work and no dedup. Kept for differential testing
     of {!sweep_with_stats}. *)
 val replay_sweep :
-  ?config:Interp.config ->
+  ?config:Machine.config ->
   jobs:int ->
   Hippo_pmir.Program.t ->
   setup:(string * int list) list ->
@@ -106,7 +107,7 @@ val replay_sweep :
     known equivalent on every image (original vs harm-free repair, as the
     fuzz oracle's repair-harm check does). *)
 val sweep_with_stats :
-  ?config:Interp.config ->
+  ?config:Machine.config ->
   ?jobs:int ->
   ?memo:Memo.t ->
   ?memo_sig:string ->
@@ -116,11 +117,10 @@ val sweep_with_stats :
   checker_args:int list ->
   verdict list * stats
 
-(** {!sweep_with_stats} without the statistics. *)
+(** {!sweep_with_stats} without the statistics, under the default
+    machine config and a private memo table. *)
 val sweep :
-  ?config:Interp.config ->
   ?jobs:int ->
-  ?memo:Memo.t ->
   Hippo_pmir.Program.t ->
   setup:(string * int list) list ->
   checker:string ->

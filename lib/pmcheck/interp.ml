@@ -15,31 +15,6 @@ open Hippo_pmir
 open Prep
 open Machine
 
-exception Aborted = Machine.Aborted
-exception Out_of_fuel = Machine.Out_of_fuel
-exception Stopped_at_crash = Machine.Stopped_at_crash
-
-type config = Machine.config = {
-  trace : bool;
-  fuel : int;
-  cost : Cost.t option;
-  track_images : bool;
-  coverage : Coverage.t option;
-  vol_size : int;
-  stack_size : int;
-  global_size : int;
-  pm_size : int;
-}
-
-let default_config = Machine.default_config
-
-type t = Machine.t
-
-let create = Machine.create
-let mem = Machine.mem
-let set_crash_hook = Machine.set_crash_hook
-let crash_points_hit = Machine.crash_points_hit
-
 (* Execution -------------------------------------------------------------- *)
 
 let rec exec_call (t : Machine.t) (pf : pfunc) (args : int array) : int =
@@ -258,29 +233,43 @@ let call t name args =
         ~finally:(fun () -> t.frames <- [])
         (fun () -> exec_call t t.pfuncs.(fi) (Array.of_list args))
 
-(* Results ---------------------------------------------------------------- *)
-
-let exit_check = Machine.exit_check
-let trace = Machine.trace
-let site_stats = Machine.site_stats
-let bugs = Machine.bugs
-let raw_bugs = Machine.raw_bugs
-let output = Machine.output
-let cost_ns = Machine.cost_ns
-let steps = Machine.steps
-let pstate = Machine.pstate
-let crash_image = Machine.crash_image
-let global_addr = Machine.global_addr
-
 (** One-shot convenience: run [entry] with [args] under the interpreter,
     then apply the exit check. Returns the machine for inspection. The
     oracle for {!Compile.run}. *)
-let run ?pm_image ?(config = default_config) prog ~entry ~args =
-  let t = create ?pm_image config prog in
+let run ?pm_image ?(config = Machine.default_config) prog ~entry ~args =
+  let t = Machine.create ?pm_image config prog in
   let ret =
     try Ok (call t entry args) with
     | Aborted -> Error `Aborted
     | Out_of_fuel -> Error `Out_of_fuel
   in
-  (match ret with Ok _ -> exit_check t | Error _ -> ());
+  (match ret with Ok _ -> Machine.exit_check t | Error _ -> ());
   (t, ret)
+
+(* Pinned aliases of [Machine]. They stay because perfsuite/ compiles
+   against these ten names; nothing else in the repository reads them. *)
+
+exception Stopped_at_crash = Machine.Stopped_at_crash
+
+type config = Machine.config = {
+  trace : bool;
+  fuel : int;
+  cost : Cost.t option;
+  track_images : bool;
+  coverage : Coverage.t option;
+  vol_size : int;
+  stack_size : int;
+  global_size : int;
+  pm_size : int;
+}
+
+let default_config = Machine.default_config
+
+type t = Machine.t
+
+let create = Machine.create
+let exit_check = Machine.exit_check
+let bugs = Machine.bugs
+let cost_ns = Machine.cost_ns
+let steps = Machine.steps
+let pstate = Machine.pstate

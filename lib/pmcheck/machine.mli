@@ -3,7 +3,9 @@
     One state record owns everything an execution accumulates — memory,
     persistency state, trace, bugs, output, simulated cost, coverage,
     crash points. {!Compile} (the production tier) and {!Interp} (its
-    differential oracle) are two dispatch strategies over this state.
+    differential oracle) are two dispatch strategies over this state, and
+    every caller names this module, not {!Interp}, for machine state
+    and configuration.
 
     The record is exposed concretely because the dispatch loops live in
     sibling modules and field access must not cost a function call. Treat
@@ -16,10 +18,12 @@ exception Out_of_fuel
 exception Stopped_at_crash
 
 type config = {
-  trace : bool;  (** record the PM operation trace *)
-  fuel : int;  (** maximum interpreted instructions *)
+  trace : bool;  (** record the PM operation trace and site statistics *)
+  fuel : int;  (** maximum executed instructions *)
   cost : Cost.t option;  (** account simulated latency *)
-  track_images : bool;  (** fingerprint both PM images incrementally *)
+  track_images : bool;
+      (** maintain incremental {!Imghash} fingerprints of both PM images
+          (the single-pass crash sweep's capture mode; default false) *)
   coverage : Coverage.t option;
       (** mark executed control edges in this map (the fuzzer's signal);
           [None] (the default) skips all marking *)

@@ -27,7 +27,7 @@ type t = {
   issue : int option;  (** upstream issue number, when modelled on one *)
   title : string;
   program : Program.t Lazy.t;
-  workload : Interp.t -> unit;
+  workload : Machine.t -> unit;
   entry : string;
   expected_kind : Report.kind;
   expected_shape : expected_shape;

@@ -63,9 +63,17 @@ let equal_modulo_iid a b =
        a.globals b.globals
   && List.for_all2 Func.equal_modulo_iid (funcs a) (funcs b)
 
-(** Names of intrinsic functions understood directly by the interpreter
-    (they have no PMIR body). *)
+(** Intrinsic functions understood directly by the machine (they have no
+    PMIR body), each with the number of arguments it takes. *)
 let intrinsics =
-  [ "pm_alloc"; "pm_base"; "pm_size"; "malloc"; "free"; "emit"; "abort" ]
+  [
+    ("pm_alloc", 1);
+    ("pm_base", 0);
+    ("pm_size", 0);
+    ("malloc", 1);
+    ("free", 1);
+    ("emit", 1);
+    ("abort", 0);
+  ]
 
-let is_intrinsic name = List.mem name intrinsics
+let is_intrinsic name = List.mem_assoc name intrinsics

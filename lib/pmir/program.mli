@@ -41,9 +41,10 @@ val size : t -> int
 
 val equal_modulo_iid : t -> t -> bool
 
-(** Names of intrinsic functions understood directly by the interpreter
-    (they have no PMIR body): [pm_alloc], [pm_base], [pm_size], [malloc],
-    [free], [emit], [abort]. *)
-val intrinsics : string list
+(** Intrinsic functions understood directly by the machine (they have no
+    PMIR body), each with the number of arguments it takes: [pm_alloc],
+    [malloc], [free] and [emit] take one; [pm_base], [pm_size] and
+    [abort] take none. *)
+val intrinsics : (string * int) list
 
 val is_intrinsic : string -> bool

@@ -64,14 +64,19 @@ let check_func (prog : Program.t) ~globals (f : Func.t) : error list =
           add_at "invalid access size %d" size
     | Alloca { size; _ } ->
         if size <= 0 then add_at "non-positive alloca size %d" size
-    | Call { callee; args; _ } ->
-        if (not (Program.mem prog callee)) && not (Program.is_intrinsic callee)
-        then add_at "call to undefined function @%s" callee
-        else if Program.mem prog callee then (
-          let arity = List.length (Func.params (Program.find_exn prog callee)) in
-          if List.length args <> arity then
-            add_at "call to @%s with %d arguments (expects %d)" callee
-              (List.length args) arity)
+    | Call { callee; args; _ } -> (
+        (* a program function shadows an intrinsic of the same name *)
+        let arity =
+          match Program.find prog callee with
+          | Some f -> Some (List.length (Func.params f))
+          | None -> List.assoc_opt callee Program.intrinsics
+        in
+        match arity with
+        | None -> add_at "call to undefined function @%s" callee
+        | Some arity ->
+            if List.length args <> arity then
+              add_at "call to @%s with %d arguments (expects %d)" callee
+                (List.length args) arity)
     | Br { target } ->
         if not (has_label target) then
           add_at "branch to undefined label %S" target

@@ -24,14 +24,14 @@ let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
     histograms), and a PM arena sized to the record count. The size only
     bounds addresses: PM is paged, so memory follows the pages the
     records touch. *)
-let serve_config ~final_records () : Hippo_pmcheck.Interp.config =
+let serve_config ~final_records () : Hippo_pmcheck.Machine.config =
   let pm_size =
     pow2_at_least
       ((final_records * 256) + (1 lsl 22))
       (1 lsl 24)
   in
   {
-    Hippo_pmcheck.Interp.default_config with
+    Hippo_pmcheck.Machine.default_config with
     trace = false;
     fuel = max_int;
     cost = Some Hippo_pmcheck.Cost.default;

@@ -15,7 +15,7 @@ open Hippo_ycsb
 val serve_config :
   final_records:int ->
   unit ->
-  Hippo_pmcheck.Interp.config
+  Hippo_pmcheck.Machine.config
 
 val serve_nbuckets : final_records:int -> int
 

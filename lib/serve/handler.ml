@@ -25,10 +25,7 @@ let handle ~(app : App.t) ~(metrics : Metrics.t) (req : Protocol.request) :
           | App.Found v -> Value v
           | App.Absent -> Not_found)
       | Del { key } -> Deleted (app.App.delete ~key)
-      | Scan { key; len } -> (
-          match app.App.scan ~start:key ~len with
-          | App.Scanned vs -> Value (String.concat "\x00" vs)
-          | App.Scan_unsupported -> Unsupported)
+      | Scan _ -> Unsupported (* neither app supports ordered iteration *)
       | Count -> Count_is (app.App.count ())
       | Stats ->
           (* reflects ops completed before this one *)

@@ -17,21 +17,27 @@
 
 open Hippo_apps
 
+(* [fd] once [setup fd] succeeds; when it raises, [fd] is closed first. *)
+let set_up fd setup =
+  match setup fd with
+  | () -> fd
+  | exception e ->
+      Unix.close fd;
+      raise e
+
 let listen_unix ~path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 64;
-  fd
+  set_up (Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0) (fun fd ->
+      Unix.bind fd (Unix.ADDR_UNIX path);
+      Unix.listen fd 64)
 
 (** Binds 127.0.0.1; [port] 0 picks an ephemeral port — read it back
     with {!port_of}. *)
 let listen_tcp ~port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen fd 64;
-  fd
+  set_up (Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0) (fun fd ->
+      Unix.setsockopt fd Unix.SO_REUSEADDR true;
+      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      Unix.listen fd 64)
 
 let port_of fd =
   match Unix.getsockname fd with
@@ -125,14 +131,14 @@ module Client = struct
   let of_fd fd = { fd; pending = "" }
 
   let connect_unix ~path =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX path);
-    of_fd fd
+    of_fd
+      (set_up (Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0) (fun fd ->
+           Unix.connect fd (Unix.ADDR_UNIX path)))
 
   let connect_tcp ~port =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    of_fd fd
+    of_fd
+      (set_up (Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0) (fun fd ->
+           Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))))
 
   let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 

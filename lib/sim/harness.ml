@@ -73,8 +73,8 @@ type report = {
 
 let interp_config (_ : config) =
   {
-    Interp.default_config with
-    Interp.trace = false;
+    Machine.default_config with
+    Machine.trace = false;
     fuel = max_int;
     cost = Some Cost.default;
   }

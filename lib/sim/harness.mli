@@ -40,10 +40,11 @@ type report = {
   baseline_violating : int list;
 }
 
-(** The interpreter config the harness opens sessions with (exposed so
+(** The machine config the harness opens sessions with (exposed so
     differential tests replay under identical machine settings). Every
-    harness config opens sessions with the same machine settings. *)
-val interp_config : config -> Interp.config
+    harness config opens sessions with the same machine settings. It
+    keeps its old name because perfsuite/ compiles against it. *)
+val interp_config : config -> Machine.config
 
 val baseline_variant : App.kind -> App.variant
 val scenario_config : config -> Scenario.config

@@ -276,7 +276,7 @@ let exec_op app = function
 let run_step side ~step ~seed ~index ~cfg ~keys op (plan : Faults.plan) =
   if not side.halted then begin
     let app = side.app in
-    let interp = app.App.interp in
+    let machine = app.App.interp in
     let crash_wanted =
       match cfg.force_crash_at with
       | Some _ -> false (* armed below, absolutely *)
@@ -285,13 +285,13 @@ let run_step side ~step ~seed ~index ~cfg ~keys op (plan : Faults.plan) =
     (match cfg.force_crash_at with
     (* one forced crash per scenario: the restarted machine's counter
        begins again below [n], so only arm while no crash has fired *)
-    | Some n when side.crashes = 0 && Machine.crash_points_hit interp < n ->
-        Machine.arm_crash interp ~at:n
+    | Some n when side.crashes = 0 && Machine.crash_points_hit machine < n ->
+        Machine.arm_crash machine ~at:n
     | Some _ -> ()
     | None ->
         if crash_wanted then
-          Machine.arm_crash interp
-            ~at:(Machine.crash_points_hit interp + plan.in_op_at));
+          Machine.arm_crash machine
+            ~at:(Machine.crash_points_hit machine + plan.in_op_at));
     let old_v =
       match op with
       | Insert { key; _ } | Read { key } | Delete { key } ->
@@ -324,7 +324,7 @@ let run_step side ~step ~seed ~index ~cfg ~keys op (plan : Faults.plan) =
     | Machine.Out_of_fuel ->
         violate side ~step "trap" (op_to_string op ^ ": out of fuel");
         side.halted <- true);
-    Machine.disarm_crash interp;
+    Machine.disarm_crash machine;
     (* a wanted crash the op's crash points never realized becomes a
        boundary crash: the op completed but the cache's durability is
        still up to the injector (forced absolute crashes never fall
@@ -333,20 +333,20 @@ let run_step side ~step ~seed ~index ~cfg ~keys op (plan : Faults.plan) =
     if (not side.halted) && crashed then begin
       side.crashes <- side.crashes + 1;
       side.force_next <- false;
-      let ps = Interp.pstate interp and mem = Interp.mem interp in
+      let ps = Machine.pstate machine and mem = Machine.mem machine in
       let inj_st = Stream.state ~seed [ 0x51A3; index; step ] in
       let reordered, torn = Faults.inject inj_st cfg.rates ps mem in
       side.reordered <- side.reordered + reordered;
       side.torn <- side.torn + torn;
       let image = Mem.crash_image mem in
       side.clock <-
-        side.clock +. Interp.cost_ns interp +. cfg.recovery_ns;
+        side.clock +. Machine.cost_ns machine +. cfg.recovery_ns;
       (* [img=] fingerprints the crash image. Images are trimmed, so two
          fingerprints are equal exactly when the whole PM segments are. *)
       Buffer.add_string side.buf
         (Printf.sprintf "%d !crash pt=%d img=%s reordered=%d torn=%d\n"
            step
-           (Machine.crash_points_hit interp)
+           (Machine.crash_points_hit machine)
            (Digest.to_hex (Digest.bytes image))
            reordered torn);
       (* the op that was cut down (or completed un-durably): its key may
@@ -381,7 +381,7 @@ let run_step side ~step ~seed ~index ~cfg ~keys op (plan : Faults.plan) =
 (* ------------------------------------------------------------------ *)
 
 let close side =
-  side.clock <- side.clock +. Interp.cost_ns side.app.App.interp;
+  side.clock <- side.clock +. Machine.cost_ns side.app.App.interp;
   Buffer.add_string side.buf
     (Printf.sprintf "end crashes=%d recoveries=%d clock=%.0f\n" side.crashes
        side.recoveries side.clock)

@@ -18,7 +18,10 @@ let zeta n theta =
   done;
   !s
 
-let create ?(theta = 0.99) items =
+(* YCSB's default skew. *)
+let theta = 0.99
+
+let create items =
   if items <= 0 then invalid_arg "Zipfian.create: items must be positive";
   let zetan = zeta items theta in
   let zeta2 = zeta 2 theta in

@@ -3,8 +3,8 @@
 
 type t
 
-(** [create ?theta items]; YCSB's default skew is [theta = 0.99]. *)
-val create : ?theta:float -> int -> t
+(** [create items], with YCSB's default skew [theta = 0.99]. *)
+val create : int -> t
 
 val next : t -> Rng.t -> int
 

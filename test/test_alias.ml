@@ -152,9 +152,9 @@ let test_global_contents_flow () =
 (* Oracles on Listing 6's scoring *)
 
 let run_traced p =
-  let t = Interp.create Interp.default_config p in
+  let t = Machine.create Machine.default_config p in
   ignore (Interp.call t "foo" []);
-  Interp.exit_check t;
+  Machine.exit_check t;
   t
 
 let store_iid_in p fname =
@@ -197,7 +197,7 @@ let test_full_aa_listing6 () =
 let test_trace_aa_listing6 () =
   let p = listing5 () in
   let t = run_traced p in
-  let oracle = Oracle.trace_aa (Interp.site_stats t) in
+  let oracle = Oracle.trace_aa (Machine.site_stats t) in
   let s, c1, c2 = listing6_scores oracle p in
   Alcotest.(check (option int)) "store site 0" (Some 0) s;
   Alcotest.(check (option int)) "inner call site 0" (Some 0) c1;
@@ -227,7 +227,7 @@ let test_store_may_touch_pm_soundness_on_listing5 () =
   let p = listing5 () in
   let t = run_traced p in
   let full = Oracle.of_program p in
-  let tr = Oracle.trace_aa (Interp.site_stats t) in
+  let tr = Oracle.trace_aa (Machine.site_stats t) in
   List.iter
     (function
       | Trace.Store { iid; _ } ->
@@ -236,14 +236,14 @@ let test_store_may_touch_pm_soundness_on_listing5 () =
           Alcotest.(check bool) "trace-aa flags it" true
             (tr.Oracle.store_may_touch_pm p iid)
       | _ -> ())
-    (Interp.trace t)
+    (Machine.trace t)
 
 let test_oracle_soundness_on_corpus () =
   (* same soundness property across every corpus subject *)
   List.iter
     (fun (case : Hippo_pmdk_mini.Case.t) ->
       let p = Lazy.force case.Hippo_pmdk_mini.Case.program in
-      let t = Interp.create Interp.default_config p in
+      let t = Machine.create Machine.default_config p in
       case.Hippo_pmdk_mini.Case.workload t;
       let full = Oracle.of_program p in
       List.iter
@@ -253,7 +253,7 @@ let test_oracle_soundness_on_corpus () =
                 Alcotest.failf "%s: PM store %a missed by Full-AA"
                   case.Hippo_pmdk_mini.Case.id Iid.pp iid
           | _ -> ())
-        (Interp.trace t))
+        (Machine.trace t))
     (Hippo_pmdk_mini.Bugs.all @ Hippo_apps.Pclht.cases)
 
 let suite =

@@ -11,7 +11,7 @@ let redis_session variant =
   Redis_mini.start ~nbuckets:32 (Redis_mini.build variant)
 
 let value_at s =
-  let mem = Interp.mem s.Redis_mini.interp in
+  let mem = Machine.mem s.Redis_mini.machine in
   Mem.read_string mem ~addr:s.Redis_mini.reply_buf
 
 let test_redis_set_get () =
@@ -67,7 +67,7 @@ let test_redis_check_invariant () =
   done;
   ignore (Redis_mini.op_delete s ~k:3);
   Alcotest.(check int) "dict_check holds" 1
-    (Interp.call s.Redis_mini.interp "cmd_check" [])
+    (Interp.call s.Redis_mini.machine "cmd_check" [])
 
 let test_redis_manual_is_clean () =
   Alcotest.(check int) "manual port has no bugs" 0
@@ -85,12 +85,12 @@ let test_redis_restart_from_durable_image () =
   for k = 0 to 9 do
     Redis_mini.op_insert s ~k ~version:2
   done;
-  let image = Interp.crash_image s.Redis_mini.interp in
+  let image = Machine.crash_image s.Redis_mini.machine in
   (* reopen: fresh interpreter on the durable image; recovery rebinds the
      root, then the data must be fully readable *)
-  let t2 = Interp.create ~pm_image:image Interp.default_config prog in
-  let mem = Interp.mem t2 in
-  let g name = Interp.global_addr t2 name in
+  let t2 = Machine.create ~pm_image:image Machine.default_config prog in
+  let mem = Machine.mem t2 in
+  let g name = Machine.global_addr t2 name in
   (* recovery: header is the pool's first allocation *)
   Mem.store mem ~addr:(g "g_hdr") ~size:8 Layout.pm_base;
   Mem.store mem ~addr:(g "g_key") ~size:8 (Mem.alloc_vol mem 32);
@@ -138,7 +138,7 @@ let test_redis_reopen_allocation_guard () =
       ~value:(Hippo_ycsb.Workload.value_bytes ~k ~version:0)
   done;
   ignore (app.App.read ~key:"k00");
-  let image = Interp.crash_image app.App.interp in
+  let image = Machine.crash_image app.App.interp in
   let reopened, bytes =
     allocated_bytes (fun () -> app.App.reopen ~pm_image:image)
   in
@@ -158,11 +158,11 @@ let test_redis_reopen_allocation_guard () =
   if bytes >= 1e6 then Alcotest.failf "App.reopen allocated %.0f bytes" bytes;
   let _, fresh =
     allocated_bytes (fun () ->
-        Interp.create ~pm_image:image app.App.interp.Machine.cfg prog)
+        Machine.create ~pm_image:image app.App.interp.Machine.cfg prog)
   in
   if bytes >= fresh /. 2. then
     Alcotest.failf
-      "App.reopen allocated %.0f bytes, Interp.create ~pm_image %.0f: the \
+      "App.reopen allocated %.0f bytes, Machine.create ~pm_image %.0f: the \
        restart re-prepares the program"
       bytes fresh
 
@@ -171,7 +171,7 @@ let test_redis_reopen_allocation_guard () =
 
 let clht_interp () =
   let p = Pclht.build () in
-  let t = Interp.create Interp.default_config p in
+  let t = Machine.create Machine.default_config p in
   ignore (Interp.call t "clht_init" [ 8 ]);
   t
 
@@ -251,7 +251,7 @@ let test_clht_repaired_crash_consistent () =
 
 let mc_session () =
   let p = Memcached_mini.build () in
-  let t = Interp.create Interp.default_config p in
+  let t = Machine.create Machine.default_config p in
   Memcached_mini.attach ~nbuckets:8 t
 
 let test_mc_set_get_del () =
@@ -262,7 +262,7 @@ let test_mc_set_get_del () =
   Alcotest.(check int) "get missing" (-1) (Memcached_mini.op_get s ~key:"gamma");
   Alcotest.(check int) "del beta" 1 (Memcached_mini.op_del s ~key:"beta");
   Alcotest.(check int) "beta gone" (-1) (Memcached_mini.op_get s ~key:"beta");
-  Alcotest.(check int) "count" 1 (Interp.call s.Memcached_mini.interp "cmd_count" [])
+  Alcotest.(check int) "count" 1 (Interp.call s.Memcached_mini.machine "cmd_count" [])
 
 let test_mc_replace_semantics () =
   let s = mc_session () in
@@ -270,21 +270,21 @@ let test_mc_replace_semantics () =
   Memcached_mini.op_set s ~key:"k" ~value:"v2v2v2v2v2v2" ~flags:1;
   Alcotest.(check int) "replaced length" 12 (Memcached_mini.op_get s ~key:"k");
   Alcotest.(check int) "count stays 1" 1
-    (Interp.call s.Memcached_mini.interp "cmd_count" [])
+    (Interp.call s.Memcached_mini.machine "cmd_count" [])
 
 let test_mc_touch () =
   let s = mc_session () in
   Memcached_mini.op_set s ~key:"t" ~value:"vvvvvvvv" ~flags:0;
   Memcached_mini.set_key s "t";
   Alcotest.(check int) "touch existing" 1
-    (Interp.call s.Memcached_mini.interp "cmd_touch" [ 7200 ]);
+    (Interp.call s.Memcached_mini.machine "cmd_touch" [ 7200 ]);
   Memcached_mini.set_key s "absent";
   Alcotest.(check int) "touch missing" 0
-    (Interp.call s.Memcached_mini.interp "cmd_touch" [ 7200 ])
+    (Interp.call s.Memcached_mini.machine "cmd_touch" [ 7200 ])
 
 let test_mc_workload_invariant () =
   let p = Memcached_mini.build () in
-  let t = Interp.create Interp.default_config p in
+  let t = Machine.create Machine.default_config p in
   Memcached_mini.workload t;
   Alcotest.(check int) "recover-check on live state" 1
     (Interp.call t "mc_recover_check" [])

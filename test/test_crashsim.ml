@@ -10,8 +10,8 @@ module Gen = Hippo_fuzz.Gen
    the suites below create hundreds of recovery machines. *)
 let cfg =
   {
-    Interp.default_config with
-    Interp.vol_size = 1 lsl 12;
+    Machine.default_config with
+    Machine.vol_size = 1 lsl 12;
     stack_size = 1 lsl 14;
     global_size = 1 lsl 12;
     pm_size = 1 lsl 12;
@@ -110,6 +110,38 @@ let test_half_persisted_pair_diverges () =
       Alcotest.(check bool) "lucky recovers" true v.Crashsim.lucky_ok
   | vs -> Alcotest.failf "expected 1 verdict, got %d" (List.length vs)
 
+(* A checker that never returns has not recovered: both sweeps report
+   the image LOST rather than raising out of the sweep. *)
+let test_checker_out_of_fuel_lost () =
+  let prog =
+    Hippo_pmir.Parser.program
+      {|func @main() {
+entry:
+  %pm = call @pm_alloc(64)
+  store.i8 1 -> %pm
+  crash
+  ret
+}
+
+func @spin() {
+entry:
+  br entry
+}|}
+  in
+  let config = { cfg with Machine.fuel = 10_000 } in
+  let lost =
+    [ { Crashsim.crash_index = 1; pessimistic_ok = false; lucky_ok = false } ]
+  in
+  let single, _ =
+    Crashsim.sweep_with_stats ~config prog ~setup ~checker:"spin"
+      ~checker_args:[]
+  in
+  Alcotest.(check bool) "single-pass: LOST" true (single = lost);
+  Alcotest.(check bool) "replay: LOST" true
+    (Crashsim.replay_sweep ~config ~jobs:1 prog ~setup ~checker:"spin"
+       ~checker_args:[]
+    = lost)
+
 (* ------------------------------------------------------------------ *)
 (* trace-free crash-point counting *)
 
@@ -131,15 +163,15 @@ let prop_digests_match_ground_truth =
     ~name:"incremental digests == Imghash.of_bytes of the images"
     Gen.arb_crash (fun prog ->
       let t =
-        Interp.create { cfg with Interp.track_images = true } prog
+        Machine.create { cfg with Machine.track_images = true } prog
       in
       ignore (Interp.call t "main" []);
-      let mem = Interp.mem t in
+      let mem = Machine.mem t in
       Imghash.equal_digest
         (Mem.working_digest mem)
         (Imghash.digest (Imghash.of_bytes (Mem.working_image mem)))
       && Imghash.equal_digest (Mem.durable_digest mem)
-           (Imghash.digest (Imghash.of_bytes (Interp.crash_image t))))
+           (Imghash.digest (Imghash.of_bytes (Machine.crash_image t))))
 
 (* ------------------------------------------------------------------ *)
 (* recovery-then-re-crash chains and injected torn lines — the restart
@@ -149,23 +181,23 @@ module R = Hippo_apps.Redis_mini
 
 let test_recovery_then_recrash_chain () =
   let prog = R.build R.Manual in
-  let rcfg = { cfg with Interp.pm_size = 1 lsl 13 } in
+  let rcfg = { cfg with Machine.pm_size = 1 lsl 13 } in
   let s1 = R.start ~config:rcfg ~nbuckets:4 prog in
   List.iter (fun k -> R.op_insert s1 ~k ~version:1) [ 1; 2; 3 ];
   let restart s =
-    let pm_image = Interp.crash_image s.R.interp in
-    (pm_image, R.recover_attach (Machine.restart ~pm_image s.R.interp))
+    let pm_image = Machine.crash_image s.R.machine in
+    (pm_image, R.recover_attach (Machine.restart ~pm_image s.R.machine))
   in
   Alcotest.(check bool) "allocator mark persisted" true
-    (Mem.pm_brk (Interp.mem s1.R.interp) > 0);
+    (Mem.pm_brk (Machine.mem s1.R.machine) > 0);
   let _, s2 = restart s1 in
   Alcotest.(check int) "restart keeps the allocator mark"
-    (Mem.pm_brk (Interp.mem s1.R.interp))
-    (Mem.pm_brk (Interp.mem s2.R.interp));
+    (Mem.pm_brk (Machine.mem s1.R.machine))
+    (Mem.pm_brk (Machine.mem s2.R.machine));
   Alcotest.(check int) "first recovery validates" 1
-    (Interp.call s2.R.interp "cmd_check" []);
+    (Interp.call s2.R.machine "cmd_check" []);
   Alcotest.(check int) "all inserts durable" 3
-    (Interp.call s2.R.interp "cmd_count" []);
+    (Interp.call s2.R.machine "cmd_count" []);
   (* the recovered allocator must continue past the live pool *)
   R.op_insert s2 ~k:9 ~version:1;
   Alcotest.(check bool) "pre-crash key survives the new insert" true
@@ -173,9 +205,9 @@ let test_recovery_then_recrash_chain () =
   (* re-crash the recovered instance: second restart of the chain *)
   let img2, s3 = restart s2 in
   Alcotest.(check int) "second recovery validates" 1
-    (Interp.call s3.R.interp "cmd_check" []);
+    (Interp.call s3.R.machine "cmd_check" []);
   Alcotest.(check int) "chain preserved every key" 4
-    (Interp.call s3.R.interp "cmd_count" []);
+    (Interp.call s3.R.machine "cmd_count" []);
   List.iter
     (fun k ->
       Alcotest.(check bool)
@@ -187,11 +219,11 @@ let test_recovery_then_recrash_chain () =
      created over the image, not restarted, has no allocator mark; it
      re-issues live addresses, and the next insert overwrites the pool
      from its base *)
-  let sbad = R.recover_attach (Interp.create ~pm_image:img2 rcfg prog) in
+  let sbad = R.recover_attach (Machine.create ~pm_image:img2 rcfg prog) in
   let corrupted =
     try
       R.op_insert sbad ~k:10 ~version:1;
-      Interp.call sbad.R.interp "cmd_check" [] = 0
+      Interp.call sbad.R.machine "cmd_check" [] = 0
     with Mem.Trap _ -> true
   in
   Alcotest.(check bool) "without pm_brk the pool is destroyed" true corrupted
@@ -200,15 +232,15 @@ let prop_torn_dirty_digests_match_ground_truth =
   QCheck.Test.make ~count:30
     ~name:"torn dirty lines keep incremental digests == rescan"
     Gen.arb_crash (fun prog ->
-      let t = Interp.create { cfg with Interp.track_images = true } prog in
+      let t = Machine.create { cfg with Machine.track_images = true } prog in
       ignore (Interp.call t "main" []);
-      let mem = Interp.mem t and ps = Interp.pstate t in
+      let mem = Machine.mem t and ps = Machine.pstate t in
       List.iteri
         (fun i r ->
           Pstate.tear_dirty mem r ~keep_word:(fun w -> (w + i) land 1 = 0))
         (Pstate.dirty_records ps);
       Imghash.equal_digest (Mem.durable_digest mem)
-        (Imghash.digest (Imghash.of_bytes (Interp.crash_image t)))
+        (Imghash.digest (Imghash.of_bytes (Machine.crash_image t)))
       && Imghash.equal_digest (Mem.working_digest mem)
            (Imghash.digest (Imghash.of_bytes (Mem.working_image mem))))
 
@@ -250,6 +282,8 @@ let suite =
       test_memo_reused_across_sweeps;
     Alcotest.test_case "half-persisted pair diverges" `Quick
       test_half_persisted_pair_diverges;
+    Alcotest.test_case "checker out of fuel is LOST" `Quick
+      test_checker_out_of_fuel_lost;
     Alcotest.test_case "count crash points without a trace" `Quick
       test_count_crash_points_trace_free;
     QCheck_alcotest.to_alcotest prop_digests_match_ground_truth;

@@ -127,18 +127,18 @@ let prop_trace_file_plan_equivalence =
   QCheck.Test.make ~name:"on-disk trace reproduces the in-process plan"
     ~count:25 arb_buggy
     (fun p ->
-      let t = Interp.create Interp.default_config p in
+      let t = Machine.create Machine.default_config p in
       workload t;
-      Interp.exit_check t;
-      let native_bugs = Interp.bugs t in
+      Machine.exit_check t;
+      let native_bugs = Machine.bugs t in
       (* round-trip the whole trace through the native on-disk dialect *)
       let file =
         Tracefile.of_string Tracefile.Pmemcheck
           (Tracefile.to_string Tracefile.Pmemcheck
              {
-               Tracefile.events = Interp.trace t;
-               stats = Interp.site_stats t;
-               bugs = Interp.raw_bugs t;
+               Tracefile.events = Machine.trace t;
+               stats = Machine.site_stats t;
+               bugs = Machine.raw_bugs t;
              })
       in
       let plan_of bugs stats =
@@ -147,8 +147,8 @@ let prop_trace_file_plan_equivalence =
         List.sort String.compare (List.map Fix.to_string plan.Fix.fixes)
       in
       List.map Trace.to_line file.Tracefile.events
-      = List.map Trace.to_line (Interp.trace t)
-      && plan_of native_bugs (Interp.site_stats t)
+      = List.map Trace.to_line (Machine.trace t)
+      && plan_of native_bugs (Machine.site_stats t)
          = plan_of (Report.dedup file.Tracefile.bugs) file.Tracefile.stats)
 
 let prop_repair_idempotent =
@@ -185,18 +185,18 @@ let test_driver_no_bugs_no_fixes () =
 let test_driver_plan_from_reports () =
   (* the CLI's trace-file path: plan from externally parsed reports *)
   let p = program_of_steps [ S_pm_store (0, 7) ] in
-  let t = Interp.create Interp.default_config p in
+  let t = Machine.create Machine.default_config p in
   workload t;
-  Interp.exit_check t;
-  let bugs = Interp.bugs t in
+  Machine.exit_check t;
+  let bugs = Machine.bugs t in
   let oracle = Hippo_alias.Oracle.of_program p in
   let plan, _, _ = Driver.plan ~oracle p bugs in
   let repaired, _ = Apply.apply ~oracle p plan in
-  let t2 = Interp.create Interp.default_config repaired in
+  let t2 = Machine.create Machine.default_config repaired in
   workload t2;
-  Interp.exit_check t2;
+  Machine.exit_check t2;
   Alcotest.(check int) "clean after plan-from-reports" 0
-    (List.length (Interp.bugs t2))
+    (List.length (Machine.bugs t2))
 
 let test_quickstart_produces_listing5_output () =
   (* the paper's transformation result, end to end *)

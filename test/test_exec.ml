@@ -40,8 +40,8 @@ let call_result call t name args =
   match call t name args with
   | r -> Printf.sprintf "ret:%d" r
   | exception Mem.Trap m -> Printf.sprintf "trap:%s" m
-  | exception Interp.Aborted -> "aborted"
-  | exception Interp.Out_of_fuel -> "out_of_fuel"
+  | exception Machine.Aborted -> "aborted"
+  | exception Machine.Out_of_fuel -> "out_of_fuel"
   | exception Machine.Stopped_at_crash -> "stopped_at_crash"
 
 (* The shape of [Interp.run] and [Compile.run]: a test picks its tier by
@@ -57,13 +57,13 @@ type run =
 let obs_of ~ret ~cov t =
   {
     ret;
-    bugs = List.map Report.bug_to_string (Interp.bugs t);
-    raw_bugs = List.map Report.bug_to_string (Interp.raw_bugs t);
-    output = Interp.output t;
-    trace = List.map Trace.to_line (Interp.trace t);
-    cost_ns = Interp.cost_ns t;
-    steps = Interp.steps t;
-    crash_points = Interp.crash_points_hit t;
+    bugs = List.map Report.bug_to_string (Machine.bugs t);
+    raw_bugs = List.map Report.bug_to_string (Machine.raw_bugs t);
+    output = Machine.output t;
+    trace = List.map Trace.to_line (Machine.trace t);
+    cost_ns = Machine.cost_ns t;
+    steps = Machine.steps t;
+    crash_points = Machine.crash_points_hit t;
     cov = Coverage.to_list cov;
   }
 
@@ -119,15 +119,15 @@ let prop_parity_crash_images =
       let count =
         let config = { Machine.default_config with trace = false } in
         let t, _ = Compile.run ~config prog ~entry:"main" ~args:[] in
-        Interp.crash_points_hit t
+        Machine.crash_points_hit t
       in
       let snap call k =
         let t =
-          Interp.create { Machine.default_config with trace = false } prog
+          Machine.create { Machine.default_config with trace = false } prog
         in
         Machine.arm_crash t ~at:k;
         let ret = call_result call t "main" [] in
-        (ret, Interp.crash_image t, Mem.working_image (Interp.mem t))
+        (ret, Machine.crash_image t, Mem.working_image (Machine.mem t))
       in
       let ok = ref true in
       for k = 1 to count do
@@ -149,7 +149,7 @@ let prop_parity_restart_chain =
       let count =
         let config = { Machine.default_config with trace = false } in
         let t, _ = Compile.run ~config prog ~entry:"main" ~args:[] in
-        Interp.crash_points_hit t
+        Machine.crash_points_hit t
       in
       let chain call k =
         let cov = Coverage.create () in
@@ -161,16 +161,16 @@ let prop_parity_restart_chain =
             coverage = Some cov;
           }
         in
-        let t = Interp.create config prog in
+        let t = Machine.create config prog in
         Machine.arm_crash t ~at:k;
         let stopped = call_result call t "main" [] in
-        let image = Interp.crash_image t in
+        let image = Machine.crash_image t in
         let a = Machine.restart ~pm_image:image t in
         let b = Machine.restart ~pm_image:image t in
         let snap m =
           ( obs_of ~ret:"" ~cov m,
-            Interp.crash_image m,
-            Mem.working_image (Interp.mem m) )
+            Machine.crash_image m,
+            Mem.working_image (Machine.mem m) )
         in
         ( stopped,
           List.map
@@ -203,7 +203,7 @@ let test_corpus_parity () =
               observe run ~trace:true ~cost:(Some Cost.default)
                 ~entry:case.Case.entry prog
             in
-            (o, Interp.crash_image t)
+            (o, Machine.crash_image t)
           in
           Alcotest.(check bool)
             (case.Case.id ^ " " ^ label)
@@ -228,13 +228,13 @@ let build_prog emit =
    (see compile.mli). *)
 let steps_unless_trap r ~before t =
   if String.starts_with ~prefix:"trap:" r then None
-  else Some (Interp.steps t - before)
+  else Some (Machine.steps t - before)
 
 let both_tiers prog name args =
   let run call =
-    let t = Interp.create Machine.default_config prog in
+    let t = Machine.create Machine.default_config prog in
     let r = call_result call t name args in
-    (r, Interp.output t, steps_unless_trap r ~before:0 t)
+    (r, Machine.output t, steps_unless_trap r ~before:0 t)
   in
   let a = run Interp.call and b = run Compile.call in
   Alcotest.(check (triple string (list int) (option int))) "tier parity" a b;
@@ -319,13 +319,13 @@ let test_binop_shapes () =
         (fun cost ->
           let run call =
             let t =
-              Interp.create
+              Machine.create
                 { Machine.default_config with trace = false; cost }
                 prog
             in
             List.map
               (fun (f, args) ->
-                let before = Interp.steps t in
+                let before = Machine.steps t in
                 let r = call_result call t f args in
                 Printf.sprintf "%s(%s) %s steps=%s cost=%h" f
                   (String.concat "," (List.map string_of_int args))
@@ -333,7 +333,7 @@ let test_binop_shapes () =
                   (match steps_unless_trap r ~before t with
                   | Some n -> string_of_int n
                   | None -> "-")
-                  (Interp.cost_ns t))
+                  (Machine.cost_ns t))
               calls
           in
           Alcotest.(check (list string))
@@ -353,7 +353,7 @@ let test_arity_and_undefined () =
   Alcotest.(check string) "arity msg"
     "trap:@f called with 2 arguments (expects 1)" msg;
   let run call =
-    call_result call (Interp.create Machine.default_config p) "nope" []
+    call_result call (Machine.create Machine.default_config p) "nope" []
   in
   Alcotest.(check string) "undefined parity" (run Interp.call)
     (run Compile.call)
@@ -382,13 +382,13 @@ let test_abort_and_wild_access () =
 let test_accumulation_across_calls () =
   let prog = Gen.random_mixed (Random.State.make [| 42 |]) in
   let run call =
-    let t = Interp.create Machine.default_config prog in
+    let t = Machine.create Machine.default_config prog in
     ignore (call t "main" []);
     ignore (call t "main" []);
-    Interp.exit_check t;
-    ( List.map Trace.to_line (Interp.trace t),
-      List.map Report.bug_to_string (Interp.raw_bugs t),
-      Interp.output t )
+    Machine.exit_check t;
+    ( List.map Trace.to_line (Machine.trace t),
+      List.map Report.bug_to_string (Machine.raw_bugs t),
+      Machine.output t )
   in
   let ti, bi, oi = run Interp.call and tc, bc, oc = run Compile.call in
   Alcotest.(check (list string)) "trace" ti tc;

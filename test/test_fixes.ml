@@ -18,10 +18,10 @@ let build emit =
   p
 
 let find_bugs ?(entry = "main") p =
-  let t = Interp.create Interp.default_config p in
+  let t = Machine.create Machine.default_config p in
   ignore (Interp.call t entry []);
-  Interp.exit_check t;
-  (t, Interp.bugs t)
+  Machine.exit_check t;
+  (t, Machine.bugs t)
 
 (* one PM store, no flush, no fence *)
 let prog_flush_fence () =
@@ -407,11 +407,11 @@ let test_apply_portable_style () =
   Alcotest.(check bool) "calls pmem_flush" true (List.mem "pmem_flush" callees);
   Alcotest.(check bool) "calls pmem_drain" true (List.mem "pmem_drain" callees);
   (* and the repaired program is clean *)
-  let t = Interp.create Interp.default_config repaired in
+  let t = Machine.create Machine.default_config repaired in
   ignore (Interp.call t "main" []);
-  Interp.exit_check t;
+  Machine.exit_check t;
   Alcotest.(check int) "portable fix is effective" 0
-    (List.length (Interp.bugs t))
+    (List.length (Machine.bugs t))
 
 let test_apply_portable_falls_back_without_runtime () =
   let p = prog_flush_fence () in

@@ -93,9 +93,9 @@ let test_hot_blocks () =
 (* Shrinker -------------------------------------------------------------- *)
 
 let undurable_store_count p =
-  let config = Oracle.interp_config in
+  let config = Oracle.machine_config in
   let t = Interp.run ~config p ~entry:"main" ~args:[] in
-  List.length (Interp.bugs (fst t))
+  List.length (Machine.bugs (fst t))
 
 let test_shrink_minimal () =
   (* a buggy program padded with generator noise shrinks to something

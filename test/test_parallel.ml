@@ -244,7 +244,7 @@ let test_verify_crash_stop_skips_exit_check () =
     ignore (Interp.call t "main" [])
   in
   let o =
-    Verify.check ~jobs:1 ~workload ~config:Interp.default_config ~original:p
+    Verify.check ~jobs:1 ~workload ~config:Machine.default_config ~original:p
       ~repaired:p
   in
   (* the store is legitimately unpersisted at the crash point the run

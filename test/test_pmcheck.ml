@@ -525,13 +525,13 @@ let test_machine_allocation_guard () =
           Alcotest.failf "%s: %s allocated %.0f bytes"
             case.Hippo_pmdk_mini.Case.id what bytes
       in
-      under_1mb "Interp.create"
-        (allocated_bytes (fun () -> Interp.create Interp.default_config prog));
+      under_1mb "Machine.create"
+        (allocated_bytes (fun () -> Machine.create Machine.default_config prog));
       under_1mb "create, workload and exit check"
         (allocated_bytes (fun () ->
-             let t = Interp.create Interp.default_config prog in
+             let t = Machine.create Machine.default_config prog in
              case.Hippo_pmdk_mini.Case.workload t;
-             Interp.exit_check t)))
+             Machine.exit_check t)))
     Hippo_pmdk_mini.Bugs.all
 
 (* ------------------------------------------------------------------ *)
@@ -777,7 +777,7 @@ let test_interp_arith_and_flow () =
         in
         ())
   in
-  let t = Interp.create Interp.default_config p in
+  let t = Machine.create Machine.default_config p in
   Alcotest.(check int) "5! = 120" 120 (Interp.call t "fact" [ 5 ]);
   Alcotest.(check int) "0! = 1" 1 (Interp.call t "fact" [ 0 ])
 
@@ -796,7 +796,7 @@ let test_interp_recursion () =
         in
         ())
   in
-  let t = Interp.create Interp.default_config p in
+  let t = Machine.create Machine.default_config p in
   Alcotest.(check int) "fib 10" 55 (Interp.call t "fib" [ 10 ])
 
 let test_interp_division_traps () =
@@ -808,7 +808,7 @@ let test_interp_division_traps () =
         in
         ())
   in
-  let t = Interp.create Interp.default_config p in
+  let t = Machine.create Machine.default_config p in
   Alcotest.(check int) "10/2" 5 (Interp.call t "d" [ 2 ]);
   match Interp.call t "d" [ 0 ] with
   | exception Mem.Trap _ -> ()
@@ -829,9 +829,9 @@ let test_interp_intrinsics_and_output () =
         in
         ())
   in
-  let t = Interp.create Interp.default_config p in
+  let t = Machine.create Machine.default_config p in
   ignore (Interp.call t "main" []);
-  Alcotest.(check (list int)) "emitted" [ 1; 7 ] (Interp.output t)
+  Alcotest.(check (list int)) "emitted" [ 1; 7 ] (Machine.output t)
 
 let test_interp_abort_and_fuel () =
   let p =
@@ -848,13 +848,13 @@ let test_interp_abort_and_fuel () =
         in
         ())
   in
-  let t = Interp.create Interp.default_config p in
+  let t = Machine.create Machine.default_config p in
   (match Interp.call t "boom" [] with
-  | exception Interp.Aborted -> ()
+  | exception Machine.Aborted -> ()
   | _ -> Alcotest.fail "expected abort");
-  let t2 = Interp.create { Interp.default_config with fuel = 1000 } p in
+  let t2 = Machine.create { Machine.default_config with fuel = 1000 } p in
   match Interp.call t2 "spin" [] with
-  | exception Interp.Out_of_fuel -> ()
+  | exception Machine.Out_of_fuel -> ()
   | _ -> Alcotest.fail "expected out of fuel"
 
 let test_interp_alloca_stack_release () =
@@ -874,7 +874,7 @@ let test_interp_alloca_stack_release () =
         in
         ())
   in
-  let t = Interp.create { Interp.default_config with stack_size = 8192 } p in
+  let t = Machine.create { Machine.default_config with stack_size = 8192 } p in
   (* without per-frame stack release this would overflow *)
   ignore (Interp.call t "main" [])
 
@@ -890,7 +890,7 @@ let buggy_store_prog () =
 
 let test_interp_detects_bug_at_exit () =
   let t, _ = Interp.run (buggy_store_prog ()) ~entry:"main" ~args:[] in
-  let bugs = Interp.bugs t in
+  let bugs = Machine.bugs t in
   Alcotest.(check int) "one bug" 1 (List.length bugs);
   Alcotest.(check string) "flush&fence" "missing-flush&fence"
     (Report.kind_to_string (List.hd bugs).Report.kind)
@@ -911,20 +911,20 @@ let test_interp_stop_at_crash () =
         in
         ())
   in
-  let t = Interp.create Interp.default_config p in
+  let t = Machine.create Machine.default_config p in
   Machine.arm_crash t ~at:1;
   (match Interp.call t "main" [] with
-  | exception Interp.Stopped_at_crash -> ()
+  | exception Machine.Stopped_at_crash -> ()
   | _ -> Alcotest.fail "expected stop");
-  Alcotest.(check (list int)) "stopped before emit" [] (Interp.output t);
-  Alcotest.(check int) "bug recorded at crash 1" 1 (List.length (Interp.bugs t))
+  Alcotest.(check (list int)) "stopped before emit" [] (Machine.output t);
+  Alcotest.(check int) "bug recorded at crash 1" 1 (List.length (Machine.bugs t))
 
 let test_interp_cost_accounting () =
   let run cost prog =
-    let cfg = { Interp.default_config with cost = Some cost; trace = false } in
-    let t = Interp.create cfg prog in
+    let cfg = { Machine.default_config with cost = Some cost; trace = false } in
+    let t = Machine.create cfg prog in
     ignore (Interp.call t "main" []);
-    Interp.cost_ns t
+    Machine.cost_ns t
   in
   let flush_free = buggy_store_prog () in
   let with_persist =
@@ -957,9 +957,9 @@ let test_interp_global_values () =
         in
         ())
   in
-  let t = Interp.create Interp.default_config p in
+  let t = Machine.create Machine.default_config p in
   ignore (Interp.call t "main" []);
-  Alcotest.(check (list int)) "global round trip" [ 31 ] (Interp.output t)
+  Alcotest.(check (list int)) "global round trip" [ 31 ] (Machine.output t)
 
 let restart_prog () =
   build_prog (fun b ->
@@ -984,39 +984,39 @@ let restart_prog () =
    alone. *)
 let test_machine_restart () =
   let p = restart_prog () in
-  let cfg = { Interp.default_config with cost = Some Cost.default } in
-  let t = Interp.create cfg p in
+  let cfg = { Machine.default_config with cost = Some Cost.default } in
+  let t = Machine.create cfg p in
   ignore (Compile.call t "main" [ 7 ]);
-  let steps = Interp.steps t and cost = Interp.cost_ns t in
-  let image = Interp.crash_image t in
-  let brk = Mem.pm_brk (Interp.mem t) in
+  let steps = Machine.steps t and cost = Machine.cost_ns t in
+  let image = Machine.crash_image t in
+  let brk = Mem.pm_brk (Machine.mem t) in
   Alcotest.(check bool) "old machine ran" true
-    (steps > 0 && cost > 0. && Interp.raw_bugs t <> []);
+    (steps > 0 && cost > 0. && Machine.raw_bugs t <> []);
   let t' = Machine.restart ~pm_image:image t in
   Alcotest.(check bool) "prepared code is shared" true
     (t'.Machine.pfuncs == t.Machine.pfuncs);
   Alcotest.(check bool) "compiled code is shared" true
     (t'.Machine.compiled == t.Machine.compiled);
-  Alcotest.(check int) "steps" 0 (Interp.steps t');
-  Alcotest.(check (float 0.)) "cost" 0. (Interp.cost_ns t');
-  Alcotest.(check int) "crash points" 0 (Interp.crash_points_hit t');
-  Alcotest.(check int) "bugs" 0 (List.length (Interp.raw_bugs t'));
-  Alcotest.(check int) "trace" 0 (List.length (Interp.trace t'));
-  Alcotest.(check (list int)) "output" [] (Interp.output t');
-  Alcotest.(check int) "allocator mark" brk (Mem.pm_brk (Interp.mem t'));
-  Alcotest.(check bytes) "durable image" image (Interp.crash_image t');
+  Alcotest.(check int) "steps" 0 (Machine.steps t');
+  Alcotest.(check (float 0.)) "cost" 0. (Machine.cost_ns t');
+  Alcotest.(check int) "crash points" 0 (Machine.crash_points_hit t');
+  Alcotest.(check int) "bugs" 0 (List.length (Machine.raw_bugs t'));
+  Alcotest.(check int) "trace" 0 (List.length (Machine.trace t'));
+  Alcotest.(check (list int)) "output" [] (Machine.output t');
+  Alcotest.(check int) "allocator mark" brk (Mem.pm_brk (Machine.mem t'));
+  Alcotest.(check bytes) "durable image" image (Machine.crash_image t');
   Alcotest.(check bytes) "working image" image
-    (Mem.working_image (Interp.mem t'));
+    (Mem.working_image (Machine.mem t'));
   let a' = Compile.call t' "main" [ 9 ] in
   Alcotest.(check bool) "allocation resumes past the mark" true
     (a' >= Layout.pm_base + brk);
   Alcotest.(check bool) "new machine ran" true
-    (Interp.steps t' > 0 && Interp.crash_points_hit t' = 1);
-  Alcotest.(check (list int)) "new output" [ 9 ] (Interp.output t');
-  Alcotest.(check int) "old steps" steps (Interp.steps t);
-  Alcotest.(check (float 0.)) "old cost" cost (Interp.cost_ns t);
-  Alcotest.(check bytes) "old crash image" image (Interp.crash_image t);
-  Alcotest.(check (list int)) "old output" [ 7 ] (Interp.output t);
+    (Machine.steps t' > 0 && Machine.crash_points_hit t' = 1);
+  Alcotest.(check (list int)) "new output" [ 9 ] (Machine.output t');
+  Alcotest.(check int) "old steps" steps (Machine.steps t);
+  Alcotest.(check (float 0.)) "old cost" cost (Machine.cost_ns t);
+  Alcotest.(check bytes) "old crash image" image (Machine.crash_image t);
+  Alcotest.(check (list int)) "old output" [ 7 ] (Machine.output t);
   (* The two machines share their compiled code but nothing they run
      on: calling the old one again compiles nothing and moves only its
      own output, steps, cost and images, and so does calling the new one
@@ -1027,32 +1027,32 @@ let test_machine_restart () =
       0 t.Machine.compiled
   in
   let compiled = filled () in
-  let images m = (Interp.crash_image m, Mem.working_image (Interp.mem m)) in
-  let steps' = Interp.steps t' and cost' = Interp.cost_ns t' in
+  let images m = (Machine.crash_image m, Mem.working_image (Machine.mem m)) in
+  let steps' = Machine.steps t' and cost' = Machine.cost_ns t' in
   let images' = images t' in
   ignore (Compile.call t "main" [ 11 ]);
   Alcotest.(check int) "calling the old machine compiles nothing" compiled
     (filled ());
-  Alcotest.(check (list int)) "old output grows" [ 7; 11 ] (Interp.output t);
+  Alcotest.(check (list int)) "old output grows" [ 7; 11 ] (Machine.output t);
   Alcotest.(check int) "old steps grow by one run" (2 * steps)
-    (Interp.steps t);
-  Alcotest.(check bool) "old cost grows" true (Interp.cost_ns t > cost);
+    (Machine.steps t);
+  Alcotest.(check bool) "old cost grows" true (Machine.cost_ns t > cost);
   Alcotest.(check bool) "old crash image moves" false
-    (Bytes.equal image (Interp.crash_image t));
-  Alcotest.(check (list int)) "new output kept" [ 9 ] (Interp.output t');
-  Alcotest.(check int) "new steps kept" steps' (Interp.steps t');
-  Alcotest.(check (float 0.)) "new cost kept" cost' (Interp.cost_ns t');
+    (Bytes.equal image (Machine.crash_image t));
+  Alcotest.(check (list int)) "new output kept" [ 9 ] (Machine.output t');
+  Alcotest.(check int) "new steps kept" steps' (Machine.steps t');
+  Alcotest.(check (float 0.)) "new cost kept" cost' (Machine.cost_ns t');
   Alcotest.(check (pair bytes bytes)) "new images kept" images' (images t');
-  let steps = Interp.steps t and cost = Interp.cost_ns t in
+  let steps = Machine.steps t and cost = Machine.cost_ns t in
   let images_old = images t in
   ignore (Compile.call t' "main" [ 13 ]);
-  Alcotest.(check (list int)) "new output grows" [ 9; 13 ] (Interp.output t');
+  Alcotest.(check (list int)) "new output grows" [ 9; 13 ] (Machine.output t');
   Alcotest.(check int) "new steps grow by one run" (2 * steps')
-    (Interp.steps t');
-  Alcotest.(check bool) "new cost grows" true (Interp.cost_ns t' > cost');
-  Alcotest.(check (list int)) "old output kept" [ 7; 11 ] (Interp.output t);
-  Alcotest.(check int) "old steps kept" steps (Interp.steps t);
-  Alcotest.(check (float 0.)) "old cost kept" cost (Interp.cost_ns t);
+    (Machine.steps t');
+  Alcotest.(check bool) "new cost grows" true (Machine.cost_ns t' > cost');
+  Alcotest.(check (list int)) "old output kept" [ 7; 11 ] (Machine.output t);
+  Alcotest.(check int) "old steps kept" steps (Machine.steps t);
+  Alcotest.(check (float 0.)) "old cost kept" cost (Machine.cost_ns t);
   Alcotest.(check (pair bytes bytes)) "old images kept" images_old (images t);
   Alcotest.(check int) "still nothing new compiled" compiled (filled ())
 
@@ -1065,25 +1065,25 @@ let test_machine_restart_paged_image () =
   let value a = ((a - Layout.pm_base) * 0x0101_0101) + 1 in
   List.iter
     (fun track_images ->
-      let cfg = { Interp.default_config with track_images } in
-      let t = Interp.create cfg (restart_prog ()) in
-      let m = Interp.mem t in
+      let cfg = { Machine.default_config with track_images } in
+      let t = Machine.create cfg (restart_prog ()) in
+      let m = Machine.mem t in
       List.iter
         (fun a ->
           Mem.store m ~addr:a ~size:8 (value a);
           Mem.persist_range m ~addr:a ~size:8)
         words;
-      let image = Interp.crash_image t in
+      let image = Machine.crash_image t in
       Alcotest.(check bool) "image spans four pages" true
         (Bytes.length image > 3 * 4096);
       let t' = Machine.restart ~pm_image:image t in
-      let m' = Interp.mem t' in
+      let m' = Machine.mem t' in
       List.iter
         (fun a ->
           Alcotest.(check int) "load8" (value a) (Mem.load8 m' a);
           Alcotest.(check int) "load" (value a) (Mem.load m' ~addr:a ~size:8))
         words;
-      Alcotest.(check bytes) "durable image" image (Interp.crash_image t');
+      Alcotest.(check bytes) "durable image" image (Machine.crash_image t');
       Alcotest.(check bytes) "working image" image (Mem.working_image m');
       if track_images then begin
         let digest = Imghash.digest (Imghash.of_bytes image) in
@@ -1100,17 +1100,17 @@ let test_machine_restart_paged_image () =
    both machines end exactly as under the interpreter. *)
 let test_machine_nested_sibling_call () =
   let p = restart_prog () in
-  let cfg = { Interp.default_config with cost = Some Cost.default } in
+  let cfg = { Machine.default_config with cost = Some Cost.default } in
   let run call =
-    let t = Interp.create cfg p in
+    let t = Machine.create cfg p in
     ignore (call t "main" [ 7 ]);
-    let t' = Machine.restart ~pm_image:(Interp.crash_image t) t in
+    let t' = Machine.restart ~pm_image:(Machine.crash_image t) t in
     Machine.set_crash_hook t (fun () -> ignore (call t' "main" [ 9 ]));
     ignore (call t "main" [ 11 ]);
     List.map
       (fun m ->
-        ( (Interp.output m, Interp.steps m, Interp.cost_ns m),
-          (Interp.crash_image m, Mem.working_image (Interp.mem m)) ))
+        ( (Machine.output m, Machine.steps m, Machine.cost_ns m),
+          (Machine.crash_image m, Mem.working_image (Machine.mem m)) ))
       [ t; t' ]
   in
   let interp = run Interp.call and compiled = run Compile.call in
@@ -1141,7 +1141,7 @@ let trace_of_buggy () =
         ())
   in
   let t, _ = Interp.run p ~entry:"main" ~args:[] in
-  Interp.trace t
+  Machine.trace t
 
 let test_trace_roundtrip () =
   let tr = trace_of_buggy () in
@@ -1189,10 +1189,10 @@ let test_sitestats_roundtrip () =
 
 let test_pmtest_format_roundtrip () =
   let t, _ = Interp.run (buggy_store_prog ()) ~entry:"main" ~args:[] in
-  let events = Interp.trace t and bugs = Interp.raw_bugs t in
+  let events = Machine.trace t and bugs = Machine.raw_bugs t in
   let text =
     Tracefile.to_string Tracefile.Pmtest
-      { Tracefile.events; stats = Interp.site_stats t; bugs }
+      { Tracefile.events; stats = Machine.site_stats t; bugs }
   in
   let file = Tracefile.of_string Tracefile.Pmtest text in
   let bugs' = file.Tracefile.bugs in
@@ -1217,7 +1217,7 @@ let test_report_line_roundtrip () =
       let b' = Report.of_line (Report.to_line b) in
       Alcotest.(check string) "bug line roundtrip" (Report.to_line b)
         (Report.to_line b'))
-    (Interp.raw_bugs t)
+    (Machine.raw_bugs t)
 
 (* ------------------------------------------------------------------ *)
 (* Crashsim *)

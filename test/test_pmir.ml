@@ -282,6 +282,7 @@ let test_validator_messages () =
               at 4 (Instr.Alloca { dst = "a"; size = 0 });
               at 5 (Instr.Call { dst = None; callee = "nope"; args = [] });
               at 6 (Instr.Call { dst = None; callee = "h"; args = [ i 1 ] });
+              at 6 (Instr.Call { dst = None; callee = "pm_alloc"; args = [] });
               at 7 (Instr.Br { target = "nowhere" });
               at 8 (Instr.Ret None);
             ];
@@ -324,6 +325,7 @@ let test_validator_messages () =
       "f at v.c:4: non-positive alloca size 0";
       "f at v.c:5: call to undefined function @nope";
       "f at v.c:6: call to @h with 1 arguments (expects 0)";
+      "f at v.c:6: call to @pm_alloc with 0 arguments (expects 1)";
       {|f at v.c:7: branch to undefined label "nowhere"|};
       "f at v.c:7: terminator is not the last instruction of its block";
       {|f: block "empty" is empty (needs a terminator)|};
@@ -492,7 +494,7 @@ let gen_mutant st =
 let tier_outcome run =
   let open Hippo_pmcheck in
   match run () with
-  | t, ret -> Ok (ret, List.length (Interp.bugs t), Interp.output t)
+  | t, ret -> Ok (ret, List.length (Machine.bugs t), Machine.output t)
   | exception Mem.Trap m -> Error m
 
 let prop_mutants_total =
@@ -511,7 +513,7 @@ let prop_mutants_total =
               let open Hippo_pmcheck in
               let entry = if Program.mem prog "main" then "main" else first in
               let config =
-                { Interp.default_config with fuel = 200_000; trace = false }
+                { Machine.default_config with fuel = 200_000; trace = false }
               in
               let interp () = Interp.run ~config prog ~entry ~args:[] in
               let compiled () = Compile.run ~config prog ~entry ~args:[] in

@@ -10,10 +10,10 @@ open Hippo_pmcheck
 open Hippo_core
 
 let dynamic_bugs p =
-  let t = Interp.create Interp.default_config p in
+  let t = Machine.create Machine.default_config p in
   Pmir_gen.workload t;
-  Interp.exit_check t;
-  Interp.bugs t
+  Machine.exit_check t;
+  Machine.bugs t
 
 let static_bugs p =
   (Hippo_staticcheck.Checker.check p).Hippo_staticcheck.Checker.bugs

@@ -19,13 +19,13 @@ let runtime_interp extra =
   extra b;
   let p = Builder.program b in
   Validate.check_exn p;
-  Interp.create Interp.default_config p
+  Machine.create Machine.default_config p
 
 let plain () = runtime_interp (fun _ -> ())
 
 let test_memcpy_aligned_and_unaligned () =
   let t = plain () in
-  let m = Interp.mem t in
+  let m = Machine.mem t in
   List.iter
     (fun (len, doff) ->
       let src = Mem.alloc_vol m 128 and dst = Mem.alloc_vol m 128 in
@@ -42,7 +42,7 @@ let test_memcpy_aligned_and_unaligned () =
 
 let test_memset () =
   let t = plain () in
-  let m = Interp.mem t in
+  let m = Machine.mem t in
   let buf = Mem.alloc_vol m 64 in
   ignore (Interp.call t "memset" [ buf; Char.code 'q'; 20 ]);
   Alcotest.(check string) "filled" (String.make 20 'q')
@@ -51,7 +51,7 @@ let test_memset () =
 
 let test_memcmp_eq () =
   let t = plain () in
-  let m = Interp.mem t in
+  let m = Machine.mem t in
   let a = Mem.alloc_vol m 32 and b = Mem.alloc_vol m 32 in
   Mem.write_string m ~addr:a "identical";
   Mem.write_string m ~addr:b "identical";
@@ -62,7 +62,7 @@ let test_memcmp_eq () =
 
 let test_hash_fnv () =
   let t = plain () in
-  let m = Interp.mem t in
+  let m = Machine.mem t in
   let a = Mem.alloc_vol m 32 in
   Mem.write_string m ~addr:a "key-one";
   let h1 = Interp.call t "hash_fnv" [ a; 7 ] in
@@ -75,7 +75,7 @@ let test_hash_fnv () =
 
 let test_pmem_persist_makes_durable () =
   let t = plain () in
-  let m = Interp.mem t in
+  let m = Machine.mem t in
   let pm = Mem.alloc_pm m 256 in
   (* dirty 200 bytes across four lines through the interpreter would need
      a program; write via host then register stores via a helper program
@@ -92,12 +92,12 @@ let test_pmem_persist_makes_durable () =
         ret_void fb)
   in
   let p = Builder.program b in
-  let t2 = Interp.create Interp.default_config p in
+  let t2 = Machine.create Machine.default_config p in
   ignore (Interp.call t2 "main" []);
-  Interp.exit_check t2;
+  Machine.exit_check t2;
   Alcotest.(check int) "no bugs: everything persisted" 0
-    (List.length (Interp.bugs t2));
-  let img = zero_extended (Interp.crash_image t2) in
+    (List.length (Machine.bugs t2));
+  let img = zero_extended (Machine.crash_image t2) in
   for k = 0 to 24 do
     Alcotest.(check int)
       (Printf.sprintf "word %d durable" k)
@@ -120,10 +120,10 @@ let test_pmem_flush_without_drain_is_pending () =
         ret_void fb)
   in
   let p = Builder.program b in
-  let t = Interp.create Interp.default_config p in
+  let t = Machine.create Machine.default_config p in
   ignore (Interp.call t "main" []);
-  Interp.exit_check t;
-  match Interp.bugs t with
+  Machine.exit_check t;
+  match Machine.bugs t with
   | [ bug ] ->
       Alcotest.(check string) "missing fence" "missing-fence"
         (Hippo_pmcheck.Report.kind_to_string bug.Report.kind)
@@ -143,12 +143,12 @@ let test_pmem_memcpy_persist () =
         ret_void fb)
   in
   let p = Builder.program b in
-  let t = Interp.create Interp.default_config p in
+  let t = Machine.create Machine.default_config p in
   ignore (Interp.call t "main" []);
-  Interp.exit_check t;
-  Alcotest.(check int) "clean" 0 (List.length (Interp.bugs t));
+  Machine.exit_check t;
+  Alcotest.(check int) "clean" 0 (List.length (Machine.bugs t));
   Alcotest.(check string) "durable content" "ABCDEFGH"
-    (Bytes.sub_string (zero_extended (Interp.crash_image t)) 0 8)
+    (Bytes.sub_string (zero_extended (Machine.crash_image t)) 0 8)
 
 let suite =
   [

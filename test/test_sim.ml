@@ -70,7 +70,7 @@ let test_transcript_independent_of_pm_size () =
     | Error e -> Alcotest.fail e
   in
   let play pm_size =
-    let config = { (Harness.interp_config cfg) with Interp.pm_size } in
+    let config = { (Harness.interp_config cfg) with Machine.pm_size } in
     match
       Scenario.run ~seed:42 ~index:0 (Harness.scenario_config cfg)
         ~make_app:(fun () ->
@@ -139,7 +139,7 @@ let setup_of ops =
 
 let test_forced_crash_matches_sweep () =
   let prog = Pclht.build () in
-  let icfg = { Interp.default_config with Interp.trace = false } in
+  let icfg = { Machine.default_config with Machine.trace = false } in
   let seed = 5 and index = 0 in
   let ops = Scenario.ops_of ~seed ~index scen_cfg in
   let setup = setup_of ops in
@@ -189,7 +189,7 @@ let test_forced_crash_matches_sweep () =
    force index beyond the last crash point degrades to a clean run *)
 let test_forced_crash_bounds () =
   let prog = Pclht.build () in
-  let icfg = { Interp.default_config with Interp.trace = false } in
+  let icfg = { Machine.default_config with Machine.trace = false } in
   let mk () = Ok (App.wrap ~config:icfg ~nbuckets:2 App.Pclht App.Manual prog) in
   let go cfg =
     match Scenario.run ~seed:5 ~index:1 cfg ~make_app:mk () with

@@ -215,10 +215,10 @@ let prop_static_covers_dynamic =
   QCheck.Test.make ~name:"static covers every dynamic exit bug" ~count:60
     Test_driver.arb_buggy
     (fun p ->
-      let t = Interp.create Interp.default_config p in
+      let t = Machine.create Machine.default_config p in
       ignore (Interp.call t "main" []);
-      Interp.exit_check t;
-      let dynamic = Interp.bugs t in
+      Machine.exit_check t;
+      let dynamic = Machine.bugs t in
       let static_ = (Checker.check ~entries:[ "main" ] p).Checker.bugs in
       let c = Adapter.compare_reports ~static_ ~dynamic in
       c.Adapter.missed = [])
