@@ -1,12 +1,26 @@
-(** End-to-end repair pipeline (Fig. 2) — thin wrappers over the
-    pass-manager engine ({!Hippo_engine.Engine}).
+(** The repair pipeline (Fig. 2 of the paper):
 
-    The engine runs locate -> compute -> reduce -> hoist -> apply ->
-    verify over a shared context; these wrappers keep the historical
-    API. Pass an explicit [?cache] to share memoized analyses (Andersen
-    points-to, the Full-AA oracle, static summaries) across runs — an
-    ablation sweep over one program computes each analysis once — and
-    [?trace] to stream structured per-pass events.
+    {v locate -> compute -> reduce -> hoist -> apply -> verify v}
+
+    - {e locate} runs the bug finder ({!detector}) and records its
+      reports, whose identities are IR identities locating each buggy
+      store;
+    - {e compute} is Phase 1 (intraprocedural fixes per bug);
+    - {e reduce} is Phase 2 (fix reduction; passthrough when disabled);
+    - {e hoist} is Phase 3 (the interprocedural heuristic; disabled,
+      every fix stays intraprocedural);
+    - {e apply} rewrites the program and registers the result as a new
+      program version in the {!Hippo_engine.Cache.t};
+    - {e verify} replays the workload on the original and the repaired
+      program, or, in {!repair_static}, re-runs the static checker on
+      the repaired version.
+
+    {!optimize} runs the flush/fence optimizer the same way
+    (opt-analyze -> opt-apply -> opt-verify). Every stage emits one
+    structured {!Hippo_engine.Event.t}, into the result and to [?trace].
+    Pass an explicit [?cache] to share memoized analyses (Andersen
+    points-to, the Full-AA oracle, static summaries) across runs: an
+    ablation sweep over one program computes each analysis once.
 
     {[
       let result = Driver.repair ~name:"myapp"
@@ -18,21 +32,23 @@
 open Hippo_pmir
 open Hippo_pmcheck
 
-type oracle_choice = Hippo_engine.Context.oracle_choice =
-  | Full_aa
-  | Trace_aa
+(** The alias oracle behind hoisting and clone reuse: whole-program
+    Andersen ([Full_aa]) or the workload trace's per-site observations
+    ([Trace_aa]). *)
+type oracle_choice = Full_aa | Trace_aa
 
-type options = Hippo_engine.Context.options = {
+type options = {
   oracle : oracle_choice;
   hoisting : bool;  (** Phase 3 on/off (off = the H-intra configuration) *)
   reduction : bool;  (** Phase 2 on/off (ablation A2) *)
   clone_reuse : bool;  (** share persistent subprograms (ablation A1) *)
   style : Apply.style;  (** raw clwb/sfence vs portable libpmem calls *)
   jobs : int;
-      (** domain budget for parallel passes (the verify pass runs the
-          original and repaired workload executions concurrently when
-          [jobs > 1]); 1 (the default) keeps the pipeline fully serial
-          and byte-identical to the historical single-domain behavior *)
+      (** domain budget for the verify stage, which runs the original
+          and repaired workload executions concurrently when
+          [jobs > 1]; 1 (the default) keeps the pipeline serial. Every
+          output but the verify event's [parallel] field is the same at
+          any width. *)
 }
 
 val default_options : options
@@ -49,17 +65,20 @@ type result = {
   reduce_eliminated : int;
   input_instrs : int;
   output_instrs : int;
-  time_s : float;  (** wall-clock time of the whole pipeline (Fig. 5) *)
+  time_s : float;
+      (** process CPU time ([Sys.time]) of the whole pipeline (Fig. 5) *)
   peak_heap_bytes : int;
   trace_events : int;
   events : Hippo_engine.Event.t list;
-      (** structured per-pass engine events, in emission order *)
+      (** structured per-stage events, in emission order *)
 }
 
 (** [plan ?options ~oracle prog bugs] runs Steps 2-3 only: compute the fix
     plan for externally-supplied bug reports (e.g. parsed from an on-disk
     trace file, the artifact's command-line mode). Returns the plan, the
-    hoisting decisions, and the number of fixes reduction eliminated. *)
+    hoisting decisions, and the number of fixes reduction eliminated.
+    Its events (locate, with detector [preset], then compute, reduce and
+    hoist) go only to [?trace]. *)
 val plan :
   ?options:options ->
   ?cache:Hippo_engine.Cache.t ->
@@ -72,8 +91,8 @@ val plan :
 (** Which bug finder seeds the repair. [Dynamic] is the paper's pipeline
     (pmemcheck-style tracing); [Static] takes the reports of
     {!Hippo_staticcheck.Checker} instead — same report shape, same repair
-    stages; [Both] unions the two report sets. Each selects one of the
-    first-class {!Hippo_engine.Detector.t} sources. *)
+    stages; [Both] unions the two report sets
+    ({!Hippo_engine.Detector.of_choice}). *)
 type detector = Hippo_engine.Detector.choice = Dynamic | Static | Both
 
 (** The full pipeline. [workload] drives the program on a machine; the

@@ -1,13 +1,13 @@
 (** Versioned analysis cache.
 
-    The engine's analyses — Andersen points-to, the Full-AA alias
+    The repair pipeline's analyses — Andersen points-to, the Full-AA alias
     oracle, static durability summaries, program size — are pure
     functions of the program. Rebuilding them for every pipeline run is
     the dominant cost of ablation sweeps (the same program repaired
     under several configurations) and of re-verification (the static
     residual check after repair). The cache memoizes them per {e program
     version}: a monotonic counter where version 0 is the first program
-    registered and the [apply] pass bumps the counter when it produces a
+    registered and the [apply] stage bumps the counter when it produces a
     repaired program. Analyses of a version that did not change are
     never recomputed; registering a new version never invalidates older
     ones, so a sweep that always starts from the original program keeps

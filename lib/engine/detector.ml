@@ -1,5 +1,5 @@
-(* First-class bug sources: dynamic interpreter, static checker, unions
-   and preset report lists, all producing the same outcome shape. *)
+(* First-class bug sources: dynamic execution, the static checker and
+   their union, all producing the same outcome shape. *)
 
 open Hippo_pmcheck
 
@@ -16,7 +16,7 @@ type t = {
   name : string;
   detect :
     Cache.view ->
-    workload:(Machine.t -> unit) option ->
+    workload:(Machine.t -> unit) ->
     config:Machine.config ->
     outcome;
 }
@@ -26,20 +26,15 @@ let dynamic =
     name = "dynamic";
     detect =
       (fun view ~workload ~config ->
-        match workload with
-        | None ->
-            invalid_arg
-              "Detector.dynamic: the dynamic bug finder needs a workload"
-        | Some workload ->
-            let cfg = { config with Machine.trace = true } in
-            let t = Machine.create cfg (Cache.program view) in
-            Machine.run_workload t workload;
-            {
-              bugs = Machine.bugs t;
-              site_stats = Some (Machine.site_stats t);
-              trace_events = List.length (Machine.trace t);
-              checker_stats = None;
-            });
+        let cfg = { config with Machine.trace = true } in
+        let t = Machine.create cfg (Cache.program view) in
+        Machine.run_workload t workload;
+        {
+          bugs = Machine.bugs t;
+          site_stats = Some (Machine.site_stats t);
+          trace_events = List.length (Machine.trace t);
+          checker_stats = None;
+        });
   }
 
 let static_ ?entries () =
@@ -70,14 +65,6 @@ let union a b =
           trace_events = max ra.trace_events rb.trace_events;
           checker_stats = merge ra.checker_stats rb.checker_stats;
         });
-  }
-
-let preset bugs =
-  {
-    name = "preset";
-    detect =
-      (fun _view ~workload:_ ~config:_ ->
-        { bugs; site_stats = None; trace_events = 0; checker_stats = None });
   }
 
 let of_choice ?entries = function

@@ -1,13 +1,10 @@
-(** First-class bug sources for the repair engine.
+(** First-class bug sources for the repair pipeline's locate stage.
 
-    A detector is anything that can produce durability-bug reports for a
-    program: the dynamic pmemcheck-style interpreter, the workload-free
-    static checker, their union — or a preset list of reports parsed
-    from an on-disk trace. Detectors share one report shape
-    ({!Hippo_pmcheck.Report.bug}), so the downstream passes are
-    oblivious to where bugs came from; making the source a first-class
-    value is what lets the engine serve every pipeline variant with a
-    single pass list. *)
+    A detector produces durability-bug reports for a program: the
+    dynamic pmemcheck-style bug finder, the workload-free static
+    checker, or their union. Detectors share one report shape
+    ({!Hippo_pmcheck.Report.bug}), so the stages after locate are
+    oblivious to where bugs came from. *)
 
 open Hippo_pmcheck
 
@@ -29,13 +26,12 @@ type t = {
   name : string;
   detect :
     Cache.view ->
-    workload:(Machine.t -> unit) option ->
+    workload:(Machine.t -> unit) ->
     config:Machine.config ->
     outcome;
 }
 
-(** Execute the workload on a tracing machine.
-    Raises [Invalid_argument] when no workload is supplied. *)
+(** Execute the workload on a tracing machine. *)
 val dynamic : t
 
 (** Run the static durability checker (analyses come from the cache, so
@@ -45,8 +41,5 @@ val static_ : ?entries:string list -> unit -> t
 (** Union of two detectors' reports, deduplicated; outcome metadata is
     merged (left operand wins on conflicts). *)
 val union : t -> t -> t
-
-(** Externally-supplied reports (e.g. parsed from a trace file). *)
-val preset : Report.bug list -> t
 
 val of_choice : ?entries:string list -> choice -> t

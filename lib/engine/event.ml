@@ -1,4 +1,4 @@
-(* Structured per-pass engine events: plain data plus two renderers
+(* Structured per-stage pipeline events: plain data plus two renderers
    (JSON-lines for --trace-out, an aligned table for bench output). *)
 
 type t = {
@@ -6,7 +6,7 @@ type t = {
   target : string;
   version : int;
   parallel : int;
-      (** domains the pass fanned out over (1 = ran serially) *)
+      (** domains the stage fanned out over (1 = ran serially) *)
   dur_s : float;
   counters : (string * int) list;
   notes : (string * string) list;

@@ -13,8 +13,8 @@
      that deletion is a dynamic no-op on every execution, so crash-sweep
      verdicts cannot drift.
 
-   A site is removed only when both agree. The engine's opt-verify pass
-   additionally re-checks the optimized program and reverts wholesale if
+   A site is removed only when both agree. The opt-verify stage of
+   Driver.optimize additionally re-checks the optimized program and reverts wholesale if
    the static reports are not byte-identical. *)
 
 open Hippo_pmir

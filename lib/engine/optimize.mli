@@ -36,8 +36,8 @@
       operation is a dynamic no-op on every concrete execution, so
       crash-image sweeps cannot change verdict.
 
-    As a belt-and-braces guarantee, the engine's [opt-verify] pass
-    ({!Engine.opt_passes}) re-checks the rewritten program and
+    As a belt-and-braces guarantee, the [opt-verify] stage of
+    [Driver.optimize] re-checks the rewritten program and
     {e reverts the whole rewrite} if the static reports are not
     identical to the input's. *)
 

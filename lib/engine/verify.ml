@@ -27,8 +27,8 @@ let effective o = o.residual_bugs = []
 let check ~jobs ~(workload : Machine.t -> unit) ~(config : Machine.config)
     ~(original : Program.t) ~(repaired : Program.t) : outcome =
   (* Everything this check compares — bugs, outputs, working images — is
-     identical with tracing off (seq numbers advance either way), so the
-     two full workload runs skip event materialization. *)
+     identical with tracing off (reports carry no seq and keep their
+     order), so the two full workload runs skip event materialization. *)
   let config = { config with Machine.trace = false } in
   let run prog =
     let t = Machine.create config prog in

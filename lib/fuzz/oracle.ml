@@ -100,7 +100,8 @@ let evaluate_exn prog =
   let violations = ref [] in
   let flag oracle detail = violations := { oracle; detail } :: !violations in
   (* dynamic run: coverage + bug reports. Bug collection does not need the
-     event trace (seq numbers advance either way), so leave it off. *)
+     event trace (reports carry no seq and keep their order), so leave it
+     off. *)
   let cov = Coverage.create () in
   let config = { machine_config with coverage = Some cov; trace = false } in
   let t, _ret = Compile.run ~config prog ~entry:"main" ~args:[] in

@@ -30,8 +30,9 @@ type config = {
    and the repair pipeline (the dynamic detector and Trace-AA read the
    events). Every hot loop — crash sweeps, the fuzz oracle, the served
    store, bench cases — overrides it to [false] at its own call site:
-   event materialization is the single biggest per-instruction cost,
-   and seq numbers advance identically either way. *)
+   event materialization is the single biggest per-instruction cost.
+   Bug reports do not change: call events take a seq only when tracing,
+   but reports carry no seq and keep their order. *)
 let default_config =
   {
     trace = true;
@@ -198,9 +199,6 @@ let record_crash_point t ~iid ~loc =
   let crash : Report.crash_info =
     { crash_iid = iid; crash_loc = loc; crash_stack = t.frames }
   in
-  (* The seq counter advances at crash points whether or not the trace is
-     recorded: store seqs embedded in bug reports must not depend on the
-     trace flag. Only the event construction is gated. *)
   let seq = next_seq t in
   if t.cfg.trace then
     push_event t (Trace.Crash_point { iid; loc; stack = t.frames; seq });

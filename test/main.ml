@@ -10,6 +10,7 @@ let () =
       ("alias", Test_alias.suite);
       ("fixes", Test_fixes.suite);
       ("driver", Test_driver.suite);
+      ("pipeline", Test_pipeline.suite);
       ("engine", Test_engine.suite);
       ("optimize", Test_optimize.suite);
       ("parallel", Test_parallel.suite);

@@ -1,8 +1,8 @@
-(* Pass-manager engine tests: the versioned analysis cache is invisible
+(* Repair-pipeline tests: the versioned analysis cache is invisible
    (cached and cache-disabled runs produce identical fix plans and
    repaired programs), analyses are shared across an ablation sweep
    (Andersen points-to runs exactly once on an unmutated program), and
-   the structured event stream reflects the pass order. *)
+   the structured event stream reflects the stage order. *)
 
 open Hippo_pmir
 open Hippo_core

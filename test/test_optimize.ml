@@ -18,8 +18,8 @@ let build body =
   Validate.check_exn p;
   p
 
-(* The optimizer as users run it: the engine's opt-analyze -> opt-apply
-   -> opt-verify passes behind [Driver.optimize]. *)
+(* The optimizer as users run it: [Driver.optimize]'s opt-analyze ->
+   opt-apply -> opt-verify stages. *)
 let optimize p = (Driver.optimize ~name:"test" p).Driver.t_outcome
 
 let rules o = List.map (fun r -> r.Optimize.r_rule) o.Optimize.o_removals

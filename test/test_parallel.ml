@@ -110,7 +110,7 @@ let repair_at_jobs jobs p =
     ~options:{ Driver.default_options with jobs }
     ~name:"par" ~workload:Pmir_gen.workload p
 
-(* everything observable except wall-clock timings and the per-pass
+(* everything observable except wall-clock timings and the per-stage
    domain budget (which legitimately differs across --jobs settings) *)
 let fingerprint (r : Driver.result) =
   ( Printer.to_string r.Driver.repaired,
@@ -258,7 +258,7 @@ let test_verify_crash_stop_skips_exit_check () =
        o.Verify.residual_bugs);
   Alcotest.(check bool) "state comparison still runs" true (Verify.harm_free o)
 
-(* The locate pass keeps the same rule: a detector run stopped at a crash
+(* The locate stage keeps the same rule: a detector run stopped at a crash
    point reports the store unpersisted there, and nothing at <exit>. *)
 let test_detector_crash_stop_skips_exit_check () =
   let p = crash_mid_transaction_prog () in

@@ -223,6 +223,39 @@ let prop_static_covers_dynamic =
       let c = Adapter.compare_reports ~static_ ~dynamic in
       c.Adapter.missed = [])
 
+(* The same coverage on every subject the repo repairs: the 11 PMDK
+   cases, P-CLHT, memcached and flush-free Redis under its repair
+   workload (bench table_static pins the first 13, not Redis). *)
+let test_static_covers_dynamic_subjects () =
+  let module Case = Hippo_pmdk_mini.Case in
+  let subjects =
+    List.map
+      (fun (c : Case.t) ->
+        (c.Case.id, Lazy.force c.Case.program, c.Case.workload))
+      (Hippo_pmdk_mini.Bugs.all
+      @ Hippo_apps.[ List.hd Pclht.cases; List.hd Memcached_mini.cases ])
+    @ Hippo_apps.
+        [
+          ( "redis-flush-free",
+            Redis_mini.build Redis_mini.Flush_free,
+            Redis_bench.repair_workload );
+        ]
+  in
+  Alcotest.(check int) "subjects" 14 (List.length subjects);
+  List.iter
+    (fun (id, prog, workload) ->
+      let t = Machine.create Machine.default_config prog in
+      Machine.run_workload t workload;
+      let dynamic = Machine.bugs t in
+      let static_ = (Checker.check prog).Checker.bugs in
+      let c = Adapter.compare_reports ~static_ ~dynamic in
+      Alcotest.(check bool) (id ^ ": dynamic bugs found") true (dynamic <> []);
+      Alcotest.(check (list string))
+        (id ^ ": no dynamic site missed")
+        []
+        (List.map Report.bug_to_string c.Adapter.missed))
+    subjects
+
 let prop_static_repair_dynamically_clean =
   (* repairing from static reports alone leaves nothing for the dynamic
      checker to find (the workload-free pipeline's acceptance bar) *)
@@ -256,5 +289,8 @@ let suite =
     ("distinct call sites, distinct bugs", `Quick,
      test_distinct_callsites_distinct_bugs);
     QCheck_alcotest.to_alcotest prop_static_covers_dynamic;
+    ( "static covers dynamic on all 14 subjects",
+      `Quick,
+      test_static_covers_dynamic_subjects );
     QCheck_alcotest.to_alcotest prop_static_repair_dynamically_clean;
   ]
