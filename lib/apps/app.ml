@@ -105,40 +105,23 @@ let rec program kind variant : (Program.t, string) result =
 
 let rec redis_adapter ~name (s : Redis_mini.session) : t =
   let mem = Machine.mem s.Redis_mini.machine in
-  let put_key key =
-    if String.length key = 0 || String.length key > Redis_mini.key_cap then
-      invalid_arg
-        (Fmt.str "redis: key length %d not in 1..%d" (String.length key)
-           Redis_mini.key_cap);
-    Mem.write_string mem ~addr:s.Redis_mini.key_buf key;
-    Mem.store mem ~addr:s.Redis_mini.g_klen ~size:8 (String.length key)
-  in
-  let put_value value =
-    if String.length value = 0 || String.length value > Redis_mini.val_cap
-    then
-      invalid_arg
-        (Fmt.str "redis: value length %d not in 1..%d" (String.length value)
-           Redis_mini.val_cap);
-    Mem.write_string mem ~addr:s.Redis_mini.val_buf value;
-    Mem.store mem ~addr:s.Redis_mini.g_vlen ~size:8 (String.length value)
-  in
   {
     name;
     interp = s.Redis_mini.machine;
     insert =
       (fun ~key ~value ->
-        put_key key;
-        put_value value;
+        Redis_mini.put_key s key;
+        Redis_mini.put_value s value;
         ignore (Compile.call s.Redis_mini.machine "cmd_set" []));
     read =
       (fun ~key ->
-        put_key key;
+        Redis_mini.put_key s key;
         let vl = Compile.call s.Redis_mini.machine "cmd_get" [] in
         if vl < 0 then Absent
         else Found (Mem.read_string mem ~addr:s.Redis_mini.reply_buf ~len:vl));
     delete =
       (fun ~key ->
-        put_key key;
+        Redis_mini.put_key s key;
         Compile.call s.Redis_mini.machine "cmd_del" [] = 1);
     count = (fun () -> Compile.call s.Redis_mini.machine "cmd_count" []);
     check = (fun () -> Compile.call s.Redis_mini.machine "cmd_check" [] <> 0);

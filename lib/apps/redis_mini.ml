@@ -24,10 +24,6 @@ open Hippo_pmcheck
 
 type variant = Flush_free | Manual
 
-let variant_to_string = function
-  | Flush_free -> "flush-free"
-  | Manual -> "manual (Redis-pm)"
-
 let v = Value.reg
 let i = Value.imm
 
@@ -390,29 +386,33 @@ let recover_attach machine : session =
   put "g_txlog" (hdr + 64 + (((nb * 8) + 63) land lnot 63));
   { machine; key_buf; val_buf; reply_buf; g_klen = g "g_klen"; g_vlen = g "g_vlen" }
 
-let set_key s k =
-  let key = Hippo_ycsb.Workload.key_bytes k in
+(* The host's one writer of a connection buffer: [str] into the [cap]-byte
+   buffer at [buf], its length into the global at [len_at]. *)
+let put s ~what ~cap ~buf ~len_at str =
+  let n = String.length str in
+  if n = 0 || n > cap then
+    invalid_arg (Fmt.str "redis: %s length %d not in 1..%d" what n cap);
   let mem = Machine.mem s.machine in
-  Mem.write_string mem ~addr:s.key_buf key;
-  Mem.store mem ~addr:s.g_klen ~size:8 (String.length key)
+  Mem.write_string mem ~addr:buf str;
+  Mem.store mem ~addr:len_at ~size:8 n
 
-let set_value s ~k ~version =
-  let value = Hippo_ycsb.Workload.value_bytes ~k ~version in
-  let mem = Machine.mem s.machine in
-  Mem.write_string mem ~addr:s.val_buf value;
-  Mem.store mem ~addr:s.g_vlen ~size:8 (String.length value)
+let put_key s key =
+  put s ~what:"key" ~cap:key_cap ~buf:s.key_buf ~len_at:s.g_klen key
+
+let put_value s value =
+  put s ~what:"value" ~cap:val_cap ~buf:s.val_buf ~len_at:s.g_vlen value
 
 let op_insert s ~k ~version =
-  set_key s k;
-  set_value s ~k ~version;
+  put_key s (Hippo_ycsb.Workload.key_bytes k);
+  put_value s (Hippo_ycsb.Workload.value_bytes ~k ~version);
   ignore (Compile.call s.machine "cmd_set" [])
 
 let op_read s ~k =
-  set_key s k;
+  put_key s (Hippo_ycsb.Workload.key_bytes k);
   Compile.call s.machine "cmd_get" []
 
 let op_delete s ~k =
-  set_key s k;
+  put_key s (Hippo_ycsb.Workload.key_bytes k);
   Compile.call s.machine "cmd_del" []
 
 let run_op s (op : Hippo_ycsb.Workload.op) =

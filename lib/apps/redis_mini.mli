@@ -15,8 +15,6 @@ open Hippo_pmcheck
 
 type variant = Flush_free | Manual
 
-val variant_to_string : variant -> string
-
 (** Build the program (validated). *)
 val build : variant -> Program.t
 
@@ -48,8 +46,13 @@ val start : ?config:Machine.config -> ?nbuckets:int -> Program.t -> session
     sites. *)
 val recover_attach : Machine.t -> session
 
-val set_key : session -> int -> unit
-val set_value : session -> k:int -> version:int -> unit
+(** [put_key s key] and [put_value s value] write a connection buffer and
+    its length global: the host's one writer of them. Raise
+    [Invalid_argument] unless the length is in [1..key_cap] or
+    [1..val_cap]. *)
+val put_key : session -> string -> unit
+
+val put_value : session -> string -> unit
 val op_insert : session -> k:int -> version:int -> unit
 
 (** Returns the value length, or -1 when absent; the bytes land in

@@ -211,14 +211,16 @@ let repair ?(options = default_options) ?(detector = Dynamic) ?static_entries
   let log = log ?trace name in
   let input = Cache.view cache prog in
   let version = Cache.version input in
-  let detector = E.Detector.of_choice ?entries:static_entries detector in
   let found =
     stage log ~version "locate" (fun () ->
-        let o = detector.detect input ~workload ~config in
+        let o, name =
+          E.Detector.detect ?entries:static_entries detector input ~workload
+            ~config
+        in
         ( o,
           locate_counters ~bugs:o.bugs ~trace_events:o.trace_events
             o.checker_stats,
-          [ ("detector", detector.name) ] ))
+          [ ("detector", name) ] ))
   in
   (* Trace-AA needs per-site observations: the dynamic detector's, or
      an instrumented run when the reports came from the static checker. *)

@@ -92,7 +92,7 @@ val plan :
     (pmemcheck-style tracing); [Static] takes the reports of
     {!Hippo_staticcheck.Checker} instead — same report shape, same repair
     stages; [Both] unions the two report sets
-    ({!Hippo_engine.Detector.of_choice}). *)
+    ({!Hippo_engine.Detector.detect}). *)
 type detector = Hippo_engine.Detector.choice = Dynamic | Static | Both
 
 (** The full pipeline. [workload] drives the program on a machine; the

@@ -1,5 +1,5 @@
-(* First-class bug sources: dynamic execution, the static checker and
-   their union, all producing the same outcome shape. *)
+(* The locate stage's bug sources: dynamic execution, the static checker
+   and their union, all producing the same outcome shape. *)
 
 open Hippo_pmcheck
 
@@ -12,62 +12,37 @@ type outcome = {
   checker_stats : Hippo_staticcheck.Checker.stats option;
 }
 
-type t = {
-  name : string;
-  detect :
-    Cache.view ->
-    workload:(Machine.t -> unit) ->
-    config:Machine.config ->
-    outcome;
-}
-
-let dynamic =
+let dynamic view ~workload ~config =
+  let t =
+    Machine.create { config with Machine.trace = true } (Cache.program view)
+  in
+  Machine.run_workload t workload;
   {
-    name = "dynamic";
-    detect =
-      (fun view ~workload ~config ->
-        let cfg = { config with Machine.trace = true } in
-        let t = Machine.create cfg (Cache.program view) in
-        Machine.run_workload t workload;
-        {
-          bugs = Machine.bugs t;
-          site_stats = Some (Machine.site_stats t);
-          trace_events = List.length (Machine.trace t);
-          checker_stats = None;
-        });
+    bugs = Machine.bugs t;
+    site_stats = Some (Machine.site_stats t);
+    trace_events = List.length (Machine.trace t);
+    checker_stats = None;
   }
 
-let static_ ?entries () =
+let static_ ?entries view =
+  let r = Cache.static_check ?entries view in
   {
-    name = "static";
-    detect =
-      (fun view ~workload:_ ~config:_ ->
-        let r = Cache.static_check ?entries view in
-        {
-          bugs = r.Hippo_staticcheck.Checker.bugs;
-          site_stats = None;
-          trace_events = 0;
-          checker_stats = Some r.Hippo_staticcheck.Checker.stats;
-        });
+    bugs = r.Hippo_staticcheck.Checker.bugs;
+    site_stats = None;
+    trace_events = 0;
+    checker_stats = Some r.Hippo_staticcheck.Checker.stats;
   }
 
-let union a b =
-  {
-    name = a.name ^ "+" ^ b.name;
-    detect =
-      (fun view ~workload ~config ->
-        let ra = a.detect view ~workload ~config in
-        let rb = b.detect view ~workload ~config in
-        let merge oa ob = match oa with Some _ -> oa | None -> ob in
-        {
-          bugs = Report.dedup (ra.bugs @ rb.bugs);
-          site_stats = merge ra.site_stats rb.site_stats;
-          trace_events = max ra.trace_events rb.trace_events;
-          checker_stats = merge ra.checker_stats rb.checker_stats;
-        });
-  }
-
-let of_choice ?entries = function
-  | Dynamic -> dynamic
-  | Static -> static_ ?entries ()
-  | Both -> union dynamic (static_ ?entries ())
+let detect ?entries choice view ~workload ~config =
+  match choice with
+  | Dynamic -> (dynamic view ~workload ~config, "dynamic")
+  | Static -> (static_ ?entries view, "static")
+  | Both ->
+      let d = dynamic view ~workload ~config in
+      let s = static_ ?entries view in
+      ( {
+          d with
+          bugs = Report.dedup (d.bugs @ s.bugs);
+          checker_stats = s.checker_stats;
+        },
+        "dynamic+static" )

@@ -1,14 +1,11 @@
-(** First-class bug sources for the repair pipeline's locate stage.
-
-    A detector produces durability-bug reports for a program: the
-    dynamic pmemcheck-style bug finder, the workload-free static
-    checker, or their union. Detectors share one report shape
+(** The repair pipeline's bug sources, for its locate stage: the dynamic
+    pmemcheck-style bug finder, the workload-free static checker, or
+    their union. All three produce one report shape
     ({!Hippo_pmcheck.Report.bug}), so the stages after locate are
     oblivious to where bugs came from. *)
 
 open Hippo_pmcheck
 
-(** The classic three-way selection, kept for CLI/API compatibility. *)
 type choice = Dynamic | Static | Both
 
 (** What a detector found. [site_stats] and [trace_events] are only
@@ -22,24 +19,16 @@ type outcome = {
   checker_stats : Hippo_staticcheck.Checker.stats option;
 }
 
-type t = {
-  name : string;
-  detect :
-    Cache.view ->
-    workload:(Machine.t -> unit) ->
-    config:Machine.config ->
-    outcome;
-}
-
-(** Execute the workload on a tracing machine. *)
-val dynamic : t
-
-(** Run the static durability checker (analyses come from the cache, so
-    repeated detections of one program version are free). *)
-val static_ : ?entries:string list -> unit -> t
-
-(** Union of two detectors' reports, deduplicated; outcome metadata is
-    merged (left operand wins on conflicts). *)
-val union : t -> t -> t
-
-val of_choice : ?entries:string list -> choice -> t
+(** [detect choice view ~workload ~config] runs the chosen detector and
+    returns what it found with its name ([dynamic], [static] or
+    [dynamic+static]). [Dynamic] executes [workload] on a tracing
+    machine; [Static] runs the static checker from [?entries], its
+    analyses coming from the cache; [Both] runs both, in that order,
+    and deduplicates their reports. *)
+val detect :
+  ?entries:string list ->
+  choice ->
+  Cache.view ->
+  workload:(Machine.t -> unit) ->
+  config:Machine.config ->
+  outcome * string

@@ -294,47 +294,50 @@ let subtract st = function
       }
   | Eany -> { st with clean = LSet.empty; pending = LSet.empty }
 
-(* Functions that may transitively execute a flush or nontemporal store
-   (syntactic closure over the call graph; the libpmem runtime bodies
-   carry their own [Flush] instructions, so no name special-casing). *)
-let may_flush_set prog =
-  let funcs = Program.funcs prog in
-  let direct f =
-    Func.fold_instrs
-      (fun acc (i : Instr.t) ->
-        acc
-        ||
-        match Instr.op i with
-        | Instr.Flush _ -> true
-        | Instr.Store { nontemporal; _ } -> nontemporal
-        | _ -> false)
-      false f
-  in
-  let set =
-    ref
-      (List.fold_left
-         (fun s f -> if direct f then SSet.add (Func.name f) s else s)
-         SSet.empty funcs)
-  in
-  let changed = ref true in
+(* [set] grown to a fixpoint by every function [f] of [funcs] for which
+   [holds set f]: each round walks [funcs] in order, and a function joins
+   as soon as it qualifies. *)
+let fixpoint funcs set holds =
+  let set = ref set and changed = ref true in
   while !changed do
     changed := false;
     List.iter
       (fun f ->
         let name = Func.name f in
-        if not (SSet.mem name !set) then
-          let calls_flusher =
-            List.exists
-              (fun (_, callee, _) -> SSet.mem callee !set)
-              (Func.call_sites f)
-          in
-          if calls_flusher then begin
-            set := SSet.add name !set;
-            changed := true
-          end)
+        if (not (SSet.mem name !set)) && holds !set f then begin
+          set := SSet.add name !set;
+          changed := true
+        end)
       funcs
   done;
   !set
+
+(* Syntactic closure over the call graph: the functions with an
+   instruction satisfying [direct], and every function calling one. *)
+let call_closure prog direct =
+  let funcs = Program.funcs prog in
+  let seeds =
+    List.fold_left
+      (fun s f ->
+        if Func.fold_instrs (fun acc i -> acc || direct i) false f then
+          SSet.add (Func.name f) s
+        else s)
+      SSet.empty funcs
+  in
+  fixpoint funcs seeds (fun set f ->
+      List.exists
+        (fun (_, callee, _) -> SSet.mem callee set)
+        (Func.call_sites f))
+
+(* Functions that may transitively execute a flush or nontemporal store
+   (the libpmem runtime bodies carry their own [Flush] instructions, so
+   no name special-casing). *)
+let may_flush_set prog =
+  call_closure prog (fun i ->
+      match Instr.op i with
+      | Instr.Flush _ -> true
+      | Instr.Store { nontemporal; _ } -> nontemporal
+      | _ -> false)
 
 let strict_fence st =
   { clean = LSet.union st.clean st.pending; pending = LSet.empty; wpq = false }
@@ -480,49 +483,16 @@ let strict_func t mf states f =
    image bit-identical. This is the epoch view of Bentō: within a
    crash-free window, one fence ends the epoch as well as two. *)
 
-(* Syntactic closure: functions that might execute a [Crash] (or call
-   out of the program / abort — conservatively treated as crashing). *)
+(* Functions that might execute a [Crash] (or call out of the program /
+   abort — conservatively treated as crashing). *)
 let has_crash_set prog =
-  let funcs = Program.funcs prog in
-  let known callee =
-    Program.is_intrinsic callee || Program.mem prog callee
-  in
-  let direct f =
-    Func.fold_instrs
-      (fun acc (i : Instr.t) ->
-        acc
-        ||
-        match Instr.op i with
-        | Instr.Crash -> true
-        | Instr.Call { callee = "abort"; _ } -> true
-        | Instr.Call { callee; _ } -> not (known callee)
-        | _ -> false)
-      false f
-  in
-  let set =
-    ref
-      (List.fold_left
-         (fun s f -> if direct f then SSet.add (Func.name f) s else s)
-         SSet.empty funcs)
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun f ->
-        let name = Func.name f in
-        if not (SSet.mem name !set) then
-          if
-            List.exists
-              (fun (_, callee, _) -> SSet.mem callee !set)
-              (Func.call_sites f)
-          then begin
-            set := SSet.add name !set;
-            changed := true
-          end)
-      funcs
-  done;
-  !set
+  call_closure prog (fun i ->
+      match Instr.op i with
+      | Instr.Crash -> true
+      | Instr.Call { callee = "abort"; _ } -> true
+      | Instr.Call { callee; _ } ->
+          not (Program.is_intrinsic callee || Program.mem prog callee)
+      | _ -> false)
 
 let fencing_callees = [ "pmem_drain"; "pmem_persist"; "pmem_memcpy_persist" ]
 
@@ -575,26 +545,10 @@ let window_scan prog hc mf ~doomed f rest label =
    path before returning (and to be crash-free up to it). Computed as a
    monotone fixpoint with the window scanner itself, no doomed set. *)
 let must_fence_set prog hc =
-  let funcs = Program.funcs prog in
-  let set = ref SSet.empty in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun f ->
-        let name = Func.name f in
-        if not (SSet.mem name !set) then
-          let e = Func.entry f in
-          if
-            window_scan prog hc !set ~doomed:Iid.Set.empty f e.Func.instrs
-              e.Func.label
-          then begin
-            set := SSet.add name !set;
-            changed := true
-          end)
-      funcs
-  done;
-  !set
+  fixpoint (Program.funcs prog) SSet.empty (fun set f ->
+      let e = Func.entry f in
+      window_scan prog hc set ~doomed:Iid.Set.empty f e.Func.instrs
+        e.Func.label)
 
 (* ------------------------------------------------------------------ *)
 (* Decisions *)

@@ -5,18 +5,15 @@
     state machine ({!Pstate}) copies ranges into the persisted image when
     they become durable (flush + fence, or [clflush]).
 
-    Every segment is lazily backed, so building a machine, taking an image
-    and restarting from one cost O(bytes touched), not O(segment size).
-    Both PM images are paged, as a DAX-mapped pool is: 4 KB pages in a
-    page table, each allocated zero-filled the first time an access needs
-    it, so an image costs the pages the program touched and no PM buffer
-    is ever grown or copied whole. The volatile heap, stack and globals
-    are each one buffer holding a prefix of the segment, doubled from 4 KB
-    on an out-of-line slow path: what a program touches there does not
-    grow with the records it stores, and a page-table load on every
-    volatile access would buy nothing. Segment sizes, bounds checks and
-    trap messages are those of an eagerly zeroed segment. PM images are
-    trimmed: the bytes up to the last nonzero one.
+    Every segment is paged, as a DAX-mapped pool is: the volatile heap, the
+    stack, the globals and the PM working image are each a table of 4 KB
+    pages, and the durable image is a second table over the PM segment. A
+    page is allocated zero-filled the first time an access needs it, so
+    building a machine, taking an image and restarting from one cost
+    O(bytes touched), not O(segment size), and no buffer is ever grown or
+    copied whole. Segment sizes, bounds checks and trap messages are those
+    of an eagerly zeroed segment. PM images are trimmed: the bytes up to
+    the last nonzero one.
 
     With [~track_images:true] the memory additionally maintains, at O(bytes
     changed) per operation, a live {!Imghash} fingerprint of both images —
@@ -30,111 +27,77 @@ let trap fmt = Fmt.kstr (fun m -> raise (Trap m)) fmt
 (** Image-fingerprint state, allocated only when tracking is on. *)
 type tracker = { work_hash : Imghash.t; dur_hash : Imghash.t }
 
+(* Page tables, segment sizes and bump pointers share one index: entries 1
+   to 4 are the segments of {!Layout}'s map, numbered by an address's top
+   nibble (1 volatile heap, 2 stack, 3 globals, 4 PM), so segment [k]'s
+   base address is [k lsl 28]; entry 5 is the durable image. Entry 0 (the
+   null page and the other addresses below the heap) is an empty segment,
+   so an access there always reaches the slow path, which traps. *)
+let heap = 1
+let stack = 2
+let pm = 4 (* the working image: CPU-cache view of PM *)
+let durable = 5 (* what a crash preserves *)
+
 type t = {
-  mutable vol : Bytes.t;
-  mutable stack : Bytes.t;
-  mutable globals : Bytes.t;
-  mutable pm : Bytes.t array;  (** working image pages: CPU-cache view of PM *)
-  mutable pm_persisted : Bytes.t array;
-      (** durable image pages: what a crash preserves *)
-  vol_size : int;
-  stack_size : int;
-  global_size : int;
-  pm_size : int;
-  mutable vol_brk : int;
-  mutable stack_brk : int;
-  mutable pm_brk : int;
+  pages : Bytes.t array array;
+  size : int array;
+  brk : int array;  (** only the heap's, the stack's and PM's move *)
   global_addrs : (string * int) list;
   track : tracker option;
 }
 
 let align8 n = (n + 7) land lnot 7
 
-(* The region base is always the address's top nibble, so the offset into
-   a segment is a mask away. *)
+(* The offset into a segment is a mask away. *)
 let[@inline] seg_off addr = addr land 0x0FFF_FFFF
 
-(* Volatile buffers ------------------------------------------------------- *)
+(* Pages ------------------------------------------------------------------- *)
 
-(* A buffer's first allocation; each growth doubles it, up to the segment
-   size. *)
-let first_backing = 4096
-
-(* [buf] zero-extended to cover [need] bytes of a [cap]-byte segment
-   ([need <= cap]). *)
-let covering buf ~need ~cap =
-  if need <= Bytes.length buf then buf
-  else begin
-    let len = ref (max first_backing (Bytes.length buf)) in
-    while !len < need do
-      len := 2 * !len
-    done;
-    let b = Bytes.make (min !len cap) '\000' in
-    Bytes.blit buf 0 b 0 (Bytes.length buf);
-    b
-  end
-
-(* PM pages --------------------------------------------------------------- *)
-
-(* A PM image is a table of pages, indexed by [seg_off addr lsr page_bits].
-   A page's buffer holds a prefix of the page and every byte past it is
-   zero: [Bytes.empty] until an access needs the page, then the whole page,
-   whose length for the segment's last page ends where the segment ends.
-   Only a seed image's last chunk is shorter ({!create} copies each chunk
-   at its own length). So a page's length bounds every access, as the
-   segment's size would. The table grows to the highest page touched. *)
+(* A table is indexed by [seg_off addr lsr page_bits]. A page's buffer
+   holds a prefix of the page and every byte past it is zero: [Bytes.empty]
+   until an access needs the page, then the whole page, whose length for
+   the segment's last page ends where the segment ends. Only a seed image's
+   last chunk is shorter ({!create} copies each chunk at its own length).
+   So a page's length bounds every access, as the segment's size would.
+   A table grows by doubling to the highest page touched. *)
 let page_bits = 12
 let page_size = 1 lsl page_bits
 let page_mask = page_size - 1
-let page_count t = (t.pm_size + page_mask) lsr page_bits
-let page_len t i = min page_size (t.pm_size - (i lsl page_bits))
 
 let[@inline] page_of tbl i =
   if i < Array.length tbl then Array.unsafe_get tbl i else Bytes.empty
 
-(* [tbl], grown if need be, with page [i] (below [page_count t]) backed at
-   its full length. *)
-let[@inline never] backed t tbl i =
+(* Page [i] of table [k], a page inside the segment, backed at its full
+   length; the table grows first if need be. *)
+let[@inline never] back t k i =
+  let size = t.size.(k) and tbl = t.pages.(k) in
   let tbl =
     if i < Array.length tbl then tbl
     else begin
+      let count = (size + page_mask) lsr page_bits in
       let grown =
-        Array.make
-          (min (page_count t) (max (i + 1) (2 * Array.length tbl)))
-          Bytes.empty
+        Array.make (min count (max (i + 1) (2 * Array.length tbl))) Bytes.empty
       in
       Array.blit tbl 0 grown 0 (Array.length tbl);
+      t.pages.(k) <- grown;
       grown
     end
   in
-  let p = tbl.(i) in
-  if Bytes.length p < page_len t i then begin
-    let full = Bytes.make (page_len t i) '\000' in
+  let p = tbl.(i) and len = min page_size (size - (i lsl page_bits)) in
+  if Bytes.length p >= len then p
+  else begin
+    let full = Bytes.make len '\000' in
     Bytes.blit p 0 full 0 (Bytes.length p);
-    tbl.(i) <- full
-  end;
-  tbl
-
-(* The working page holding PM offset [off], backed up to [off + len];
-   [off, off + len) lies inside one page of the segment. *)
-let working_at t off len =
-  let i = off lsr page_bits in
-  let p = page_of t.pm i in
-  if (off land page_mask) + len <= Bytes.length p then p
-  else begin
-    t.pm <- backed t t.pm i;
-    Array.unsafe_get t.pm i
+    tbl.(i) <- full;
+    full
   end
 
-(* The same, in the durable image. *)
-let durable_at t off len =
-  let i = off lsr page_bits in
-  let p = page_of t.pm_persisted i in
+(* The page of table [k] holding segment offset [off], backed up to
+   [off + len]; [off, off + len) lies inside one page of the segment. *)
+let page_at t k off len =
+  let p = page_of t.pages.(k) (off lsr page_bits) in
   if (off land page_mask) + len <= Bytes.length p then p
-  else begin
-    t.pm_persisted <- backed t t.pm_persisted i;
-    Array.unsafe_get t.pm_persisted i
-  end
+  else back t k (off lsr page_bits)
 
 (* A seed image as a page table: one copy per chunk, at the chunk's own
    length. *)
@@ -199,18 +162,9 @@ let create ?(vol_size = 1 lsl 24) ?(stack_size = 1 lsl 22)
       Some { work_hash = h; dur_hash = Imghash.copy h }
   in
   {
-    vol = Bytes.empty;
-    stack = Bytes.empty;
-    globals = Bytes.empty;
-    pm = pages_of img;
-    pm_persisted = pages_of img;
-    vol_size;
-    stack_size;
-    global_size;
-    pm_size;
-    vol_brk = 0;
-    stack_brk = 0;
-    pm_brk;
+    pages = [| [||]; [||]; [||]; [||]; pages_of img; pages_of img |];
+    size = [| 0; vol_size; stack_size; global_size; pm_size; pm_size |];
+    brk = [| 0; 0; 0; 0; pm_brk; 0 |];
     global_addrs;
     track;
   }
@@ -220,64 +174,28 @@ let global_addr t name =
   | Some a -> a
   | None -> trap "unknown global @%s" name
 
-let pm_brk t = t.pm_brk
+let pm_brk t = t.brk.(pm)
 
 (* Slow path ---------------------------------------------------------------- *)
 
 (* The slow path's first step: traps if [addr, addr + size) lies outside
-   its segment, exactly as an eagerly backed segment would; otherwise backs
-   all of it. *)
-let[@inline never] cover t addr size =
-  let need = seg_off addr + size in
-  let grown buf cap =
-    if need > cap then trap "out-of-bounds access at 0x%x (size %d)" addr size;
-    covering buf ~need ~cap
-  in
+   its segment, exactly as an eagerly backed segment would. *)
+let check t addr size =
   match Layout.region_of_addr addr with
-  | Layout.Vol_heap -> t.vol <- grown t.vol t.vol_size
-  | Layout.Stack -> t.stack <- grown t.stack t.stack_size
-  | Layout.Globals -> t.globals <- grown t.globals t.global_size
-  | Layout.Pm ->
-      if need > t.pm_size then
-        trap "out-of-bounds access at 0x%x (size %d)" addr size;
-      for i = seg_off addr lsr page_bits to (need - 1) asr page_bits do
-        ignore (working_at t (i lsl page_bits) (page_len t i))
-      done
   | Layout.Null_page -> trap "null-page access at 0x%x" addr
   | Layout.Wild -> trap "wild access at 0x%x" addr
+  | Layout.Vol_heap | Layout.Stack | Layout.Globals | Layout.Pm ->
+      if seg_off addr + size > t.size.(addr lsr 28) then
+        trap "out-of-bounds access at 0x%x (size %d)" addr size
 
-(* The fast paths dispatch on an address's top nibble, its region in
-   {!Layout}'s map (1 volatile heap, 2 stack, 3 globals, 4 PM), without
-   calling into [Layout]: dune's default profile compiles modules
-   opaquely, so that would be a function call on every access. The null
-   page and wild addresses reach the slow path, which classifies them
-   with [Layout.region_of_addr]. *)
-let[@inline] is_pm addr = addr lsr 28 = 4
+let[@inline] is_pm addr = addr lsr 28 = pm
 
-(* The volatile segment's buffer holding [addr] at [seg_off addr], or
-   [Bytes.empty] for any other address, whose access takes the slow
-   path. *)
-let[@inline] vol_buf t addr =
-  match addr lsr 28 with
-  | 1 -> t.vol
-  | 2 -> t.stack
-  | 3 -> t.globals
-  | _ -> Bytes.empty
-
-(* The working page holding PM [addr] at [addr land page_mask], or
-   [Bytes.empty] if it is not backed yet. *)
-let[@inline] pm_page t addr = page_of t.pm (seg_off addr lsr page_bits)
-
-(* Byte [a] of an access [cover] has backed. *)
+(* Byte [a] of an access [check] has passed. *)
 let get_byte t a =
-  if is_pm a then
-    Bytes.get_uint8 (working_at t (seg_off a) 1) (a land page_mask)
-  else Bytes.get_uint8 (vol_buf t a) (seg_off a)
+  Bytes.get_uint8 (page_at t (a lsr 28) (seg_off a) 1) (a land page_mask)
 
 let set_byte t a b =
-  if is_pm a then
-    Bytes.set_uint8 (working_at t (seg_off a) 1) (a land page_mask) b
-  else Bytes.set_uint8 (vol_buf t a) (seg_off a) b
+  Bytes.set_uint8 (page_at t (a lsr 28) (seg_off a) 1) (a land page_mask) b
 
 let valid_size = function 1 | 2 | 4 | 8 -> true | _ -> false
 
@@ -286,7 +204,7 @@ let valid_size = function 1 | 2 | 4 | 8 -> true | _ -> false
    8-byte value's byte 7 loses the sign extension, as the fast path's
    mask does. *)
 let[@inline never] load_slow t addr size =
-  cover t addr size;
+  check t addr size;
   if not (valid_size size) then trap "bad load size %d" size;
   let v = ref 0 in
   for k = size - 1 downto 0 do
@@ -295,7 +213,7 @@ let[@inline never] load_slow t addr size =
   !v
 
 let[@inline never] store_slow t addr size v =
-  cover t addr size;
+  check t addr size;
   if not (valid_size size) then trap "bad store size %d" size;
   for k = 0 to size - 1 do
     set_byte t (addr + k) ((v lsr (8 * k)) land 0xFF)
@@ -305,12 +223,21 @@ let[@inline never] store_slow t addr size v =
 
 (* The compiled tier fixes an access's size (and, for stores, whether image
    tracking is on) when it compiles a closure, so there is no per-access
-   size dispatch. A PM access loads its page from the table and compares
-   once against the page's length; a volatile access dispatches on its
-   region and compares once against its buffer's length. Everything else
-   takes the slow path. [@inline] folds the helpers into each accessor;
-   it inlines the accessors into the compiled tier's closures only in
-   builds that do not compile modules opaquely. *)
+   size dispatch. An access indexes the page tables with its address's top
+   nibble, without calling into [Layout] (dune's default profile compiles
+   modules opaquely, so that would be a function call on every access),
+   loads its page and compares once against the page's length. Everything
+   else takes the slow path. [@inline] folds the helpers into each
+   accessor; it inlines the accessors into the compiled tier's closures
+   only in builds that do not compile modules opaquely. *)
+
+(* The working page holding [addr] at [addr land page_mask], or
+   [Bytes.empty] if it is not backed yet or [addr] is in no segment. *)
+let[@inline] page t addr =
+  let k = addr lsr 28 in
+  if k <= pm then
+    page_of (Array.unsafe_get t.pages k) (seg_off addr lsr page_bits)
+  else Bytes.empty
 
 external unsafe_get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
 external unsafe_get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
@@ -336,21 +263,10 @@ let[@inline] get8 t buf off addr =
   if off + 8 <= Bytes.length buf then Int64.to_int (unsafe_get64 buf off)
   else load_slow t addr 8
 
-let[@inline] load1 t addr =
-  if is_pm addr then get1 t (pm_page t addr) (addr land page_mask) addr
-  else get1 t (vol_buf t addr) (seg_off addr) addr
-
-let[@inline] load2 t addr =
-  if is_pm addr then get2 t (pm_page t addr) (addr land page_mask) addr
-  else get2 t (vol_buf t addr) (seg_off addr) addr
-
-let[@inline] load4 t addr =
-  if is_pm addr then get4 t (pm_page t addr) (addr land page_mask) addr
-  else get4 t (vol_buf t addr) (seg_off addr) addr
-
-let[@inline] load8 t addr =
-  if is_pm addr then get8 t (pm_page t addr) (addr land page_mask) addr
-  else get8 t (vol_buf t addr) (seg_off addr) addr
+let[@inline] load1 t addr = get1 t (page t addr) (addr land page_mask) addr
+let[@inline] load2 t addr = get2 t (page t addr) (addr land page_mask) addr
+let[@inline] load4 t addr = get4 t (page t addr) (addr land page_mask) addr
+let[@inline] load8 t addr = get8 t (page t addr) (addr land page_mask) addr
 
 (* The [storeN] variants bypass the image tracker and must only be used
    when image tracking is off (the compiled tier checks the config's
@@ -376,21 +292,10 @@ let[@inline] set8 t buf off addr v =
     unsafe_set64 buf off (Int64.logand (Int64.of_int v) 0x7FFF_FFFF_FFFF_FFFFL)
   else store_slow t addr 8 v
 
-let[@inline] store1 t addr v =
-  if is_pm addr then set1 t (pm_page t addr) (addr land page_mask) addr v
-  else set1 t (vol_buf t addr) (seg_off addr) addr v
-
-let[@inline] store2 t addr v =
-  if is_pm addr then set2 t (pm_page t addr) (addr land page_mask) addr v
-  else set2 t (vol_buf t addr) (seg_off addr) addr v
-
-let[@inline] store4 t addr v =
-  if is_pm addr then set4 t (pm_page t addr) (addr land page_mask) addr v
-  else set4 t (vol_buf t addr) (seg_off addr) addr v
-
-let[@inline] store8 t addr v =
-  if is_pm addr then set8 t (pm_page t addr) (addr land page_mask) addr v
-  else set8 t (vol_buf t addr) (seg_off addr) addr v
+let[@inline] store1 t addr v = set1 t (page t addr) (addr land page_mask) addr v
+let[@inline] store2 t addr v = set2 t (page t addr) (addr land page_mask) addr v
+let[@inline] store4 t addr v = set4 t (page t addr) (addr land page_mask) addr v
+let[@inline] store8 t addr v = set8 t (page t addr) (addr land page_mask) addr v
 
 let load t ~addr ~size =
   match size with
@@ -403,7 +308,7 @@ let load t ~addr ~size =
 let store t ~addr ~size v =
   match t.track with
   | Some tr when is_pm addr ->
-      cover t addr size;
+      check t addr size;
       if not (valid_size size) then trap "bad store size %d" size;
       for k = 0 to size - 1 do
         let a = addr + k in
@@ -433,20 +338,20 @@ let persist_tracked tr dst ~po ~off ~len ~byte_at =
     end
   done
 
-(* Each loop below walks the pages of a PM range [off, stop): page [i]
-   holds its bytes [lo, lo + n), at page offset [lo land page_mask]. *)
+(* Each loop below walks the pages of a segment range [off, stop): page
+   [i] holds its bytes [lo, lo + n), at page offset [lo land page_mask]. *)
 
 (** [persist_range t ~addr ~size] copies working PM content into the
     persisted image (called by {!Pstate} when a range becomes durable). *)
 let persist_range t ~addr ~size =
   let off = addr - Layout.pm_base in
-  if off < 0 || off + size > t.pm_size then
+  if off < 0 || off + size > t.size.(pm) then
     trap "persist_range outside PM at 0x%x" addr;
   let stop = off + size in
   for i = off lsr page_bits to (stop - 1) asr page_bits do
     let lo = max off (i lsl page_bits) in
     let n = min stop ((i + 1) lsl page_bits) - lo and po = lo land page_mask in
-    let src = working_at t lo n and dst = durable_at t lo n in
+    let src = page_at t pm lo n and dst = page_at t durable lo n in
     match t.track with
     | Some tr ->
         persist_tracked tr dst ~po ~off:lo ~len:n ~byte_at:(fun k ->
@@ -461,12 +366,12 @@ let persist_range t ~addr ~size =
 let persist_string t ~addr s =
   let off = addr - Layout.pm_base in
   let stop = off + String.length s in
-  if off < 0 || stop > t.pm_size then
+  if off < 0 || stop > t.size.(pm) then
     trap "persist_string outside PM at 0x%x" addr;
   for i = off lsr page_bits to (stop - 1) asr page_bits do
     let lo = max off (i lsl page_bits) in
     let n = min stop ((i + 1) lsl page_bits) - lo and po = lo land page_mask in
-    let dst = durable_at t lo n in
+    let dst = page_at t durable lo n in
     match t.track with
     | Some tr ->
         persist_tracked tr dst ~po ~off:lo ~len:n ~byte_at:(fun k ->
@@ -475,10 +380,10 @@ let persist_string t ~addr s =
   done
 
 (** The durable image, trimmed: the post-crash PM contents. *)
-let crash_image t = trimmed t.pm_persisted
+let crash_image t = trimmed t.pages.(durable)
 
 (** The working image, trimmed (as if everything had reached PM). *)
-let working_image t = trimmed t.pm
+let working_image t = trimmed t.pages.(pm)
 
 (* Image tracking ---------------------------------------------------------- *)
 
@@ -495,52 +400,32 @@ let durable_digest t = Imghash.digest (tracker t).dur_hash
 
 (* Allocators ------------------------------------------------------------- *)
 
-let alloc_vol t size =
-  let size = align8 (max size 1) in
-  if t.vol_brk + size > t.vol_size then trap "volatile heap exhausted";
-  let addr = Layout.vol_base + t.vol_brk in
-  t.vol_brk <- t.vol_brk + size;
-  addr
+(* Moves segment [k]'s bump pointer past [size] bytes rounded up to [align]
+   (a power of two) and returns the address it pointed at. *)
+let bump t k ~align size exhausted =
+  let size = (max size 1 + align - 1) land lnot (align - 1) in
+  let brk = t.brk.(k) in
+  if brk + size > t.size.(k) then raise (Trap exhausted);
+  t.brk.(k) <- brk + size;
+  (k lsl 28) + brk
+
+let alloc_vol t size = bump t heap ~align:8 size "volatile heap exhausted"
 
 (** PM allocations are cache-line aligned, as PMDK's allocator guarantees;
     this keeps distinct objects from sharing flush granules. *)
-let alloc_pm t size =
-  let size = (max size 1 + 63) land lnot 63 in
-  if t.pm_brk + size > t.pm_size then trap "persistent heap exhausted";
-  let addr = Layout.pm_base + t.pm_brk in
-  t.pm_brk <- t.pm_brk + size;
-  addr
+let alloc_pm t size = bump t pm ~align:64 size "persistent heap exhausted"
 
-let stack_mark t = t.stack_brk
-
-let stack_release t mark = t.stack_brk <- mark
-
-let alloc_stack t size =
-  let size = align8 (max size 1) in
-  if t.stack_brk + size > t.stack_size then trap "stack overflow";
-  let addr = Layout.stack_base + t.stack_brk in
-  t.stack_brk <- t.stack_brk + size;
-  addr
+let alloc_stack t size = bump t stack ~align:8 size "stack overflow"
+let stack_mark t = t.brk.(stack)
+let stack_release t mark = t.brk.(stack) <- mark
 
 (* Host-side convenience accessors ---------------------------------------- *)
 
-(* Whether [addr, addr + len) is nonempty and lies inside one segment (and
-   so inside one region): one range check then covers every byte. *)
+(* Whether [addr, addr + len) is nonempty and lies inside one segment: one
+   range check then covers every byte. *)
 let in_one_segment t addr len =
-  let seg =
-    match Layout.region_of_addr addr with
-    | Layout.Vol_heap -> t.vol_size
-    | Layout.Stack -> t.stack_size
-    | Layout.Globals -> t.global_size
-    | Layout.Pm -> t.pm_size
-    | Layout.Null_page | Layout.Wild -> 0
-  in
-  len > 0 && seg_off addr + len <= min seg 0x1000_0000
-
-(* The volatile buffer holding [addr, addr + len), inside one segment. *)
-let vol_backing t addr len =
-  if seg_off addr + len > Bytes.length (vol_buf t addr) then cover t addr len;
-  vol_buf t addr
+  let k = addr lsr 28 in
+  len > 0 && k <= pm && seg_off addr + len <= min t.size.(k) 0x1000_0000
 
 (* A range that leaves its segment goes byte by byte, so it writes the same
    prefix and traps with the same message as [len] single-byte stores; a
@@ -552,29 +437,25 @@ let write_string t ~addr s =
     || (is_pm addr && Option.is_some t.track)
   then
     String.iteri (fun i c -> store t ~addr:(addr + i) ~size:1 (Char.code c)) s
-  else if is_pm addr then begin
-    let off = seg_off addr in
+  else
+    let k = addr lsr 28 and off = seg_off addr in
     let stop = off + len in
     for i = off lsr page_bits to (stop - 1) asr page_bits do
       let lo = max off (i lsl page_bits) in
       let n = min stop ((i + 1) lsl page_bits) - lo in
-      Bytes.blit_string s (lo - off) (working_at t lo n) (lo land page_mask) n
+      Bytes.blit_string s (lo - off) (page_at t k lo n) (lo land page_mask) n
     done
-  end
-  else Bytes.blit_string s 0 (vol_backing t addr len) (seg_off addr) len
 
 let read_string t ~addr ~len =
   if not (in_one_segment t addr len) then
     String.init len (fun i ->
         Char.chr (load t ~addr:(addr + i) ~size:1 land 0xFF))
-  else if is_pm addr then begin
-    let off = seg_off addr in
+  else
+    let k = addr lsr 28 and off = seg_off addr in
     let stop = off + len and s = Bytes.create len in
     for i = off lsr page_bits to (stop - 1) asr page_bits do
       let lo = max off (i lsl page_bits) in
       let n = min stop ((i + 1) lsl page_bits) - lo in
-      Bytes.blit (working_at t lo n) (lo land page_mask) s (lo - off) n
+      Bytes.blit (page_at t k lo n) (lo land page_mask) s (lo - off) n
     done;
     Bytes.unsafe_to_string s
-  end
-  else Bytes.sub_string (vol_backing t addr len) (seg_off addr) len

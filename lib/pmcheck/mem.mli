@@ -9,14 +9,15 @@
     extension so byte 7 round-trips through byte-wise loads.
 
     Segments are lazily backed: a machine, an image and a restart cost
-    O(bytes touched), not O(segment size). Both PM images are held in
-    4 KB pages, each allocated the first time an access needs it, so a
-    PM image costs the pages the program touched; the volatile segments
-    are buffers that double as they are touched. No program can tell —
-    segment sizes, bounds checks, trap messages and allocator exhaustion
-    points are those of eagerly zeroed segments. PM images are trimmed:
-    an image is its bytes up to the last nonzero one, so [Bytes.equal] is
-    image equality and every byte past an image's end is zero.
+    O(bytes touched), not O(segment size). Every segment (volatile heap,
+    stack, globals and the PM working image) is held in 4 KB pages, and
+    so is the durable image; a page is allocated the first time an
+    access needs it, so a segment costs the pages the program touched.
+    No program can tell — segment sizes, bounds checks, trap messages
+    and allocator exhaustion points are those of eagerly zeroed
+    segments. PM images are trimmed: an image is its bytes up to the
+    last nonzero one, so [Bytes.equal] is image equality and every byte
+    past an image's end is zero.
 
     With [~track_images:true] the memory additionally maintains, at
     O(bytes changed) per operation, a live {!Imghash} fingerprint of both

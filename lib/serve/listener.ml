@@ -9,7 +9,8 @@
     for more bytes), and [Oversized]/[Malformed] input earns an [Err]
     reply followed by connection close. Replies are written
     synchronously — clients speak a synchronous RPC, so replies are one
-    small frame each.
+    small frame each. SIGPIPE is ignored while serving: a client that
+    hangs up before reading its reply has its connection closed.
 
     [expect_conns] bounds the server's lifetime for tests and benches:
     the loop returns once that many connections have been accepted and
@@ -56,14 +57,19 @@ let write_all fd s =
   go 0
 
 (* Dispatch every complete frame in [c.buf]; returns [`Close] on a
-   protocol violation (after sending an [Err] reply). *)
+   protocol violation (after sending an [Err] reply) and when the client
+   has hung up before reading a reply. *)
 let drain ~app ~metrics c =
   let data = Buffer.contents c.buf in
   let rec go pos =
     match Protocol.decode_request data ~pos with
-    | Ok (req, next) ->
-        write_all c.fd (Protocol.encode_reply (Handler.handle ~app ~metrics req));
-        go next
+    | Ok (req, next) -> (
+        match
+          write_all c.fd
+            (Protocol.encode_reply (Handler.handle ~app ~metrics req))
+        with
+        | () -> go next
+        | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> `Close)
     | Error Protocol.Truncated ->
         Buffer.clear c.buf;
         Buffer.add_substring c.buf data pos (String.length data - pos);
@@ -77,7 +83,7 @@ let drain ~app ~metrics c =
   in
   go 0
 
-let serve ~(app : App.t) ~(metrics : Metrics.t) ~listen ?expect_conns () =
+let event_loop ~(app : App.t) ~(metrics : Metrics.t) ~listen ?expect_conns () =
   let read_chunk = Bytes.create 65536 in
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
   let closed = ref 0 in
@@ -121,6 +127,14 @@ let serve ~(app : App.t) ~(metrics : Metrics.t) ~listen ?expect_conns () =
                   close_conn c))
       readable
   done
+
+let serve ~app ~metrics ~listen ?expect_conns () =
+  (* A reply to a client that has hung up fails with EPIPE (see [drain])
+     instead of killing the server with SIGPIPE. *)
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () -> Sys.set_signal Sys.sigpipe sigpipe)
+    (fun () -> event_loop ~app ~metrics ~listen ?expect_conns ())
 
 (* ------------------------------------------------------------------ *)
 (* The synchronous RPC client (the load generator's side). *)

@@ -4,7 +4,8 @@
 
     Complete frames are dispatched in arrival order; [Truncated] input
     waits for more bytes; [Oversized]/[Malformed] input earns an [Err]
-    reply and the connection is closed. *)
+    reply and the connection is closed, as does a client hanging up
+    before reading its reply (SIGPIPE is ignored while serving). *)
 
 (** Bind a Unix-domain listening socket (unlinking any stale path). *)
 val listen_unix : path:string -> Unix.file_descr

@@ -183,11 +183,12 @@ let test_lazy_segment_boundaries () =
   Alcotest.(check string) "global segment overflow" "global segment overflow"
     (trap_message (fun () -> Mem.create [ ("g", (1 lsl 20) + 1) ]))
 
-(* Differential: random operations on a lazily backed Mem against an
-   eager model made of full-size [Bytes]. Segment sizes sit around the
-   4 KB first backing, offsets cluster at segment ends and at buffer
-   growth points, and the PM may start from a seed image of any length up
-   to the segment. *)
+(* Differential: random operations on a paged Mem against an eager model
+   made of full-size [Bytes]. Segment sizes sit around the 4 KB page, so a
+   last page may be short; offsets cluster at segment ends, at 4096·2^k
+   and at every 4 KB multiple inside each segment, where an access may
+   cross a page boundary; and the PM may start from a seed image of any
+   length up to the segment. *)
 
 type mop =
   | M_store of { seg : int; off : int; size : int; v : int; fast : bool }
@@ -239,6 +240,11 @@ let gen_mcase =
           map2
             (fun k d -> min (size - 1) (max 0 ((4096 lsl k) - 8 + d)))
             (int_bound 3) (int_bound 16) );
+        ( 2,
+          map2
+            (fun j d -> min (size - 1) (max 0 ((4096 * j) - 8 + d)))
+            (int_bound (size / 4096))
+            (int_bound 16) );
       ]
   in
   let gen_str =

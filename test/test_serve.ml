@@ -1,6 +1,7 @@
 (* Tests for the serve subsystem: codec round-trips and rejection of
-   damaged frames, handler/app-adapter semantics, and end-to-end
-   in-process determinism across worker counts and domain widths. *)
+   damaged frames, handler/app-adapter semantics, end-to-end in-process
+   determinism across worker counts and domain widths, and a listener on
+   a Unix socket driven from this process (no fork). *)
 
 open Hippo_serve
 module App = Hippo_apps.App
@@ -284,6 +285,40 @@ let test_inproc_workload_d_inserts () =
           Alcotest.(check int) "count tracks inserts" o.Drive.final_records
             o.Drive.count)
 
+(* ------------------------------------------------------------------ *)
+(* Sockets *)
+
+(* A client that sends a request and hangs up before reading the reply
+   must not take the server down: the reply's write fails with EPIPE, not
+   a fatal SIGPIPE, and the server goes on to serve the next connection.
+   Both clients connect and send before the server runs, so the first has
+   certainly hung up by the time its reply is written; the second shuts
+   down only its sending side and reads its reply once the server, bound
+   to two connections, has returned. *)
+let test_hangup_before_reply () =
+  let path = "test_serve_hangup.sock" in
+  let listen = Listener.listen_unix ~path in
+  let send req =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    let frame = Protocol.encode_request req in
+    ignore (Unix.write_substring fd frame 0 (String.length frame));
+    fd
+  in
+  Unix.close (send (Protocol.Set { key = "k"; value = "v" }));
+  let reader = send (Protocol.Get { key = "k" }) in
+  Unix.shutdown reader Unix.SHUTDOWN_SEND;
+  Listener.serve ~app:(small_app App.Manual) ~metrics:(Metrics.create ())
+    ~listen ~expect_conns:2 ();
+  Unix.close listen;
+  Sys.remove path;
+  let buf = Bytes.create 4096 in
+  let n = Unix.read reader buf 0 (Bytes.length buf) in
+  Unix.close reader;
+  match Protocol.decode_reply (Bytes.sub_string buf 0 n) ~pos:0 with
+  | Ok (Protocol.Value "v", _) -> ()
+  | _ -> Alcotest.fail "the second connection did not read the first's SET"
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
@@ -301,4 +336,5 @@ let suite =
     ("inproc manual/repaired agree", `Quick,
      test_inproc_manual_repaired_agree);
     ("inproc workload D inserts", `Quick, test_inproc_workload_d_inserts);
+    ("hang-up before reply", `Quick, test_hangup_before_reply);
   ]
